@@ -1,89 +1,42 @@
-"""Deterministic discrete-event core and the simulation run loop.
+"""Named random streams and the simulation run.
 
-Events are totally ordered by (time, sequence number) in a binary heap.
 Randomness comes from named substreams derived from the master seed, so
 adding a stream never perturbs the others.  For a fixed (config, seed)
 the run is fully deterministic.
 
-Draws are organised in stages rather than one scalar draw per event:
-frame interarrival times are drawn first, which fixes every integration
-boundary, so the per-segment pair-arrival counts and the per-frame
-thinning can each be drawn as a single block from their own substream.
-Poisson and binomial counts over disjoint intervals are independent, so
-the staged draws are identical in distribution to drawing at each event;
-the per-qubit reference oracle in the test suite checks exactly this.
-The sequential part, the memory occupancy walk, stays inside the event
-loop where frame arrivals and pair arrivals interleave.
+Every time in a run is known once the frame creation times are drawn:
+egress, classical and delivery times are creation times plus constant
+latencies.  Draws are therefore organised in stages rather than one
+scalar draw per event: frame times fix every integration boundary, so
+the per-segment pair-arrival counts and the per-frame thinning can each
+be drawn as a single block from their own substream.  Poisson and
+binomial counts over disjoint intervals are independent, so the staged
+draws are identical in distribution to drawing at each instant; the
+per-qubit reference oracle in the test suite checks exactly this.
+
+The only sequential part is the memory walk.  Frames are served at the
+egress in index order; before a frame consumes pairs, every segment
+ending at or before its egress time is stored, and after the last frame
+the remaining segments are stored.  Nothing at or after the horizon
+happens: a frame whose egress or delivery time equals ``duration_s`` is
+not served or not delivered.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .entanglement import EntanglementSource, MemoryPair, PairLedger
 from .geometry import visibility_window
-from .interface import classical_latency_s, verify_index_sync
+from .interface import classical_latency_s
 from .linkbudget import fiber_transmittance
-from .scenario import Policy, ScenarioConfig, select_sources
+from .scenario import ScenarioConfig, select_sources
 
 STREAM_NAMES = ("traffic", "coincidence", "ingress_access", "teleport", "egress_access")
-
-
-class EventKind(Enum):
-    FRAME_GENERATED = "FrameGenerated"
-    FRAME_AT_EGRESS = "FrameAtEgress"
-    CLASSICAL_AT_INGRESS = "ClassicalAtIngress"
-    FRAME_DELIVERED = "FrameDelivered"
-    CHANNEL_STEP = "ChannelStep"
-    SOURCE_WINDOW_EDGE = "SourceWindowEdge"
-    SIMULATION_END = "SimulationEnd"
-
-
-class Event(NamedTuple):
-    time_s: float
-    seq: int
-    kind: EventKind
-    payload: object = None
-
-
-class EventQueue:
-    """Binary-heap event queue; dequeues in strictly increasing (time, seq)."""
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._next_seq = 0
-        self._now = -math.inf
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def schedule(self, time_s: float, kind: EventKind, payload: object = None) -> Event:
-        if not math.isfinite(time_s):
-            raise ValueError(f"event time must be finite: {time_s}")
-        if time_s < self._now:
-            raise ValueError(
-                f"cannot schedule {kind.value} at {time_s} before current time {self._now}"
-            )
-        event = Event(time_s, self._next_seq, kind, payload)
-        self._next_seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Event:
-        event = heapq.heappop(self._heap)
-        self._now = event.time_s
-        return event
 
 
 class RandomStreams:
@@ -183,57 +136,6 @@ class RunResult:
     pairs_by_source: dict[str, int]
 
 
-def next_frame_interval(rng: np.random.Generator, mean_s: float = 0.020) -> float:
-    """Exponential interarrival gap of the frame Poisson process."""
-    if not (math.isfinite(mean_s) and mean_s > 0.0):
-        raise ValueError(f"mean_s must be > 0: {mean_s}")
-    return float(rng.exponential(mean_s))
-
-
-def integrate_pair_arrivals(
-    from_s: float,
-    to_s: float,
-    sources: tuple[EntanglementSource, ...],
-    policy: Policy,
-    memories: MemoryPair,
-    rng: np.random.Generator,
-    step_s: float = 2.0,
-    ledger: PairLedger | None = None,
-) -> tuple[int, int]:
-    """Sample and store pair arrivals over [from_s, to_s); returns (stored, dropped).
-
-    The interval is cut along the channel-step grid; within each step the
-    policy and per-source coincidence rates are held at their values at
-    the step start.  Counts are Poisson over each overlap, drawn per
-    active source in lexicographic id order.
-    """
-    if to_s < from_s:
-        raise ValueError(f"to_s {to_s} before from_s {from_s}")
-    by_id = {s.source_id: s for s in sources}
-    total_stored = 0
-    total_dropped = 0
-    t = from_s
-    while t < to_s:
-        step_start = math.floor(t / step_s) * step_s
-        seg_end = min(step_start + step_s, to_s)
-        decision = select_sources(policy, step_start, sources)
-        arrived = 0
-        for source_id in decision.active_source_ids:
-            rate = by_id[source_id].pair_rate_hz(step_start)
-            count = int(rng.poisson(rate * (seg_end - t)))
-            arrived += count
-            if ledger is not None:
-                ledger.add_source_count(source_id, count)
-        stored, dropped = memories.store_pairs(arrived)
-        if ledger is not None:
-            bin_index = int(step_start // ledger.bin_width_s)
-            ledger.record(bin_index, arrived, stored, dropped)
-        total_stored += stored
-        total_dropped += dropped
-        t = seg_end
-    return total_stored, total_dropped
-
-
 def _traffic_times(
     rng: np.random.Generator, mean_s: float, duration_s: float
 ) -> np.ndarray:
@@ -249,266 +151,199 @@ def _traffic_times(
     return all_times[all_times < duration_s]
 
 
-class _Simulation:
-    """Single-run state; one instance per call to run()."""
-
-    def __init__(self, config: ScenarioConfig, keep_frames: bool) -> None:
-        self.cfg = config
-        self.keep_frames = keep_frames
-        self.streams = RandomStreams(config.seed)
-
-    def run(self) -> RunResult:
-        cfg = self.cfg
-        duration = cfg.duration_s
-        step = cfg.channel_step_s
-        bin_width = cfg.bin_width_s
-        n_bins = cfg.n_bins
-        payload = cfg.payload_qubits
-        eta_in = fiber_transmittance(cfg.ingress_access)
-        eta_out = fiber_transmittance(cfg.egress_access)
-        delay_in = classical_latency_s(cfg.ingress_access.length_km)
-        delay_out = classical_latency_s(cfg.egress_access.length_km)
-        latency = classical_latency_s(cfg.classical_distance_km)
-        sources = cfg.sources
-        source_ids = tuple(s.source_id for s in sources)
-
-        # Stage 1: traffic stream fixes every frame time.
-        if duration > 0.0:
-            created = _traffic_times(self.streams.traffic, cfg.traffic.mean_interarrival_s, duration)
-        else:
-            created = np.empty(0)
-        n_frames = len(created)
-        egress_times = created + delay_in
-
-        # Stage 2: per-step policy decisions and pair rates.
-        n_steps = int(math.ceil(duration / step - 1e-9))
-        rate_table = np.zeros((n_steps, len(sources)))
-        for k in range(n_steps):
-            decision = select_sources(cfg.policy, k * step, sources)
-            active = set(decision.active_source_ids)
-            for j, source in enumerate(sources):
-                if source.source_id in active:
-                    rate_table[k, j] = (
-                        source.emission_rate_hz
-                        * decision.coincidence_probabilities[source.source_id]
-                    )
-
-        # Stage 3: integration boundaries and per-segment coincidence draws.
-        step_grid = np.arange(n_steps + 1) * step
-        bin_grid = np.arange(1, n_bins) * bin_width
-        window_edges = []
-        for source in sources:
-            if source.kind != "satellite-pass":
-                continue
-            window = visibility_window(
-                source.pass_model,
-                source.link_params.min_elevation_deg,
-                (source.station_a, source.station_b),
-            )
-            if window is None:
-                continue
-            for edge in (window.start_s, window.end_s):
-                if 0.0 < edge < duration:
-                    window_edges.append(edge)
-        boundaries = np.unique(
-            np.concatenate(
-                [
-                    np.clip(step_grid, 0.0, duration),
-                    bin_grid,
-                    np.asarray(window_edges),
-                    egress_times[egress_times < duration],
-                    [0.0, duration],
-                ]
-            )
-        )
-        seg_start = boundaries[:-1]
-        seg_len = np.diff(boundaries)
-        n_segments = len(seg_start)
-        if n_segments and n_steps:
-            seg_step = np.minimum((seg_start // step).astype(np.int64), n_steps - 1)
-            seg_bin = np.minimum((seg_start // bin_width).astype(np.int64), n_bins - 1)
-            lam = rate_table[seg_step, :] * seg_len[:, None]
-            pairs_by_source = self.streams.coincidence.poisson(lam)
-            pairs_per_segment = pairs_by_source.sum(axis=1)
-        else:
-            seg_bin = np.empty(0, dtype=np.int64)
-            pairs_by_source = np.empty((0, len(sources)), dtype=np.int64)
-            pairs_per_segment = np.empty(0, dtype=np.int64)
-
-        # Stage 4: access-link survivors for every generated frame.
-        if n_frames:
-            survivors = self.streams.ingress_access.binomial(payload, eta_in, size=n_frames)
-        else:
-            survivors = np.empty(0, dtype=np.int64)
-
-        # Event loop: the sequential memory walk.  Scalar state lives in
-        # plain lists; indexing ndarrays element-wise is much slower.
-        memories = MemoryPair(cfg.memory_capacity)
-        ledger = PairLedger(n_bins, bin_width, source_ids)
-        queue = EventQueue()
-        attempts = [0] * n_frames
-        consumed_start = [0] * n_frames
-        delivered_bin = [-1] * n_frames
-        processed = [False] * n_frames
-        frames_generated = 0
-        frames_processed = 0
-        frames_completed = 0
-        frames_per_bin = [0] * n_bins
-        seg_ptr = 0
-
-        queue.schedule(duration, EventKind.SIMULATION_END)
-        for edge in sorted(bin_grid):
-            queue.schedule(float(edge), EventKind.CHANNEL_STEP)
-        for edge in sorted(set(window_edges)):
-            queue.schedule(float(edge), EventKind.SOURCE_WINDOW_EDGE)
-        if n_frames:
-            queue.schedule(float(created[0]), EventKind.FRAME_GENERATED, 0)
-
-        b = boundaries.tolist()
-        pairs_seg = pairs_per_segment.tolist()
-        seg_bin_list = seg_bin.tolist()
-        created_list = created.tolist()
-        egress_list = egress_times.tolist()
-        survivors_list = survivors.tolist()
-        ledger_record = ledger.record
-        store_pairs = memories.store_pairs
-        consume_pairs = memories.consume_pairs
-        egress_mem = memories.egress
-        ingress_mem = memories.ingress
-        schedule = queue.schedule
-        pop = queue.pop
-
-        def advance(to_t: float) -> None:
-            nonlocal seg_ptr
-            while seg_ptr < n_segments and b[seg_ptr + 1] <= to_t:
-                arrived = pairs_seg[seg_ptr]
-                if arrived:
-                    stored, dropped = store_pairs(arrived)
-                else:
-                    stored = dropped = 0
-                ledger_record(seg_bin_list[seg_ptr], arrived, stored, dropped)
-                seg_ptr += 1
-
-        while True:
-            event = pop()
-            kind = event.kind
-            if kind is EventKind.FRAME_AT_EGRESS:
-                i = event.payload
-                advance(event.time_s)
-                a = min(survivors_list[i], egress_mem.occupancy)
-                start = consume_pairs(a)[0]
-                attempts[i] = a
-                consumed_start[i] = start
-                processed[i] = True
-                frames_processed += 1
-                schedule(event.time_s + latency, EventKind.CLASSICAL_AT_INGRESS, i)
-            elif kind is EventKind.FRAME_GENERATED:
-                i = event.payload
-                frames_generated += 1
-                schedule(egress_list[i], EventKind.FRAME_AT_EGRESS, i)
-                if i + 1 < n_frames:
-                    schedule(created_list[i + 1], EventKind.FRAME_GENERATED, i + 1)
-            elif kind is EventKind.CLASSICAL_AT_INGRESS:
-                i = event.payload
-                verify_index_sync(
-                    ingress_mem, (consumed_start[i], consumed_start[i] + attempts[i])
-                )
-                schedule(event.time_s + delay_out, EventKind.FRAME_DELIVERED, i)
-            elif kind is EventKind.FRAME_DELIVERED:
-                i = event.payload
-                bin_index = int(event.time_s // bin_width)
-                delivered_bin[i] = bin_index
-                frames_per_bin[bin_index] += 1
-                frames_completed += 1
-            elif kind is EventKind.CHANNEL_STEP or kind is EventKind.SOURCE_WINDOW_EDGE:
-                advance(event.time_s)
-            else:  # SIMULATION_END
-                advance(duration)
-                break
-        attempts = np.asarray(attempts, dtype=np.int64)
-        consumed_start = np.asarray(consumed_start, dtype=np.int64)
-        delivered_bin = np.asarray(delivered_bin, dtype=np.int64)
-        processed = np.asarray(processed, dtype=bool)
-
-        # Stage 5: teleport and far-side access thinning for processed frames.
-        proc_idx = np.nonzero(processed)[0]
-        successes = np.zeros(n_frames, dtype=np.int64)
-        if len(proc_idx):
-            successes[proc_idx] = self.streams.teleport.binomial(
-                attempts[proc_idx], cfg.p_teleport_success
-            )
-        comp_idx = np.nonzero(delivered_bin >= 0)[0]
-        delivered = np.zeros(n_frames, dtype=np.int64)
-        if len(comp_idx):
-            delivered[comp_idx] = self.streams.egress_access.binomial(
-                successes[comp_idx], eta_out
-            )
-        delivered_per_bin = np.bincount(
-            delivered_bin[comp_idx], weights=delivered[comp_idx], minlength=n_bins
-        ).astype(np.int64) if n_bins else np.empty(0, dtype=np.int64)
-
-        for j, source_id in enumerate(source_ids):
-            ledger.add_source_count(source_id, int(pairs_by_source[:, j].sum()))
-
-        bins = tuple(
-            MetricsBin(
-                bin_start_s=k * bin_width,
-                pairs_arrived=ledger.arrived[k],
-                pairs_stored=ledger.stored[k],
-                pairs_dropped=ledger.dropped[k],
-                qubits_delivered=int(delivered_per_bin[k]),
-                frames_completed=frames_per_bin[k],
-            )
-            for k in range(n_bins)
-        )
-        totals = RunTotals(
-            frames_generated=frames_generated,
-            frames_processed=frames_processed,
-            frames_completed=frames_completed,
-            pairs_arrived=ledger.total_arrived,
-            pairs_stored=ledger.total_stored,
-            pairs_dropped=ledger.total_dropped,
-            qubits_delivered=int(delivered[comp_idx].sum()) if len(comp_idx) else 0,
-        )
-
-        frames: tuple[FrameRecord, ...] = ()
-        if self.keep_frames:
-            records = []
-            for i in map(int, proc_idx):
-                completed = delivered_bin[i] >= 0
-                records.append(
-                    FrameRecord(
-                        frame_id=i,
-                        created_at_s=float(created[i]),
-                        egress_at_s=float(egress_times[i]),
-                        payload_qubits=payload,
-                        survivors_at_egress=int(survivors[i]),
-                        attempts=int(attempts[i]),
-                        successes=int(successes[i]),
-                        pairs_consumed=int(attempts[i]),
-                        consumed_start=int(consumed_start[i]),
-                        consumed_stop=int(consumed_start[i] + attempts[i]),
-                        dropped_for_no_pair=int(survivors[i] - attempts[i]),
-                        delivered=int(delivered[i]) if completed else None,
-                        delivered_at_s=(
-                            float(egress_times[i] + latency + delay_out) if completed else None
-                        ),
-                    )
-                )
-            frames = tuple(records)
-
-        if not memories.is_mirrored():
-            raise AssertionError("egress/ingress memory mirror broken after run")
-        return RunResult(
-            config=cfg,
-            seed=cfg.seed,
-            bins=bins,
-            frames=frames,
-            totals=totals,
-            pairs_by_source=dict(ledger.cumulative_by_source),
-        )
-
-
 def run(config: ScenarioConfig, keep_frames: bool = True) -> RunResult:
     """Simulate one scenario to completion; deterministic for a fixed config."""
-    return _Simulation(config, keep_frames).run()
+    cfg = config
+    streams = RandomStreams(cfg.seed)
+    duration = cfg.duration_s
+    step = cfg.channel_step_s
+    bin_width = cfg.bin_width_s
+    n_bins = cfg.n_bins
+    n_steps = cfg.n_steps
+    payload = cfg.payload_qubits
+    eta_in = fiber_transmittance(cfg.ingress_access)
+    eta_out = fiber_transmittance(cfg.egress_access)
+    delay_in = classical_latency_s(cfg.ingress_access.length_km)
+    delay_out = classical_latency_s(cfg.egress_access.length_km)
+    latency = classical_latency_s(cfg.classical_distance_km)
+    sources = cfg.sources
+
+    # Stage 1: traffic stream fixes every frame time.
+    if duration > 0.0:
+        created = _traffic_times(streams.traffic, cfg.traffic.mean_interarrival_s, duration)
+    else:
+        created = np.empty(0)
+    n_frames = len(created)
+    egress_times = created + delay_in
+
+    # Stage 2: per-step policy decisions and pair rates.
+    rate_table = np.zeros((n_steps, len(sources)))
+    for k in range(n_steps):
+        decision = select_sources(cfg.policy, k * step, sources)
+        active = set(decision.active_source_ids)
+        for j, source in enumerate(sources):
+            if source.source_id in active:
+                rate_table[k, j] = (
+                    source.emission_rate_hz
+                    * decision.coincidence_probabilities[source.source_id]
+                )
+
+    # Stage 3: integration boundaries and per-segment coincidence draws.
+    step_grid = np.arange(n_steps + 1) * step
+    bin_grid = np.arange(1, n_bins) * bin_width
+    window_edges = []
+    for source in sources:
+        if source.kind != "satellite-pass":
+            continue
+        window = visibility_window(
+            source.pass_model,
+            source.link_params.min_elevation_deg,
+            (source.station_a, source.station_b),
+        )
+        if window is None:
+            continue
+        for edge in (window.start_s, window.end_s):
+            if 0.0 < edge < duration:
+                window_edges.append(edge)
+    boundaries = np.unique(
+        np.concatenate(
+            [
+                np.clip(step_grid, 0.0, duration),
+                bin_grid,
+                np.asarray(window_edges),
+                egress_times[egress_times < duration],
+                [0.0, duration],
+            ]
+        )
+    )
+    seg_start = boundaries[:-1]
+    seg_len = np.diff(boundaries)
+    n_segments = len(seg_start)
+    seg_step = np.minimum((seg_start // step).astype(np.int64), n_steps - 1)
+    seg_bin = np.minimum((seg_start // bin_width).astype(np.int64), n_bins - 1)
+    lam = rate_table[seg_step, :] * seg_len[:, None]
+    pairs_by_source = streams.coincidence.poisson(lam)
+    pairs_per_segment = pairs_by_source.sum(axis=1)
+
+    # Stage 4: access-link survivors for every generated frame.
+    survivors = streams.ingress_access.binomial(payload, eta_in, size=n_frames)
+
+    # Stage 5: the memory walk over frames served before the horizon.
+    # Egress and delivery times are non-decreasing in the frame index, so
+    # served and completed frames are both prefixes of the frame list.
+    # Scalar state lives in plain lists; indexing ndarrays element-wise
+    # is much slower.
+    n_processed = int(np.count_nonzero(egress_times < duration))
+    seg_stop = np.searchsorted(boundaries[1:], egress_times[:n_processed], side="right")
+    capacity = math.inf if cfg.memory_capacity is None else cfg.memory_capacity
+    arrived_list = pairs_per_segment.tolist()
+    survivors_list = survivors.tolist()
+    stored_list = [0] * n_segments
+    attempts_list = [0] * n_processed
+    occupancy = 0
+    seg = 0
+    for i, stop in enumerate(seg_stop.tolist() + [n_segments]):
+        for k in range(seg, stop):
+            arrived = arrived_list[k]
+            if arrived:
+                stored = min(arrived, capacity - occupancy)
+                stored_list[k] = stored
+                occupancy += stored
+        seg = stop
+        if i < n_processed:
+            a = min(survivors_list[i], occupancy)
+            attempts_list[i] = a
+            occupancy -= a
+    attempts = np.asarray(attempts_list, dtype=np.int64)
+    consumed_start = np.cumsum(attempts) - attempts
+    stored_per_segment = np.asarray(stored_list, dtype=np.int64)
+
+    # Stage 6: teleport and far-side access thinning; a frame completes
+    # when its corrections and the rebuilt frame arrive before the horizon.
+    successes = streams.teleport.binomial(attempts, cfg.p_teleport_success)
+    delivered_at = egress_times[:n_processed] + latency + delay_out
+    n_completed = int(np.count_nonzero(delivered_at < duration))
+    delivered = streams.egress_access.binomial(successes[:n_completed], eta_out)
+    delivered_bin = np.minimum(
+        (delivered_at[:n_completed] // bin_width).astype(np.int64), n_bins - 1
+    )
+
+    def per_bin(index: np.ndarray, weights: np.ndarray | None = None) -> list[int]:
+        return np.bincount(index, weights, minlength=n_bins).astype(np.int64).tolist()
+
+    arrived_per_bin = per_bin(seg_bin, pairs_per_segment)
+    stored_per_bin = per_bin(seg_bin, stored_per_segment)
+    dropped_per_bin = per_bin(seg_bin, pairs_per_segment - stored_per_segment)
+    delivered_per_bin = per_bin(delivered_bin, delivered)
+    frames_per_bin = per_bin(delivered_bin)
+
+    if int(attempts.sum()) + occupancy != sum(stored_per_bin) or any(
+        s + d != a for s, d, a in zip(stored_per_bin, dropped_per_bin, arrived_per_bin)
+    ):
+        raise AssertionError("pair accounting broken after the memory walk")
+
+    bins = tuple(
+        MetricsBin(
+            bin_start_s=k * bin_width,
+            pairs_arrived=arrived_per_bin[k],
+            pairs_stored=stored_per_bin[k],
+            pairs_dropped=dropped_per_bin[k],
+            qubits_delivered=delivered_per_bin[k],
+            frames_completed=frames_per_bin[k],
+        )
+        for k in range(n_bins)
+    )
+    totals = RunTotals(
+        frames_generated=n_frames,
+        frames_processed=n_processed,
+        frames_completed=n_completed,
+        pairs_arrived=sum(arrived_per_bin),
+        pairs_stored=sum(stored_per_bin),
+        pairs_dropped=sum(dropped_per_bin),
+        qubits_delivered=int(delivered.sum()),
+    )
+
+    frames: tuple[FrameRecord, ...] = ()
+    if keep_frames:
+        delivered_list = delivered.tolist()
+        frames = tuple(
+            FrameRecord(
+                frame_id=i,
+                created_at_s=t_created,
+                egress_at_s=t_egress,
+                payload_qubits=payload,
+                survivors_at_egress=n_survivors,
+                attempts=a,
+                successes=n_successes,
+                pairs_consumed=a,
+                consumed_start=start,
+                consumed_stop=start + a,
+                dropped_for_no_pair=n_survivors - a,
+                delivered=delivered_list[i] if i < n_completed else None,
+                delivered_at_s=t_delivered if i < n_completed else None,
+            )
+            for i, (t_created, t_egress, n_survivors, a, n_successes, start, t_delivered)
+            in enumerate(
+                zip(
+                    created[:n_processed].tolist(),
+                    egress_times[:n_processed].tolist(),
+                    survivors_list[:n_processed],
+                    attempts_list,
+                    successes.tolist(),
+                    consumed_start.tolist(),
+                    delivered_at.tolist(),
+                )
+            )
+        )
+
+    return RunResult(
+        config=cfg,
+        seed=cfg.seed,
+        bins=bins,
+        frames=frames,
+        totals=totals,
+        pairs_by_source={
+            source.source_id: int(pairs_by_source[:, j].sum())
+            for j, source in enumerate(sources)
+        },
+    )

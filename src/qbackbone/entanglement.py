@@ -220,39 +220,3 @@ class MemoryPair:
     def is_mirrored(self) -> bool:
         return self.egress.state() == self.ingress.state()
 
-
-class PairLedger:
-    """Accounting of pair arrivals: per-bin counters and per-source totals."""
-
-    def __init__(self, n_bins: int, bin_width_s: float, source_ids: tuple[str, ...]) -> None:
-        if n_bins < 0:
-            raise ValueError(f"n_bins must be >= 0: {n_bins}")
-        if bin_width_s <= 0.0:
-            raise ValueError(f"bin_width_s must be > 0: {bin_width_s}")
-        self.bin_width_s = bin_width_s
-        self.arrived = [0] * n_bins
-        self.stored = [0] * n_bins
-        self.dropped = [0] * n_bins
-        self.cumulative_by_source = {source_id: 0 for source_id in source_ids}
-
-    def record(self, bin_index: int, arrived: int, stored: int, dropped: int) -> None:
-        self.arrived[bin_index] += arrived
-        self.stored[bin_index] += stored
-        self.dropped[bin_index] += dropped
-
-    def add_source_count(self, source_id: str, count: int) -> None:
-        if count < 0:
-            raise ValueError(f"count must be >= 0: {count}")
-        self.cumulative_by_source[source_id] += count
-
-    @property
-    def total_arrived(self) -> int:
-        return sum(self.arrived)
-
-    @property
-    def total_stored(self) -> int:
-        return sum(self.stored)
-
-    @property
-    def total_dropped(self) -> int:
-        return sum(self.dropped)

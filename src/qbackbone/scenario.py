@@ -170,7 +170,22 @@ class ScenarioConfig:
 
     @property
     def n_bins(self) -> int:
-        return int(math.ceil(self.duration_s / self.bin_width_s - 1e-9))
+        return _cell_count(self.duration_s, self.bin_width_s)
+
+    @property
+    def n_steps(self) -> int:
+        return _cell_count(self.duration_s, self.channel_step_s)
+
+
+def _cell_count(duration_s: float, width_s: float) -> int:
+    """Cells of ``width_s`` covering [0, duration_s).
+
+    A remainder below 1e-9 cells is float noise and gets no cell of its
+    own, but a positive horizon always has at least one cell.
+    """
+    if duration_s <= 0.0:
+        return 0
+    return max(1, int(math.ceil(duration_s / width_s - 1e-9)))
 
 
 def select_sources(
@@ -399,10 +414,11 @@ def _load_source(
                 {"id", "kind", "emission_rate_hz", "arm_length_km", "attenuation_db_per_km"},
                 path,
             )
+            default = fiber_source()
             arm = FiberLink(
-                length_km=_get_number(doc, "arm_length_km", 75.0, path),
+                length_km=_get_number(doc, "arm_length_km", default.arm_a.length_km, path),
                 attenuation_db_per_km=_get_number(
-                    doc, "attenuation_db_per_km", STANDARD_FIBER_DB_PER_KM, path
+                    doc, "attenuation_db_per_km", default.arm_a.attenuation_db_per_km, path
                 ),
             )
             return FiberSource(
@@ -410,7 +426,7 @@ def _load_source(
                 arm_a=arm,
                 arm_b=arm,
                 emission_rate_hz=_get_number(
-                    doc, "emission_rate_hz", DEFAULT_EMISSION_RATE_HZ, path
+                    doc, "emission_rate_hz", default.emission_rate_hz, path
                 ),
             )
         if kind == "satellite-pass":
@@ -459,9 +475,9 @@ def _load_source(
     )
 
 
-def _load_policy(doc: Any) -> Policy:
+def _load_policy(doc: Any, default: Policy) -> Policy:
     if doc is None:
-        return Policy("fiber-only")
+        return default
     if isinstance(doc, str):
         return Policy(doc)
     doc = _require_mapping(doc, "policy")
@@ -493,6 +509,7 @@ def load_config(doc: Mapping[str, Any]) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a configuration document."""
     doc = _require_mapping(doc, "config")
     _check_keys(doc, _TOP_LEVEL_KEYS, "config")
+    defaults = ScenarioConfig()
 
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
@@ -503,14 +520,18 @@ def load_config(doc: Mapping[str, Any]) -> ScenarioConfig:
         stations_doc = _require_mapping(stations_doc, "stations")
         _check_keys(stations_doc, {"egress", "ingress"}, "stations")
     egress = _load_station(
-        stations_doc.get("egress") if stations_doc else None, MUNICH, "stations.egress"
+        stations_doc.get("egress") if stations_doc else None,
+        defaults.egress_station,
+        "stations.egress",
     )
     ingress = _load_station(
-        stations_doc.get("ingress") if stations_doc else None, NUREMBERG, "stations.ingress"
+        stations_doc.get("ingress") if stations_doc else None,
+        defaults.ingress_station,
+        "stations.ingress",
     )
 
     traffic_doc = doc.get("traffic")
-    traffic_defaults = TrafficConfig()
+    traffic_defaults = defaults.traffic
     if traffic_doc is not None:
         traffic_doc = _require_mapping(traffic_doc, "traffic")
         _check_keys(
@@ -539,15 +560,14 @@ def load_config(doc: Mapping[str, Any]) -> ScenarioConfig:
     if access_doc is not None:
         access_doc = _require_mapping(access_doc, "access")
         _check_keys(access_doc, {"ingress_access", "egress_access"}, "access")
-    default_access = FiberLink(5.0, STANDARD_FIBER_DB_PER_KM)
     ingress_access = _load_fiber_link(
         access_doc.get("ingress_access") if access_doc else None,
-        default_access,
+        defaults.ingress_access,
         "access.ingress_access",
     )
     egress_access = _load_fiber_link(
         access_doc.get("egress_access") if access_doc else None,
-        default_access,
+        defaults.egress_access,
         "access.egress_access",
     )
 
@@ -562,11 +582,11 @@ def load_config(doc: Mapping[str, Any]) -> ScenarioConfig:
             for i, entry in enumerate(sources_doc)
         )
 
-    memory = doc.get("memory_capacity")
+    memory = doc.get("memory_capacity", defaults.memory_capacity)
     if memory is not None and (isinstance(memory, bool) or not isinstance(memory, int)):
         raise ConfigError(f"memory_capacity must be an integer or null: {memory!r}")
 
-    seed = doc.get("seed", 0)
+    seed = doc.get("seed", defaults.seed)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer: {seed!r}")
 
@@ -574,16 +594,20 @@ def load_config(doc: Mapping[str, Any]) -> ScenarioConfig:
         egress_station=egress,
         ingress_station=ingress,
         sources=sources,
-        policy=_load_policy(doc.get("policy")),
+        policy=_load_policy(doc.get("policy"), defaults.policy),
         traffic=traffic,
         ingress_access=ingress_access,
         egress_access=egress_access,
         memory_capacity=memory,
-        p_teleport_success=_get_number(doc, "p_teleport_success", 0.5, "config"),
-        duration_s=_get_number(doc, "duration_s", 600.0, "config"),
-        bin_width_s=_get_number(doc, "bin_width_s", 8.0, "config"),
-        channel_step_s=_get_number(doc, "channel_step_s", 2.0, "config"),
-        classical_distance_km=_get_number(doc, "classical_distance_km", 150.0, "config"),
+        p_teleport_success=_get_number(
+            doc, "p_teleport_success", defaults.p_teleport_success, "config"
+        ),
+        duration_s=_get_number(doc, "duration_s", defaults.duration_s, "config"),
+        bin_width_s=_get_number(doc, "bin_width_s", defaults.bin_width_s, "config"),
+        channel_step_s=_get_number(doc, "channel_step_s", defaults.channel_step_s, "config"),
+        classical_distance_km=_get_number(
+            doc, "classical_distance_km", defaults.classical_distance_km, "config"
+        ),
         seed=seed,
     )
 

@@ -1,78 +1,20 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qbackbone.engine import (
-    STREAM_NAMES,
-    Event,
-    EventKind,
-    EventQueue,
-    RandomStreams,
-    integrate_pair_arrivals,
-    next_frame_interval,
-    run,
-)
-from qbackbone.entanglement import MemoryPair
+from qbackbone.engine import STREAM_NAMES, RandomStreams, _traffic_times, run
+from qbackbone.interface import classical_latency_s
 from qbackbone.scenario import (
     Policy,
     dark_fiber_source,
     default_config,
-    fiber_source,
     satellite_source,
 )
-
-
-class TestEventQueue:
-    def test_total_order(self):
-        rng = np.random.default_rng(0)
-        queue = EventQueue()
-        times = rng.uniform(0.0, 100.0, size=500)
-        for t in times:
-            queue.schedule(float(t), EventKind.CHANNEL_STEP)
-        popped = [queue.pop() for _ in range(len(queue))]
-        keys = [(e.time_s, e.seq) for e in popped]
-        assert keys == sorted(keys)
-        assert len({e.seq for e in popped}) == len(popped)
-
-    def test_ties_resolve_by_sequence(self):
-        queue = EventQueue()
-        first = queue.schedule(5.0, EventKind.CHANNEL_STEP, "first")
-        second = queue.schedule(5.0, EventKind.CHANNEL_STEP, "second")
-        assert first.seq < second.seq
-        assert queue.pop().payload == "first"
-        assert queue.pop().payload == "second"
-
-    def test_scheduling_in_past_rejected(self):
-        queue = EventQueue()
-        queue.schedule(10.0, EventKind.CHANNEL_STEP)
-        queue.pop()
-        with pytest.raises(ValueError):
-            queue.schedule(9.0, EventKind.CHANNEL_STEP)
-        queue.schedule(10.0, EventKind.CHANNEL_STEP)  # at current time is fine
-
-    def test_clock_monotone(self):
-        queue = EventQueue()
-        for t in (3.0, 1.0, 2.0):
-            queue.schedule(t, EventKind.CHANNEL_STEP)
-        last = -math.inf
-        while len(queue):
-            event = queue.pop()
-            assert event.time_s >= last
-            last = event.time_s
-            assert queue.now == event.time_s
-
-    def test_non_finite_rejected(self):
-        queue = EventQueue()
-        with pytest.raises(ValueError):
-            queue.schedule(math.inf, EventKind.SIMULATION_END)
-
-    def test_event_fields(self):
-        event = Event(1.0, 0, EventKind.FRAME_GENERATED, 7)
-        assert event.time_s == 1.0 and event.payload == 7
 
 
 class TestRandomStreams:
@@ -104,77 +46,6 @@ class TestRandomStreams:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RandomStreams(-1)
-
-
-class TestNextFrameInterval:
-    def test_mean(self):
-        rng = np.random.default_rng(0)
-        samples = [next_frame_interval(rng) for _ in range(100_000)]
-        assert np.mean(samples) == pytest.approx(0.020, abs=0.0002)
-
-    def test_positive(self):
-        rng = np.random.default_rng(1)
-        assert all(next_frame_interval(rng) > 0.0 for _ in range(1000))
-
-    def test_fixed_seed_reproducible(self):
-        a = [next_frame_interval(np.random.default_rng(9)) for _ in range(5)]
-        b = [next_frame_interval(np.random.default_rng(9)) for _ in range(5)]
-        assert a == b
-
-
-class TestIntegratePairArrivals:
-    def test_no_active_source(self):
-        memories = MemoryPair(None)
-        rng = np.random.default_rng(0)
-        stored, dropped = integrate_pair_arrivals(
-            0.0, 10.0, (), Policy("fiber-only"), memories, rng
-        )
-        assert (stored, dropped) == (0, 0)
-
-    def test_constant_rate_mean(self):
-        source = fiber_source()
-        rate = source.pair_rate_hz(0.0)
-        totals = []
-        for seed in range(40):
-            memories = MemoryPair(None)
-            rng = np.random.default_rng(seed)
-            stored, _ = integrate_pair_arrivals(
-                0.0, 20.0, (source,), Policy("fiber-only"), memories, rng
-            )
-            totals.append(stored)
-        mean = rate * 20.0
-        assert np.mean(totals) == pytest.approx(mean, abs=3 * math.sqrt(mean / 40))
-
-    def test_capacity_clamp(self):
-        source = fiber_source()
-        memories = MemoryPair(50)
-        rng = np.random.default_rng(1)
-        stored, dropped = integrate_pair_arrivals(
-            0.0, 10.0, (source,), Policy("fiber-only"), memories, rng
-        )
-        assert memories.occupancy == 50
-        assert stored == 50
-        assert dropped > 0
-
-    def test_ledger_rows(self):
-        from qbackbone.entanglement import PairLedger
-
-        source = fiber_source()
-        memories = MemoryPair(None)
-        ledger = PairLedger(2, 8.0, (source.source_id,))
-        rng = np.random.default_rng(2)
-        stored, dropped = integrate_pair_arrivals(
-            0.0, 16.0, (source,), Policy("fiber-only"), memories, rng, ledger=ledger
-        )
-        assert ledger.total_arrived == stored + dropped
-        assert ledger.cumulative_by_source[source.source_id] == ledger.total_arrived
-        assert all(v > 0 for v in ledger.arrived)
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            integrate_pair_arrivals(
-                5.0, 4.0, (), Policy("fiber-only"), MemoryPair(None), np.random.default_rng(0)
-            )
 
 
 class TestRun:
@@ -318,3 +189,52 @@ class TestRun:
             for s in range(5)
         ]
         assert np.mean(dark) > np.mean(std)
+
+
+class TestWalkProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        memory=st.one_of(st.none(), st.integers(1, 50)),
+        duration=st.floats(0.0, 64.0),
+        mean_gap=st.floats(0.005, 2.0),
+    )
+    @example(seed=0, memory=None, duration=1e-10, mean_gap=0.02)
+    @example(seed=0, memory=1, duration=8.000000001, mean_gap=0.02)
+    def test_walk_invariants(self, seed, memory, duration, mean_gap):
+        base = default_config()
+        config = dataclasses.replace(
+            base,
+            seed=seed,
+            memory_capacity=memory,
+            duration_s=duration,
+            traffic=dataclasses.replace(base.traffic, mean_interarrival_s=mean_gap),
+        )
+        result = run(config)
+
+        assert len(result.bins) == config.n_bins
+        for b in result.bins:
+            assert b.pairs_stored + b.pairs_dropped == b.pairs_arrived
+            if memory is None:
+                assert b.pairs_dropped == 0
+
+        cursor = 0
+        for f in result.frames:
+            assert f.consumed_start == cursor
+            assert f.consumed_stop == cursor + f.attempts
+            cursor = f.consumed_stop
+        assert cursor <= result.totals.pairs_stored
+
+        if duration > 0.0:
+            created = _traffic_times(RandomStreams(seed).traffic, mean_gap, duration)
+        else:
+            created = np.empty(0)
+        egress = created + classical_latency_s(config.ingress_access.length_km)
+        served = egress < duration
+        assert [f.frame_id for f in result.frames] == list(range(int(served.sum())))
+        assert [f.egress_at_s for f in result.frames] == egress[served].tolist()
+
+        latency = classical_latency_s(config.classical_distance_km)
+        delay_out = classical_latency_s(config.egress_access.length_km)
+        for f in result.frames:
+            assert (f.delivered is None) == (f.egress_at_s + latency + delay_out >= duration)

@@ -7,7 +7,6 @@ import pytest
 
 from qbackbone.entanglement import (
     MemoryPair,
-    PairLedger,
     QuantumMemory,
     coincidence_count,
 )
@@ -176,22 +175,3 @@ class TestSources:
                 station_a="Munich",
                 station_b="nowhere",
             )
-
-
-class TestPairLedger:
-    def test_records_accumulate(self):
-        ledger = PairLedger(3, 8.0, ("s",))
-        ledger.record(0, 5, 4, 1)
-        ledger.record(0, 2, 2, 0)
-        ledger.record(2, 1, 1, 0)
-        assert ledger.arrived == [7, 0, 1]
-        assert ledger.stored == [6, 0, 1]
-        assert ledger.dropped == [1, 0, 0]
-        assert ledger.total_arrived == 8
-        ledger.add_source_count("s", 8)
-        assert ledger.cumulative_by_source["s"] == 8
-
-    def test_non_negative(self):
-        ledger = PairLedger(1, 8.0, ("s",))
-        with pytest.raises(ValueError):
-            ledger.add_source_count("s", -1)

@@ -56,6 +56,21 @@ class TestDefaults:
         assert config.ingress_access.length_km == 5.0
         assert config.policy == Policy("fiber-only")
 
+    def test_partial_documents_load_dataclass_defaults(self):
+        defaults = ScenarioConfig()
+        config = load_config(
+            {
+                "traffic": {"qubit_rate_hz": 2.0e9},
+                "access": {"egress_access": {"length_km": 7.0}},
+                "sources": [{"id": "f", "kind": "ground-fiber"}],
+            }
+        )
+        assert config.traffic == dataclasses.replace(defaults.traffic, qubit_rate_hz=2.0e9)
+        assert config.ingress_access == defaults.ingress_access
+        assert config.egress_access == dataclasses.replace(defaults.egress_access, length_km=7.0)
+        assert config.sources == (fiber_source("f"),)
+        assert load_config({"traffic": {}, "access": {}}) == load_config({})
+
     def test_builtin_sources_roster(self):
         ids = [s.source_id for s in builtin_sources()]
         assert ids == ["fiber-standard", "fiber-dark", "Micius", "Starlink-2007", "Iridium-126"]
