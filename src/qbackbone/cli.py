@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -50,6 +51,10 @@ FRAMES_COLUMNS = (
     "egress_access_lost",
     "delivered_at_s",
 )
+# Rows of frames.csv formatted and written at a time: large enough to
+# amortise the per-chunk numpy calls, small enough that the formatted
+# strings of a chunk stay a small share of the run's memory.
+FRAMES_CHUNK = 1024
 SUMMARY_COLUMNS = (
     "seed",
     "duration_s",
@@ -116,26 +121,51 @@ def _load(args: argparse.Namespace) -> scenario.ScenarioConfig:
     return config
 
 
-def _frame_rows(frames: Iterable[engine.FrameRecord]) -> Iterable[Sequence[object]]:
-    for f in frames:
-        yield (
-            f.frame_id,
-            f.created_at_s,
-            f.egress_at_s,
-            f.payload_qubits,
-            f.survivors_at_egress,
-            f.payload_qubits - f.survivors_at_egress,
-            f.attempts,
-            f.dropped_for_no_pair,
-            f.successes,
-            f.attempts - f.successes,
-            f.pairs_consumed,
-            f.consumed_start,
-            f.consumed_stop,
-            f.delivered,
-            None if f.delivered is None else f.successes - f.delivered,
-            f.delivered_at_s,
+def _write_frames(fh, frames: engine.FrameTable) -> None:
+    """Write frames.csv from the frame columns, ``FRAMES_CHUNK`` rows per write.
+
+    Cells match ``_fmt``: ``repr`` of floats, ``str`` of ints, and empty
+    cells for frames still in flight.  Every cell is numeric or empty, so
+    no cell needs CSV quoting.
+    """
+    fh.write(",".join(FRAMES_COLUMNS) + "\n")
+    payload = frames.payload_qubits
+    n_completed = len(frames.delivered)
+    for lo in range(0, len(frames), FRAMES_CHUNK):
+        hi = min(lo + FRAMES_CHUNK, len(frames))
+        survivors = frames.survivors_at_egress[lo:hi]
+        attempts = frames.attempts[lo:hi]
+        successes = frames.successes[lo:hi]
+        start = frames.consumed_start[lo:hi]
+        delivered = frames.delivered[lo:hi]
+        in_flight = [""] * (hi - lo - len(delivered))
+        columns = (
+            map(str, range(lo, hi)),
+            _floats(frames.created_at_s[lo:hi]),
+            _floats(frames.egress_at_s[lo:hi]),
+            itertools.repeat(str(payload), hi - lo),
+            _ints(survivors),
+            _ints(payload - survivors),
+            _ints(attempts),
+            _ints(survivors - attempts),
+            _ints(successes),
+            _ints(attempts - successes),
+            _ints(attempts),
+            _ints(start),
+            _ints(start + attempts),
+            itertools.chain(_ints(delivered), in_flight),
+            itertools.chain(_ints(successes[: len(delivered)] - delivered), in_flight),
+            itertools.chain(_floats(frames.delivered_at_s[lo:hi]), in_flight),
         )
+        fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+
+
+def _ints(column) -> Iterable[str]:
+    return map(str, column.tolist())
+
+
+def _floats(column) -> Iterable[str]:
+    return map(repr, column.tolist())
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -160,7 +190,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 ),
             )
         with open(os.path.join(args.out, "frames.csv"), "w", encoding="utf-8", newline="") as fh:
-            _write_rows(fh, FRAMES_COLUMNS, _frame_rows(result.frames))
+            _write_frames(fh, result.frames)
         with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
             t = result.totals
             _write_rows(
@@ -250,7 +280,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 cfg = dataclasses.replace(
                     base, memory_capacity=memory, seed=config.seed + k
                 )
-                result = engine.run(cfg, keep_frames=False)
+                result = engine.run(cfg)
                 rows.append(
                     (
                         label,

@@ -20,6 +20,12 @@ ending at or before its egress time is stored, and after the last frame
 the remaining segments are stored.  Nothing at or after the horizon
 happens: a frame whose egress or delivery time equals ``duration_s`` is
 not served or not delivered.
+
+A segment takes the rate of the channel step and counts toward the bin
+it starts in; both are found by searching the step and bin grids the
+segments were cut from.  Per-frame results are returned as a
+``FrameTable`` of numpy columns, slices of the arrays the stages build,
+rather than one object per frame.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -91,26 +96,36 @@ class MetricsBin:
     frames_completed: int
 
 
-class FrameRecord(NamedTuple):
-    """Lifecycle of one frame that reached the egress.
+@dataclass(frozen=True)
+class FrameTable:
+    """Per-frame columns of the frames served at the egress, in frame order.
 
-    delivered and delivered_at_s are None for frames still in flight
-    when the simulation ended.
+    Row ``i`` is frame ``i``.  The served-frame columns have one entry per
+    frame with ``egress_at_s < duration_s``; ``delivered`` and
+    ``delivered_at_s`` cover only the completed prefix of those frames, the
+    rest were still in flight when the simulation ended.  A frame consumes
+    the memory pairs ``[consumed_start, consumed_start + attempts)``.
+    Columns are read-only numpy arrays; compare tables column by column
+    with ``np.array_equal``.
     """
 
-    frame_id: int
-    created_at_s: float
-    egress_at_s: float
     payload_qubits: int
-    survivors_at_egress: int
-    attempts: int
-    successes: int
-    pairs_consumed: int
-    consumed_start: int
-    consumed_stop: int
-    dropped_for_no_pair: int
-    delivered: int | None
-    delivered_at_s: float | None
+    created_at_s: np.ndarray
+    egress_at_s: np.ndarray
+    survivors_at_egress: np.ndarray
+    attempts: np.ndarray
+    successes: np.ndarray
+    consumed_start: np.ndarray
+    delivered: np.ndarray
+    delivered_at_s: np.ndarray
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.created_at_s)
 
 
 @dataclass(frozen=True)
@@ -131,7 +146,7 @@ class RunResult:
     config: ScenarioConfig
     seed: int
     bins: tuple[MetricsBin, ...]
-    frames: tuple[FrameRecord, ...]
+    frames: FrameTable
     totals: RunTotals
     pairs_by_source: dict[str, int]
 
@@ -151,7 +166,7 @@ def _traffic_times(
     return all_times[all_times < duration_s]
 
 
-def run(config: ScenarioConfig, keep_frames: bool = True) -> RunResult:
+def run(config: ScenarioConfig) -> RunResult:
     """Simulate one scenario to completion; deterministic for a fixed config."""
     cfg = config
     streams = RandomStreams(cfg.seed)
@@ -189,8 +204,11 @@ def run(config: ScenarioConfig, keep_frames: bool = True) -> RunResult:
                 )
 
     # Stage 3: integration boundaries and per-segment coincidence draws.
+    # A segment's step and bin are found by searching the grids it was cut
+    # from; ``start // width`` misplaces grid points that are not exact
+    # multiples in floating point (steps that are not powers of two).
     step_grid = np.arange(n_steps + 1) * step
-    bin_grid = np.arange(1, n_bins) * bin_width
+    bin_starts = np.arange(n_bins) * bin_width
     window_edges = []
     for source in sources:
         if source.kind != "satellite-pass":
@@ -209,7 +227,7 @@ def run(config: ScenarioConfig, keep_frames: bool = True) -> RunResult:
         np.concatenate(
             [
                 np.clip(step_grid, 0.0, duration),
-                bin_grid,
+                bin_starts,
                 np.asarray(window_edges),
                 egress_times[egress_times < duration],
                 [0.0, duration],
@@ -219,8 +237,8 @@ def run(config: ScenarioConfig, keep_frames: bool = True) -> RunResult:
     seg_start = boundaries[:-1]
     seg_len = np.diff(boundaries)
     n_segments = len(seg_start)
-    seg_step = np.minimum((seg_start // step).astype(np.int64), n_steps - 1)
-    seg_bin = np.minimum((seg_start // bin_width).astype(np.int64), n_bins - 1)
+    seg_step = np.searchsorted(step_grid[:-1], seg_start, side="right") - 1
+    seg_bin = np.searchsorted(bin_starts, seg_start, side="right") - 1
     lam = rate_table[seg_step, :] * seg_len[:, None]
     pairs_by_source = streams.coincidence.poisson(lam)
     pairs_per_segment = pairs_by_source.sum(axis=1)
@@ -264,9 +282,7 @@ def run(config: ScenarioConfig, keep_frames: bool = True) -> RunResult:
     delivered_at = egress_times[:n_processed] + latency + delay_out
     n_completed = int(np.count_nonzero(delivered_at < duration))
     delivered = streams.egress_access.binomial(successes[:n_completed], eta_out)
-    delivered_bin = np.minimum(
-        (delivered_at[:n_completed] // bin_width).astype(np.int64), n_bins - 1
-    )
+    delivered_bin = np.searchsorted(bin_starts, delivered_at[:n_completed], side="right") - 1
 
     def per_bin(index: np.ndarray, weights: np.ndarray | None = None) -> list[int]:
         return np.bincount(index, weights, minlength=n_bins).astype(np.int64).tolist()
@@ -284,14 +300,14 @@ def run(config: ScenarioConfig, keep_frames: bool = True) -> RunResult:
 
     bins = tuple(
         MetricsBin(
-            bin_start_s=k * bin_width,
+            bin_start_s=bin_start,
             pairs_arrived=arrived_per_bin[k],
             pairs_stored=stored_per_bin[k],
             pairs_dropped=dropped_per_bin[k],
             qubits_delivered=delivered_per_bin[k],
             frames_completed=frames_per_bin[k],
         )
-        for k in range(n_bins)
+        for k, bin_start in enumerate(bin_starts.tolist())
     )
     totals = RunTotals(
         frames_generated=n_frames,
@@ -303,38 +319,17 @@ def run(config: ScenarioConfig, keep_frames: bool = True) -> RunResult:
         qubits_delivered=int(delivered.sum()),
     )
 
-    frames: tuple[FrameRecord, ...] = ()
-    if keep_frames:
-        delivered_list = delivered.tolist()
-        frames = tuple(
-            FrameRecord(
-                frame_id=i,
-                created_at_s=t_created,
-                egress_at_s=t_egress,
-                payload_qubits=payload,
-                survivors_at_egress=n_survivors,
-                attempts=a,
-                successes=n_successes,
-                pairs_consumed=a,
-                consumed_start=start,
-                consumed_stop=start + a,
-                dropped_for_no_pair=n_survivors - a,
-                delivered=delivered_list[i] if i < n_completed else None,
-                delivered_at_s=t_delivered if i < n_completed else None,
-            )
-            for i, (t_created, t_egress, n_survivors, a, n_successes, start, t_delivered)
-            in enumerate(
-                zip(
-                    created[:n_processed].tolist(),
-                    egress_times[:n_processed].tolist(),
-                    survivors_list[:n_processed],
-                    attempts_list,
-                    successes.tolist(),
-                    consumed_start.tolist(),
-                    delivered_at.tolist(),
-                )
-            )
-        )
+    frames = FrameTable(
+        payload_qubits=payload,
+        created_at_s=created[:n_processed],
+        egress_at_s=egress_times[:n_processed],
+        survivors_at_egress=survivors[:n_processed],
+        attempts=attempts,
+        successes=successes,
+        consumed_start=consumed_start,
+        delivered=delivered,
+        delivered_at_s=delivered_at[:n_completed],
+    )
 
     return RunResult(
         config=cfg,

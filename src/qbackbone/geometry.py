@@ -3,8 +3,9 @@
 A satellite pass is modelled as a circular orbit whose ground track is a
 great circle, parameterised per ground station by the elevation and time
 of closest approach.  Earth rotation and orbital eccentricity are
-ignored; the model is periodic with the orbital period, so it is only
-meaningful within a single pass around each configured peak time.
+ignored.  The model describes a single pass around each configured peak
+time: from half an orbital period before the peak to half a period after
+it, and the satellite is below the horizon outside that interval.
 """
 
 from __future__ import annotations
@@ -153,12 +154,18 @@ def central_angle_rad(
 def _elevation_deg_signed(
     t_s: float, pass_model: SatellitePassModel, station: StationPass
 ) -> float:
-    """Elevation at time ``t_s``; negative values mean below the horizon."""
+    """Elevation at time ``t_s``; negative values mean below the horizon.
+
+    The model covers one pass: half an orbital period or more from the
+    peak, the satellite stays at its farthest point, below the horizon,
+    instead of rising again one period later.
+    """
     gamma_min = central_angle_rad(
         station.peak_elevation_deg, pass_model.altitude_km, pass_model.earth_radius_km
     )
     omega = pass_model.angular_rate_rad_s
-    cos_gamma = math.cos(gamma_min) * math.cos(omega * (t_s - station.peak_time_s))
+    phase = min(omega * abs(t_s - station.peak_time_s), math.pi)
+    cos_gamma = math.cos(gamma_min) * math.cos(phase)
     cos_gamma = _clamp(cos_gamma)
     gamma = math.acos(cos_gamma)
     if gamma < 1e-12:

@@ -41,6 +41,12 @@ _SATELLITES = {
 
 POLICY_KINDS = ("fiber-only", "satellite-only", "best-source", "all-sources")
 
+# Ceiling on the expected frame count and on the channel steps of one run
+# (a bin spans whole steps, so bins are never more than steps).  A run
+# holds about 220 bytes per frame, so the ceiling keeps a run near 1 GB;
+# at the default traffic it allows a 27 h horizon.
+MAX_RUN_CELLS = 5_000_000
+
 
 class ConfigError(ValueError):
     """A scenario document failed to parse or validate."""
@@ -136,6 +142,15 @@ class ScenarioConfig:
                 f"bin_width_s ({self.bin_width_s}) must be a multiple of "
                 f"channel_step_s ({self.channel_step_s})"
             )
+        for name, count in (
+            ("expected frame count", self.duration_s / self.traffic.mean_interarrival_s),
+            ("channel step count", self.n_steps),
+        ):
+            if count > MAX_RUN_CELLS:
+                raise ConfigError(
+                    f"{name} {count:.6g} exceeds the ceiling of {MAX_RUN_CELLS}; "
+                    "shorten duration_s or lengthen channel_step_s or the frame gap"
+                )
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer: {self.seed}")
         if self.egress_station.name == self.ingress_station.name:

@@ -1,15 +1,22 @@
-"""Straightforward per-pair, per-qubit reference simulation.
+"""Straightforward reference implementations the tests compare against.
 
-Independent oracle for the aggregated engine: every pair arrival is an
-explicit entry in a chronological walk and every qubit is thinned with
-its own uniform draw.  Deliberately simple and slow; fiber-backbone
-scenarios only.
+``simulate_per_qubit`` is an independent oracle for the aggregated
+engine: every pair arrival is an explicit entry in a chronological walk
+and every qubit is thinned with its own uniform draw.  Deliberately
+simple and slow; fiber-backbone scenarios only.
+
+``write_frames`` is the oracle for the column-wise ``frames.csv``
+writer: one row per frame, one cell at a time, through ``csv.writer``.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
+from qbackbone.cli import FRAMES_COLUMNS
+from qbackbone.engine import FrameTable
 from qbackbone.interface import classical_latency_s
 from qbackbone.linkbudget import fiber_transmittance
 from qbackbone.scenario import ScenarioConfig
@@ -57,3 +64,49 @@ def simulate_per_qubit(config: ScenarioConfig, seed: int) -> int:
         if egress_t + latency + delay_out < duration:
             delivered_total += int((rng.random(successes) < eta_out).sum())
     return delivered_total
+
+
+def _fmt(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def frame_rows(frames: FrameTable):
+    """The frames.csv rows of a frame table, built one frame at a time."""
+    payload = frames.payload_qubits
+    n_completed = len(frames.delivered)
+    for i in range(len(frames)):
+        survivors = int(frames.survivors_at_egress[i])
+        attempts = int(frames.attempts[i])
+        successes = int(frames.successes[i])
+        start = int(frames.consumed_start[i])
+        completed = i < n_completed
+        delivered = int(frames.delivered[i]) if completed else None
+        yield (
+            i,
+            float(frames.created_at_s[i]),
+            float(frames.egress_at_s[i]),
+            payload,
+            survivors,
+            payload - survivors,
+            attempts,
+            survivors - attempts,
+            successes,
+            attempts - successes,
+            attempts,
+            start,
+            start + attempts,
+            delivered,
+            successes - delivered if completed else None,
+            float(frames.delivered_at_s[i]) if completed else None,
+        )
+
+
+def write_frames(fh, frames: FrameTable) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(FRAMES_COLUMNS)
+    for row in frame_rows(frames):
+        writer.writerow([_fmt(v) for v in row])

@@ -8,6 +8,7 @@ per-criterion lines.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 import time
@@ -56,7 +57,7 @@ def fiber_config(dark: bool, memory: int | None, seed: int = 0, **extra):
 
 def run_seeds(base, n_seeds: int):
     return [
-        run(dataclasses.replace(base, seed=base.seed + k), keep_frames=False)
+        run(dataclasses.replace(base, seed=base.seed + k))
         for k in range(n_seeds)
     ]
 
@@ -245,7 +246,7 @@ def test_criterion_6_aggregation_oracle_equivalence():
     n_seeds = 30
     base = fiber_config(False, None, duration_s=10.0)
     engine_totals = [
-        run(dataclasses.replace(base, seed=s), keep_frames=False).totals.qubits_delivered
+        run(dataclasses.replace(base, seed=s)).totals.qubits_delivered
         for s in range(n_seeds)
     ]
     oracle_totals = [
@@ -276,17 +277,31 @@ def test_criterion_7_determinism_and_accounting(tmp_path):
     for name in ("timeseries.csv", "frames.csv", "summary.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
-    result = run(config_with(duration_s=64.0, memory_capacity=15, seed=2))
-    assert result.frames
-    for f in result.frames:
-        if f.delivered is None:
+    config = config_with(duration_s=64.0, memory_capacity=15, seed=2)
+    config_path.write_text(json.dumps(config_to_dict(config)))
+    out_c = tmp_path / "c"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out_c)]) == 0
+    with open(out_c / "frames.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    frames = run(config).frames
+    assert rows and len(rows) == len(frames)
+    counts = [
+        {k: int(v) for k, v in row.items() if not k.endswith("_s") and v != ""}
+        for row in rows
+    ]
+    assert [c["attempts"] for c in counts] == frames.attempts.tolist()
+    assert [c["delivered"] for c in counts if "delivered" in c] == frames.delivered.tolist()
+    for c in counts:
+        assert min(c.values()) >= 0
+        assert c["pairs_consumed"] == c["attempts"] == c["consumed_stop"] - c["consumed_start"]
+        if "delivered" not in c:
             continue
-        assert f.payload_qubits == (
-            (f.payload_qubits - f.survivors_at_egress)
-            + f.dropped_for_no_pair
-            + (f.attempts - f.successes)
-            + (f.successes - f.delivered)
-            + f.delivered
+        assert c["payload_qubits"] == (
+            c["ingress_access_lost"]
+            + c["dropped_for_no_pair"]
+            + c["teleport_failures"]
+            + c["egress_access_lost"]
+            + c["delivered"]
         )
 
     rng = np.random.default_rng(77)

@@ -1,17 +1,25 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbackbone.cli import main
+import _reference
+from qbackbone import engine
+from qbackbone.cli import FRAMES_CHUNK, FRAMES_COLUMNS, _write_frames, main
 from qbackbone.scenario import (
     Policy,
     ScenarioConfig,
     config_to_dict,
     dark_fiber_source,
+    default_config,
     fiber_source,
     builtin_sources,
     satellite_source,
@@ -93,6 +101,108 @@ class TestSimulate:
         bad.write_text("{nope}")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_huge_horizon_exits_1_before_allocating(self, tmp_path, capsys):
+        doc = config_to_dict(default_config())
+        doc["duration_s"] = 1e12
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(path), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "ceiling" in capsys.readouterr().err
+        assert peak < 1_000_000
+        assert not out.exists()
+
+
+def synthetic_frames(n: int, n_completed: int, seed: int = 0) -> engine.FrameTable:
+    """A frame table with random counts and times of every float form."""
+    rng = np.random.default_rng(seed)
+    payload = 100
+    created = np.sort(rng.uniform(0.0, 600.0, n))
+    if n:
+        created[0] = 3e-05  # repr in exponent form
+    egress = created + 2.5e-05
+    survivors = rng.integers(0, payload + 1, n)
+    attempts = rng.integers(0, survivors + 1)
+    successes = rng.integers(0, attempts + 1)
+    delivered = rng.integers(0, successes[:n_completed] + 1)
+    return engine.FrameTable(
+        payload_qubits=payload,
+        created_at_s=created,
+        egress_at_s=egress,
+        survivors_at_egress=survivors,
+        attempts=attempts,
+        successes=successes,
+        consumed_start=np.cumsum(attempts) - attempts,
+        delivered=delivered,
+        delivered_at_s=egress[:n_completed] + 7.5e-04,
+    )
+
+
+def frames_csv(write, frames: engine.FrameTable) -> str:
+    fh = io.StringIO(newline="")
+    write(fh, frames)
+    return fh.getvalue()
+
+
+def assert_matches_reference(frames: engine.FrameTable) -> str:
+    """The column writer's text, checked line by line against the reference."""
+    text = frames_csv(_write_frames, frames)
+    got = text.split("\n")
+    want = frames_csv(_reference.write_frames, frames).split("\n")
+    first = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert first is None, (first, got[first], want[first])
+    assert len(got) == len(want)
+    return text
+
+
+class TestFramesWriter:
+    """The column writer's bytes equal the per-row reference writer's."""
+
+    @pytest.mark.parametrize(
+        "n, n_completed",
+        [
+            (0, 0),
+            (5, 0),
+            (5, 5),
+            (FRAMES_CHUNK - 1, FRAMES_CHUNK - 1),
+            (FRAMES_CHUNK, 0),
+            (FRAMES_CHUNK, FRAMES_CHUNK),
+            (FRAMES_CHUNK + 1, FRAMES_CHUNK),
+            (FRAMES_CHUNK + 1, FRAMES_CHUNK + 1),
+            (2 * FRAMES_CHUNK + 1, FRAMES_CHUNK - 1),
+        ],
+    )
+    def test_matches_reference(self, n, n_completed):
+        lines = assert_matches_reference(synthetic_frames(n, n_completed)).split("\n")
+        assert lines[0] == ",".join(FRAMES_COLUMNS) and lines[-1] == ""
+        assert len(lines) == n + 2
+        if n:
+            assert lines[1].split(",")[1] == "3e-05"
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        memory=st.one_of(st.none(), st.integers(1, 50)),
+        duration=st.floats(0.0, 48.0),
+        mean_gap=st.floats(0.005, 1.0),
+    )
+    def test_engine_runs_match_reference(self, seed, memory, duration, mean_gap):
+        base = short_config()
+        config = dataclasses.replace(
+            base,
+            seed=seed,
+            memory_capacity=memory,
+            duration_s=duration,
+            traffic=dataclasses.replace(base.traffic, mean_interarrival_s=mean_gap),
+        )
+        assert_matches_reference(engine.run(config).frames)
 
 
 class TestSweep:

@@ -1,18 +1,20 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbackbone.engine import STREAM_NAMES, RandomStreams, _traffic_times, run
+from qbackbone.engine import STREAM_NAMES, FrameTable, RandomStreams, _traffic_times, run
 from qbackbone.interface import classical_latency_s
 from qbackbone.scenario import (
     Policy,
     dark_fiber_source,
     default_config,
+    fiber_source,
     satellite_source,
 )
 
@@ -57,17 +59,24 @@ class TestRun:
     def test_zero_duration(self):
         result = run(self.short(duration_s=0.0))
         assert result.bins == ()
-        assert result.frames == ()
+        assert len(result.frames) == 0
+        assert len(result.frames.delivered) == 0
         assert result.totals.frames_generated == 0
         assert result.totals.qubits_delivered == 0
 
     def test_determinism(self):
         config = self.short()
-        assert run(config) == run(config)
+        a, b = run(config), run(config)
+        assert (a.bins, a.totals, a.pairs_by_source) == (b.bins, b.totals, b.pairs_by_source)
+        assert a.frames.payload_qubits == b.frames.payload_qubits
+        for field in dataclasses.fields(FrameTable):
+            column_a = getattr(a.frames, field.name)
+            if isinstance(column_a, np.ndarray):
+                assert np.array_equal(column_a, getattr(b.frames, field.name)), field.name
 
     def test_seed_changes_output(self):
-        a = run(self.short(seed=1), keep_frames=False)
-        b = run(self.short(seed=2), keep_frames=False)
+        a = run(self.short(seed=1))
+        b = run(self.short(seed=2))
         assert a.totals != b.totals
 
     def test_totals_match_bin_and_frame_sums(self):
@@ -77,9 +86,7 @@ class TestRun:
         assert result.totals.pairs_stored == sum(b.pairs_stored for b in result.bins)
         assert result.totals.pairs_dropped == sum(b.pairs_dropped for b in result.bins)
         assert result.totals.frames_completed == sum(b.frames_completed for b in result.bins)
-        assert result.totals.qubits_delivered == sum(
-            f.delivered for f in result.frames if f.delivered is not None
-        )
+        assert result.totals.qubits_delivered == int(result.frames.delivered.sum())
         assert result.totals.pairs_arrived == sum(result.pairs_by_source.values())
 
     def test_bin_layout(self):
@@ -89,42 +96,52 @@ class TestRun:
 
     def test_frame_accounting_identity(self):
         result = run(self.short(duration_s=32.0))
-        assert result.frames
-        for f in result.frames:
-            if f.delivered is None:
-                continue
-            lost_access_in = f.payload_qubits - f.survivors_at_egress
-            failures = f.attempts - f.successes
-            lost_access_out = f.successes - f.delivered
-            assert (
-                f.payload_qubits
-                == lost_access_in
-                + f.dropped_for_no_pair
-                + failures
-                + lost_access_out
-                + f.delivered
-            )
-            assert f.pairs_consumed == f.attempts
-            assert f.consumed_stop - f.consumed_start == f.attempts
+        frames = result.frames
+        n = len(frames)
+        n_completed = len(frames.delivered)
+        assert 0 < n_completed <= n
+        assert n == result.totals.frames_processed
+        assert n_completed == result.totals.frames_completed
+        for name in ("egress_at_s", "survivors_at_egress", "attempts", "successes",
+                     "consumed_start"):
+            assert len(getattr(frames, name)) == n, name
+        assert len(frames.delivered_at_s) == n_completed
+        # payload = lost_in + no_pair + failures + lost_out + delivered
+        # telescopes; what makes it an accounting is that no term is negative.
+        survivors = frames.survivors_at_egress[:n_completed]
+        attempts = frames.attempts[:n_completed]
+        successes = frames.successes[:n_completed]
+        terms = (
+            frames.payload_qubits - survivors,
+            survivors - attempts,
+            attempts - successes,
+            successes - frames.delivered,
+            frames.delivered,
+        )
+        assert all(np.all(term >= 0) for term in terms)
+
+    def test_frame_columns_are_read_only(self):
+        frames = run(self.short()).frames
+        with pytest.raises(ValueError):
+            frames.attempts[0] = 1
 
     def test_consumed_ranges_are_contiguous_fifo(self):
-        result = run(self.short(duration_s=32.0))
-        cursor = 0
-        for f in result.frames:
-            assert f.consumed_start == cursor
-            cursor = f.consumed_stop
+        frames = run(self.short(duration_s=32.0)).frames
+        stops = frames.consumed_start + frames.attempts
+        assert frames.consumed_start[0] == 0
+        assert np.array_equal(frames.consumed_start[1:], stops[:-1])
 
     def test_pair_conservation(self):
         result = run(self.short(duration_s=32.0, memory_capacity=10))
         totals = result.totals
-        consumed = sum(f.pairs_consumed for f in result.frames)
+        consumed = int(result.frames.attempts.sum())
         leftover = totals.pairs_stored - consumed
         assert leftover >= 0
         assert totals.pairs_arrived == totals.pairs_stored + totals.pairs_dropped
 
     def test_memory_capacity_limits_throughput(self):
-        unlimited = run(self.short(duration_s=64.0), keep_frames=False)
-        capped = run(self.short(duration_s=64.0, memory_capacity=1), keep_frames=False)
+        unlimited = run(self.short(duration_s=64.0))
+        capped = run(self.short(duration_s=64.0, memory_capacity=1))
         assert capped.totals.qubits_delivered < unlimited.totals.qubits_delivered
         assert capped.totals.pairs_dropped > 0
 
@@ -134,7 +151,7 @@ class TestRun:
             sources=(satellite_source("Micius", peak_time_s=48.0),),
             policy=Policy("satellite-only", "Micius"),
         )
-        result = run(config, keep_frames=False)
+        result = run(config)
         assert result.totals.qubits_delivered > 0
         assert result.pairs_by_source["Micius"] == result.totals.pairs_arrived
 
@@ -144,23 +161,15 @@ class TestRun:
             sources=(satellite_source("Micius", peak_time_s=5000.0),),
             policy=Policy("satellite-only", "Micius"),
         )
-        result = run(config, keep_frames=False)
+        result = run(config)
         assert result.totals.qubits_delivered == 0
         assert result.totals.pairs_arrived == 0
 
     def test_config_echo_and_seed(self):
         config = self.short(seed=17)
-        result = run(config, keep_frames=False)
+        result = run(config)
         assert result.config == config
         assert result.seed == 17
-
-    def test_keep_frames_false_drops_records_only(self):
-        config = self.short()
-        with_frames = run(config)
-        without = run(config, keep_frames=False)
-        assert without.frames == ()
-        assert with_frames.totals == without.totals
-        assert with_frames.bins == without.bins
 
     def test_mean_delivered_matches_pair_supply(self):
         # fiber bottleneck: nearly every stored pair is teleported, so
@@ -169,7 +178,7 @@ class TestRun:
         totals = []
         expected = []
         for seed in range(10):
-            result = run(dataclasses.replace(config, seed=seed), keep_frames=False)
+            result = run(dataclasses.replace(config, seed=seed))
             totals.append(result.totals.qubits_delivered)
             expected.append(result.totals.pairs_stored * 0.5 * 10.0 ** (-0.1))
         assert np.mean(totals) == pytest.approx(
@@ -178,17 +187,39 @@ class TestRun:
 
     def test_dark_fiber_outpaces_standard(self):
         std = [
-            run(self.short(duration_s=64.0, seed=s), keep_frames=False).totals.qubits_delivered
+            run(self.short(duration_s=64.0, seed=s)).totals.qubits_delivered
             for s in range(5)
         ]
         dark = [
             run(
                 self.short(duration_s=64.0, seed=s, sources=(dark_fiber_source(),)),
-                keep_frames=False,
             ).totals.qubits_delivered
             for s in range(5)
         ]
         assert np.mean(dark) > np.mean(std)
+
+
+class TestTimeGrid:
+    def test_non_dyadic_grid_keeps_each_bins_pairs(self):
+        # 0.3 s steps and 0.9 s bins are not exact in binary; every segment
+        # must still be counted in the bin that contains it.  No frames are
+        # sent, so each segment is a whole channel step.
+        source = fiber_source(emission_rate_hz=2.0e7)
+        base = default_config()
+        config = dataclasses.replace(
+            base,
+            sources=(source,),
+            duration_s=400.0,
+            channel_step_s=0.3,
+            bin_width_s=0.9,
+            traffic=dataclasses.replace(base.traffic, mean_interarrival_s=1.0e4),
+        )
+        result = run(config)
+        expected = source.pair_rate_hz(0.0) * 0.9
+        full = [b for b in result.bins if b.bin_start_s + 0.9 <= 400.0]
+        assert len(full) == 444
+        for b in full:
+            assert abs(b.pairs_arrived - expected) < 5.0 * math.sqrt(expected), b
 
 
 class TestWalkProperties:
@@ -218,12 +249,10 @@ class TestWalkProperties:
             if memory is None:
                 assert b.pairs_dropped == 0
 
-        cursor = 0
-        for f in result.frames:
-            assert f.consumed_start == cursor
-            assert f.consumed_stop == cursor + f.attempts
-            cursor = f.consumed_stop
-        assert cursor <= result.totals.pairs_stored
+        frames = result.frames
+        stops = np.cumsum(frames.attempts)
+        assert np.array_equal(frames.consumed_start, stops - frames.attempts)
+        assert (int(stops[-1]) if len(stops) else 0) <= result.totals.pairs_stored
 
         if duration > 0.0:
             created = _traffic_times(RandomStreams(seed).traffic, mean_gap, duration)
@@ -231,10 +260,13 @@ class TestWalkProperties:
             created = np.empty(0)
         egress = created + classical_latency_s(config.ingress_access.length_km)
         served = egress < duration
-        assert [f.frame_id for f in result.frames] == list(range(int(served.sum())))
-        assert [f.egress_at_s for f in result.frames] == egress[served].tolist()
+        assert np.array_equal(frames.created_at_s, created[served])
+        assert np.array_equal(frames.egress_at_s, egress[served])
 
         latency = classical_latency_s(config.classical_distance_km)
         delay_out = classical_latency_s(config.egress_access.length_km)
-        for f in result.frames:
-            assert (f.delivered is None) == (f.egress_at_s + latency + delay_out >= duration)
+        completed = [t + latency + delay_out < duration for t in frames.egress_at_s.tolist()]
+        assert completed == [i < len(frames.delivered) for i in range(len(frames))]
+        assert frames.delivered_at_s.tolist() == [
+            t + latency + delay_out for t in frames.egress_at_s[: len(frames.delivered)].tolist()
+        ]

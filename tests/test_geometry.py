@@ -16,7 +16,7 @@ from qbackbone.geometry import (
     slant_range_km,
     visibility_window,
 )
-from qbackbone.scenario import MUNICH, NUREMBERG
+from qbackbone.scenario import MUNICH, NUREMBERG, satellite_pass
 
 
 def micius_model(altitude_km: float = 480.0, peak_time_s: float = 0.0) -> SatellitePassModel:
@@ -107,6 +107,14 @@ class TestElevationAt:
         model = micius_model()
         assert elevation_at(10000.0, model, "a") is None
         assert elevation_at(-10000.0, model, "a") is None
+
+    def test_pass_does_not_repeat_after_one_period(self):
+        model = satellite_pass("Micius")
+        period = 2.0 * math.pi / model.angular_rate_rad_s
+        peak = model.station_passes[MUNICH.name].peak_time_s
+        assert elevation_at(peak, model, MUNICH.name) == pytest.approx(83.0, abs=1e-9)
+        for t in (peak + period, peak - period, peak + 2.0 * period, peak + 0.75 * period):
+            assert elevation_at(t, model, MUNICH.name) is None
 
     def test_zenith_pass(self):
         model = SatellitePassModel(

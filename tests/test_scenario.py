@@ -8,6 +8,7 @@ import pytest
 
 from qbackbone.engine import run
 from qbackbone.scenario import (
+    MAX_RUN_CELLS,
     MUNICH,
     NUREMBERG,
     ConfigError,
@@ -144,6 +145,22 @@ class TestValidation:
     def test_zero_duration_allowed(self):
         assert load_config({"duration_s": 0.0}).duration_s == 0.0
 
+    @pytest.mark.parametrize(
+        "rejected, what, accepted",
+        [
+            ({"duration_s": 1.0e12}, "expected frame count", {"duration_s": 9.0e4}),
+            (
+                {"channel_step_s": 1.0e-5, "bin_width_s": 1.0e-5},
+                "channel step count",
+                {"channel_step_s": 1.25e-4, "bin_width_s": 1.25e-4},
+            ),
+        ],
+    )
+    def test_run_size_ceiling(self, rejected, what, accepted):
+        with pytest.raises(ConfigError, match=what):
+            load_config(rejected)
+        assert load_config(accepted).n_steps <= MAX_RUN_CELLS
+
 
 class TestRoundTrip:
     def test_default_round_trips(self):
@@ -236,7 +253,7 @@ class TestPolicyMonotonicity:
         for kind in totals:
             for seed in range(30):
                 config = dataclasses.replace(base, policy=Policy(kind), seed=seed)
-                totals[kind].append(run(config, keep_frames=False).totals.qubits_delivered)
+                totals[kind].append(run(config).totals.qubits_delivered)
         fiber = np.mean(totals["fiber-only"])
         best = np.mean(totals["best-source"])
         union = np.mean(totals["all-sources"])
