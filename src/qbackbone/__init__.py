@@ -1,4 +1,4 @@
-"""Discrete-event simulator of quantum dataframe transmission over an
+"""Deterministic simulator of quantum dataframe transmission over an
 entanglement-based backbone joining two packetized quantum subnetworks."""
 
 from .engine import MetricsBin, RandomStreams, RunResult, run

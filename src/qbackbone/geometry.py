@@ -1,4 +1,4 @@
-"""Circular-orbit pass geometry and great-circle station distances.
+"""Circular-orbit pass geometry over named ground stations.
 
 A satellite pass is modelled as a circular orbit whose ground track is a
 great circle, parameterised per ground station by the elevation and time
@@ -229,18 +229,3 @@ def visibility_window(
     if start > end:
         return None
     return VisibilityWindow(start, end)
-
-
-def ground_distance_km(
-    a: GroundStation, b: GroundStation, earth_radius_km: float = EARTH_RADIUS_KM
-) -> float:
-    """Haversine great-circle distance between two stations."""
-    phi_a = math.radians(a.latitude_deg)
-    phi_b = math.radians(b.latitude_deg)
-    d_phi = phi_b - phi_a
-    d_lam = math.radians(b.longitude_deg - a.longitude_deg)
-    h = (
-        math.sin(d_phi / 2.0) ** 2
-        + math.cos(phi_a) * math.cos(phi_b) * math.sin(d_lam / 2.0) ** 2
-    )
-    return 2.0 * earth_radius_km * math.asin(_clamp(math.sqrt(h)))

@@ -1,77 +1,19 @@
-"""Egress and ingress node behaviour at the subnetwork edges.
+"""Classical signalling delay at the subnetwork edges.
 
-A hybrid frame reaches the egress through its access fiber, loses part
-of its payload there, and the surviving qubits are teleported against
-stored pairs (one pair per attempt, consumed whether or not the
-measurement succeeds).  The classical header, trailer and correction
-data travel over a direct fiber with propagation latency; the ingress
-applies them to its mirrored memory indices, rebuilds the frame and
-forwards it through the far-side access fiber.
+A frame's header, trailer and teleport corrections travel over a direct
+fiber, and the frame itself crosses an access fiber on each side; every
+such hop costs the propagation latency of light in fiber.  The egress
+and ingress rules that use these latencies (one stored pair per
+teleport attempt, consumed in FIFO index order, and the rebuild from
+the classical corrections) are applied column-wise by ``engine.run``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
-
-from .entanglement import MemoryPair, QuantumMemory
 
 SPEED_OF_LIGHT_KM_S = 299792.458
 FIBER_REFRACTIVE_INDEX = 1.468
-
-
-class ProtocolViolationError(RuntimeError):
-    """A classical message disagrees with the local memory's index state."""
-
-
-@dataclass(frozen=True)
-class FrameHeader:
-    """Classical routing descriptor carried ahead of and behind the payload."""
-
-    source: str
-    destination: str
-    payload_qubits: int
-
-
-@dataclass(frozen=True)
-class HybridFrame:
-    """A classical header/trailer around a counted quantum payload."""
-
-    frame_id: int
-    created_at_s: float
-    payload_qubits: int
-    header: FrameHeader
-
-    def __post_init__(self) -> None:
-        if self.payload_qubits < 0:
-            raise ValueError(f"payload_qubits must be >= 0: {self.payload_qubits}")
-
-
-@dataclass(frozen=True)
-class TeleportOutcome:
-    """Egress-side result of teleporting one frame's surviving payload."""
-
-    frame_id: int
-    survivors_at_egress: int
-    attempts: int
-    successes: int
-    pairs_consumed: int
-    consumed_index_range: tuple[int, int]
-    dropped_for_no_pair: int
-
-
-@dataclass(frozen=True)
-class ClassicalMessage:
-    """Header, trailer and teleport corrections sent over the direct fiber."""
-
-    frame_id: int
-    header: FrameHeader
-    consumed_index_range: tuple[int, int]
-    success_count: int
-    send_time_s: float
-    arrival_time_s: float
 
 
 def classical_latency_s(
@@ -81,91 +23,3 @@ def classical_latency_s(
     if not (math.isfinite(distance_km) and distance_km >= 0.0):
         raise ValueError(f"distance_km must be >= 0: {distance_km}")
     return distance_km / (SPEED_OF_LIGHT_KM_S / refractive_index)
-
-
-def access_link_survivors(n: int, eta: float, rng: np.random.Generator) -> int:
-    """Number of ``n`` qubits surviving an access link of transmittance ``eta``."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0: {n}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1]: {eta}")
-    return int(rng.binomial(n, eta))
-
-
-def egress_process(
-    frame: HybridFrame,
-    survivors: int,
-    memories: MemoryPair,
-    p_success: float,
-    rng: np.random.Generator,
-    now_s: float,
-    latency_s: float,
-) -> tuple[TeleportOutcome, ClassicalMessage]:
-    """Teleport a frame's surviving payload against the stored pairs.
-
-    One pair is consumed per attempted qubit; attempts are capped by the
-    memory occupancy and qubits beyond the available pairs are dropped.
-    Each attempt succeeds independently with probability ``p_success``.
-    Returns the outcome and the classical message scheduled to arrive
-    after ``latency_s``.
-    """
-    if not 0.0 <= p_success <= 1.0:
-        raise ValueError(f"p_success must be in [0, 1]: {p_success}")
-    attempts = min(survivors, memories.occupancy)
-    index_range = memories.consume_pairs(attempts)
-    successes = int(rng.binomial(attempts, p_success)) if attempts else 0
-    outcome = TeleportOutcome(
-        frame_id=frame.frame_id,
-        survivors_at_egress=survivors,
-        attempts=attempts,
-        successes=successes,
-        pairs_consumed=attempts,
-        consumed_index_range=index_range,
-        dropped_for_no_pair=survivors - attempts,
-    )
-    message = ClassicalMessage(
-        frame_id=frame.frame_id,
-        header=frame.header,
-        consumed_index_range=index_range,
-        success_count=successes,
-        send_time_s=now_s,
-        arrival_time_s=now_s + latency_s,
-    )
-    return outcome, message
-
-
-def verify_index_sync(memory: QuantumMemory, index_range: tuple[int, int]) -> None:
-    """Check that a claimed consumed range is the next one this side expects.
-
-    Ranges must arrive contiguously in FIFO order and may not run ahead
-    of what has actually been consumed locally.
-    """
-    start, stop = index_range
-    if start != memory.next_reconstruct_index or stop > memory.next_consume_index:
-        raise ProtocolViolationError(
-            f"consumed index range [{start}, {stop}) does not match local state "
-            f"(expected start {memory.next_reconstruct_index}, "
-            f"consumed through {memory.next_consume_index})"
-        )
-    memory.next_reconstruct_index = stop
-
-
-def ingress_reconstruct(
-    message: ClassicalMessage,
-    ingress_memory: QuantumMemory,
-    egress_access_eta: float,
-    rng: np.random.Generator,
-) -> int:
-    """Apply teleport corrections and forward the rebuilt frame.
-
-    The consumed index range in the message must match the ingress
-    memory's own consumption record, otherwise the index mirror has been
-    broken and a ProtocolViolationError is raised.  Returns the number
-    of qubits surviving the far-side access link.
-    """
-    if not 0.0 <= egress_access_eta <= 1.0:
-        raise ValueError(f"egress_access_eta must be in [0, 1]: {egress_access_eta}")
-    verify_index_sync(ingress_memory, message.consumed_index_range)
-    if message.success_count == 0:
-        return 0
-    return int(rng.binomial(message.success_count, egress_access_eta))

@@ -139,15 +139,6 @@ def freespace_transmittance(
     return params.system_efficiency * eta_point * eta_atm * eta_geo
 
 
-def pair_coincidence_probability(eta_a: float, eta_b: float) -> float:
-    """Probability that both photons of a pair survive their own arm."""
-    if not 0.0 <= eta_a <= 1.0:
-        raise ValueError(f"eta_a must be in [0, 1]: {eta_a}")
-    if not 0.0 <= eta_b <= 1.0:
-        raise ValueError(f"eta_b must be in [0, 1]: {eta_b}")
-    return eta_a * eta_b
-
-
 def attenuation_profile(
     pass_model: SatellitePassModel,
     station_names: tuple[str, str],

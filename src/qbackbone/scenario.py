@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping
 
 from .entanglement import (
@@ -336,7 +336,10 @@ def _get_number(doc: Mapping[str, Any], key: str, default: float, path: str) -> 
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}.{key} is too large for a float") from None
 
 
 def _get_str(doc: Mapping[str, Any], key: str, path: str, default: str | None = None) -> str:
@@ -346,55 +349,24 @@ def _get_str(doc: Mapping[str, Any], key: str, path: str, default: str | None = 
     return value
 
 
-def _load_station(doc: Any, default: GroundStation, path: str) -> GroundStation:
+def _load_fields(cls: type, doc: Any, default: Any, path: str) -> Any:
+    """A dataclass leaf read field by field; absent keys keep ``default``'s values."""
     if doc is None:
         return default
     doc = _require_mapping(doc, path)
-    _check_keys(doc, {"name", "latitude_deg", "longitude_deg"}, path)
+    names = [f.name for f in fields(cls)]
+    _check_keys(doc, set(names), path)
+    values = {}
+    for name in names:
+        value = getattr(default, name)
+        if isinstance(value, str):
+            values[name] = _get_str(doc, name, path, value)
+        else:
+            values[name] = _get_number(doc, name, value, path)
     try:
-        return GroundStation(
-            name=_get_str(doc, "name", path, default.name),
-            latitude_deg=_get_number(doc, "latitude_deg", default.latitude_deg, path),
-            longitude_deg=_get_number(doc, "longitude_deg", default.longitude_deg, path),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _load_fiber_link(doc: Any, default: FiberLink, path: str) -> FiberLink:
-    if doc is None:
-        return default
-    doc = _require_mapping(doc, path)
-    _check_keys(doc, {"length_km", "attenuation_db_per_km"}, path)
-    try:
-        return FiberLink(
-            length_km=_get_number(doc, "length_km", default.length_km, path),
-            attenuation_db_per_km=_get_number(
-                doc, "attenuation_db_per_km", default.attenuation_db_per_km, path
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _load_link_params(doc: Any, path: str) -> FreeSpaceLinkParams:
-    defaults = FreeSpaceLinkParams()
-    if doc is None:
-        return defaults
-    doc = _require_mapping(doc, path)
-    fields = {
-        "divergence_half_angle_rad",
-        "receiver_aperture_diameter_m",
-        "zenith_atmospheric_transmittance",
-        "pointing_loss_db",
-        "system_efficiency",
-        "min_elevation_deg",
-    }
-    _check_keys(doc, fields, path)
-    try:
-        return FreeSpaceLinkParams(
-            **{name: _get_number(doc, name, getattr(defaults, name), path) for name in fields}
-        )
+        return cls(**values)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -407,7 +379,8 @@ def _per_role(doc: Mapping[str, Any], key: str, path: str, required: bool) -> di
         return None
     value = doc[key]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return {"egress": float(value), "ingress": float(value)}
+        number = _get_number(doc, key, math.nan, path)
+        return {"egress": number, "ingress": number}
     value = _require_mapping(value, f"{path}.{key}")
     _check_keys(value, {"egress", "ingress"}, f"{path}.{key}")
     return {
@@ -476,7 +449,9 @@ def _load_source(
                 pass_model=pass_model,
                 station_a=egress.name,
                 station_b=ingress.name,
-                link_params=_load_link_params(doc.get("link"), f"{path}.link"),
+                link_params=_load_fields(
+                    FreeSpaceLinkParams, doc.get("link"), FreeSpaceLinkParams(), f"{path}.link"
+                ),
                 emission_rate_hz=_get_number(
                     doc, "emission_rate_hz", DEFAULT_EMISSION_RATE_HZ, path
                 ),
@@ -527,60 +502,39 @@ def load_config(doc: Mapping[str, Any]) -> ScenarioConfig:
     defaults = ScenarioConfig()
 
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
     stations_doc = doc.get("stations")
     if stations_doc is not None:
         stations_doc = _require_mapping(stations_doc, "stations")
         _check_keys(stations_doc, {"egress", "ingress"}, "stations")
-    egress = _load_station(
+    egress = _load_fields(
+        GroundStation,
         stations_doc.get("egress") if stations_doc else None,
         defaults.egress_station,
         "stations.egress",
     )
-    ingress = _load_station(
+    ingress = _load_fields(
+        GroundStation,
         stations_doc.get("ingress") if stations_doc else None,
         defaults.ingress_station,
         "stations.ingress",
     )
-
-    traffic_doc = doc.get("traffic")
-    traffic_defaults = defaults.traffic
-    if traffic_doc is not None:
-        traffic_doc = _require_mapping(traffic_doc, "traffic")
-        _check_keys(
-            traffic_doc,
-            {"qubit_rate_hz", "frame_duration_s", "mean_interarrival_s"},
-            "traffic",
-        )
-        traffic = TrafficConfig(
-            qubit_rate_hz=_get_number(
-                traffic_doc, "qubit_rate_hz", traffic_defaults.qubit_rate_hz, "traffic"
-            ),
-            frame_duration_s=_get_number(
-                traffic_doc, "frame_duration_s", traffic_defaults.frame_duration_s, "traffic"
-            ),
-            mean_interarrival_s=_get_number(
-                traffic_doc,
-                "mean_interarrival_s",
-                traffic_defaults.mean_interarrival_s,
-                "traffic",
-            ),
-        )
-    else:
-        traffic = traffic_defaults
+    traffic = _load_fields(TrafficConfig, doc.get("traffic"), defaults.traffic, "traffic")
 
     access_doc = doc.get("access")
     if access_doc is not None:
         access_doc = _require_mapping(access_doc, "access")
         _check_keys(access_doc, {"ingress_access", "egress_access"}, "access")
-    ingress_access = _load_fiber_link(
+    ingress_access = _load_fields(
+        FiberLink,
         access_doc.get("ingress_access") if access_doc else None,
         defaults.ingress_access,
         "access.ingress_access",
     )
-    egress_access = _load_fiber_link(
+    egress_access = _load_fields(
+        FiberLink,
         access_doc.get("egress_access") if access_doc else None,
         defaults.egress_access,
         "access.egress_access",
@@ -640,15 +594,9 @@ def load_config_file(path: str) -> ScenarioConfig:
         raise ConfigError(
             f"invalid JSON in {path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"invalid JSON in {path!r}: {exc}") from exc
     return load_config(doc)
-
-
-def _station_to_dict(station: GroundStation) -> dict[str, Any]:
-    return {
-        "name": station.name,
-        "latitude_deg": station.latitude_deg,
-        "longitude_deg": station.longitude_deg,
-    }
 
 
 def _source_to_dict(source: EntanglementSource, config: ScenarioConfig) -> dict[str, Any]:
@@ -663,7 +611,6 @@ def _source_to_dict(source: EntanglementSource, config: ScenarioConfig) -> dict[
     passes = source.pass_model.station_passes
     egress_pass = passes[config.egress_station.name]
     ingress_pass = passes[config.ingress_station.name]
-    link = source.link_params
     return {
         "id": source.source_id,
         "kind": source.kind,
@@ -677,14 +624,7 @@ def _source_to_dict(source: EntanglementSource, config: ScenarioConfig) -> dict[
             "egress": egress_pass.peak_time_s,
             "ingress": ingress_pass.peak_time_s,
         },
-        "link": {
-            "divergence_half_angle_rad": link.divergence_half_angle_rad,
-            "receiver_aperture_diameter_m": link.receiver_aperture_diameter_m,
-            "zenith_atmospheric_transmittance": link.zenith_atmospheric_transmittance,
-            "pointing_loss_db": link.pointing_loss_db,
-            "system_efficiency": link.system_efficiency,
-            "min_elevation_deg": link.min_elevation_deg,
-        },
+        "link": asdict(source.link_params),
     }
 
 
@@ -703,23 +643,13 @@ def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
         "p_teleport_success": config.p_teleport_success,
         "classical_distance_km": config.classical_distance_km,
         "stations": {
-            "egress": _station_to_dict(config.egress_station),
-            "ingress": _station_to_dict(config.ingress_station),
+            "egress": asdict(config.egress_station),
+            "ingress": asdict(config.ingress_station),
         },
-        "traffic": {
-            "qubit_rate_hz": config.traffic.qubit_rate_hz,
-            "frame_duration_s": config.traffic.frame_duration_s,
-            "mean_interarrival_s": config.traffic.mean_interarrival_s,
-        },
+        "traffic": asdict(config.traffic),
         "access": {
-            "ingress_access": {
-                "length_km": config.ingress_access.length_km,
-                "attenuation_db_per_km": config.ingress_access.attenuation_db_per_km,
-            },
-            "egress_access": {
-                "length_km": config.egress_access.length_km,
-                "attenuation_db_per_km": config.egress_access.attenuation_db_per_km,
-            },
+            "ingress_access": asdict(config.ingress_access),
+            "egress_access": asdict(config.egress_access),
         },
         "policy": policy,
         "sources": [_source_to_dict(s, config) for s in config.sources],

@@ -102,6 +102,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("digits, message", [(400, "duration_s"), (5000, "invalid JSON")])
+    def test_oversized_integer_exits_1(self, tmp_path, capsys, digits, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"duration_s": 1' + "0" * digits + "}")
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+
     def test_huge_horizon_exits_1_before_allocating(self, tmp_path, capsys):
         doc = config_to_dict(default_config())
         doc["duration_s"] = 1e12

@@ -270,3 +270,51 @@ class TestWalkProperties:
         assert frames.delivered_at_s.tolist() == [
             t + latency + delay_out for t in frames.egress_at_s[: len(frames.delivered)].tolist()
         ]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        duration=st.floats(0.0, 64.0),
+        step_and_bins=st.sampled_from([(0.3, 3), (0.7, 2), (1.1, 1), (2.0, 4)]),
+        mean_gap=st.floats(0.005, 0.5),
+        payload=st.sampled_from([100_000, 20, 1]),
+        satellite=st.booleans(),
+    )
+    def test_sweep_ordering_in_memory(
+        self, seed, duration, step_and_bins, mean_gap, payload, satellite
+    ):
+        # Store (o -> min(o + a, M)) and consume (o -> o - min(s, o)) are both
+        # monotone in the occupancy o and in M, so for one seed every
+        # occupancy, and with it every attempt count, is monotone in M.
+        # Small payloads leave pairs in memory between frames.
+        step, bins_per_step = step_and_bins
+        base = default_config()
+        if satellite:
+            base = dataclasses.replace(
+                base,
+                sources=(satellite_source("Micius", peak_time_s=32.0),),
+                policy=Policy("satellite-only", "Micius"),
+            )
+        base = dataclasses.replace(
+            base,
+            seed=seed,
+            duration_s=duration,
+            channel_step_s=step,
+            bin_width_s=step * bins_per_step,
+            traffic=dataclasses.replace(
+                base.traffic,
+                frame_duration_s=payload / base.traffic.qubit_rate_hz,
+                mean_interarrival_s=mean_gap,
+            ),
+        )
+        assert base.payload_qubits == payload
+        results = [
+            run(dataclasses.replace(base, memory_capacity=memory))
+            for memory in (1, 2, 5, 20, None)
+        ]
+        for small, large in zip(results, results[1:]):
+            assert large.totals.pairs_arrived == small.totals.pairs_arrived
+            assert len(large.frames) == len(small.frames)
+            assert np.all(large.frames.attempts >= small.frames.attempts)
+            assert large.totals.pairs_stored >= small.totals.pairs_stored
+            assert large.totals.pairs_dropped <= small.totals.pairs_dropped

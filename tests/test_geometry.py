@@ -12,11 +12,10 @@ from qbackbone.geometry import (
     StationPass,
     central_angle_rad,
     elevation_at,
-    ground_distance_km,
     slant_range_km,
     visibility_window,
 )
-from qbackbone.scenario import MUNICH, NUREMBERG, satellite_pass
+from qbackbone.scenario import MUNICH, satellite_pass
 
 
 def micius_model(altitude_km: float = 480.0, peak_time_s: float = 0.0) -> SatellitePassModel:
@@ -186,51 +185,6 @@ class TestVisibilityWindow:
     def test_invalid_mask(self):
         with pytest.raises(ValueError):
             visibility_window(micius_model(), 0.0)
-
-
-class TestGroundDistance:
-    def test_zero_for_same_station(self):
-        assert ground_distance_km(MUNICH, MUNICH) == 0.0
-
-    def test_frozen_munich_nuremberg(self):
-        d = ground_distance_km(MUNICH, NUREMBERG)
-        assert d == pytest.approx(145.9273506072197, abs=0.5)
-
-    def test_dot_product_oracle(self):
-        def unit(station):
-            la = math.radians(station.latitude_deg)
-            lo = math.radians(station.longitude_deg)
-            return np.array(
-                [math.cos(la) * math.cos(lo), math.cos(la) * math.sin(lo), math.sin(la)]
-            )
-
-        rng = np.random.default_rng(7)
-        for k in range(20):
-            a = GroundStation("p", float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180)))
-            b = GroundStation("q", float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180)))
-            expected = EARTH_RADIUS_KM * math.acos(
-                float(np.clip(np.dot(unit(a), unit(b)), -1.0, 1.0))
-            )
-            assert ground_distance_km(a, b) == pytest.approx(expected, abs=1e-6)
-
-    def test_antipodal(self):
-        a = GroundStation("a", 0.0, 0.0)
-        b = GroundStation("b", 0.0, 180.0)
-        assert ground_distance_km(a, b) == pytest.approx(20015.086796020572, abs=1.0)
-
-    def test_symmetry_and_triangle_inequality(self):
-        rng = np.random.default_rng(11)
-        for k in range(25):
-            stations = [
-                GroundStation(str(i), float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180)))
-                for i in range(3)
-            ]
-            ab = ground_distance_km(stations[0], stations[1])
-            ba = ground_distance_km(stations[1], stations[0])
-            bc = ground_distance_km(stations[1], stations[2])
-            ac = ground_distance_km(stations[0], stations[2])
-            assert ab == pytest.approx(ba, rel=1e-12)
-            assert ac <= ab + bc + 1e-9
 
 
 class TestValidation:

@@ -1,29 +1,8 @@
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
 
-from qbackbone.entanglement import MemoryPair
-from qbackbone.interface import (
-    ClassicalMessage,
-    FrameHeader,
-    HybridFrame,
-    ProtocolViolationError,
-    TeleportOutcome,
-    access_link_survivors,
-    classical_latency_s,
-    egress_process,
-    ingress_reconstruct,
-)
-
-ETA_5KM = 10.0 ** (-0.1)
-
-
-def make_frame(frame_id: int = 0, payload: int = 100_000) -> HybridFrame:
-    header = FrameHeader("Munich", "Nuremberg", payload)
-    return HybridFrame(frame_id, 0.0, payload, header)
+from qbackbone.interface import classical_latency_s
 
 
 class TestClassicalLatency:
@@ -37,193 +16,3 @@ class TestClassicalLatency:
     def test_validation(self):
         with pytest.raises(ValueError):
             classical_latency_s(-1.0)
-
-
-class TestAccessLink:
-    def test_perfect_link(self):
-        rng = np.random.default_rng(0)
-        assert access_link_survivors(12345, 1.0, rng) == 12345
-
-    def test_empty_frame(self):
-        rng = np.random.default_rng(0)
-        assert access_link_survivors(0, 0.5, rng) == 0
-
-    def test_binomial_moments(self):
-        rng = np.random.default_rng(1)
-        n = 100_000
-        samples = np.array([access_link_survivors(n, ETA_5KM, rng) for _ in range(100)])
-        mean = n * ETA_5KM
-        std = math.sqrt(n * ETA_5KM * (1 - ETA_5KM))
-        assert std == pytest.approx(127.8, abs=0.5)
-        assert samples.mean() == pytest.approx(mean, abs=3 * std / 10)
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            access_link_survivors(-1, 0.5, rng)
-        with pytest.raises(ValueError):
-            access_link_survivors(10, 1.5, rng)
-
-
-class TestEgressProcess:
-    def test_empty_memory(self):
-        rng = np.random.default_rng(0)
-        pair = MemoryPair(None)
-        outcome, message = egress_process(make_frame(), 100, pair, 0.5, rng, 1.0, 0.01)
-        assert outcome.attempts == 0
-        assert outcome.successes == 0
-        assert outcome.pairs_consumed == 0
-        assert outcome.dropped_for_no_pair == 100
-        assert message.success_count == 0
-        assert message.arrival_time_s == pytest.approx(1.01)
-
-    def test_deterministic_success(self):
-        rng = np.random.default_rng(0)
-        pair = MemoryPair(None)
-        pair.store_pairs(1000)
-        outcome, _ = egress_process(make_frame(), 100, pair, 1.0, rng, 0.0, 0.0)
-        assert outcome.attempts == 100
-        assert outcome.successes == 100
-        assert outcome.pairs_consumed == 100
-        assert outcome.consumed_index_range == (0, 100)
-        assert pair.occupancy == 900
-
-    def test_mean_successes_with_surplus(self):
-        rng = np.random.default_rng(2)
-        survivors = 79_433
-        totals = []
-        for _ in range(100):
-            pair = MemoryPair(None)
-            pair.store_pairs(survivors + 1000)
-            outcome, _ = egress_process(make_frame(), survivors, pair, 0.5, rng, 0.0, 0.0)
-            totals.append(outcome.successes)
-        mean = survivors * 0.5
-        std = math.sqrt(survivors * 0.25)
-        assert np.mean(totals) == pytest.approx(mean, abs=3 * std / 10)
-
-    def test_pairs_consumed_equals_attempts(self):
-        rng = np.random.default_rng(3)
-        for occupancy, survivors in [(10, 100), (100, 10), (0, 0), (50, 50)]:
-            pair = MemoryPair(None)
-            pair.store_pairs(occupancy)
-            outcome, _ = egress_process(make_frame(), survivors, pair, 0.5, rng, 0.0, 0.0)
-            assert outcome.pairs_consumed == outcome.attempts == min(occupancy, survivors)
-            assert outcome.consumed_index_range == (0, outcome.attempts)
-
-
-class TestIngressReconstruct:
-    def run_chain(self, rng, pair, survivors, p=0.5, eta_out=ETA_5KM):
-        outcome, message = egress_process(make_frame(), survivors, pair, p, rng, 0.0, 0.0)
-        delivered = ingress_reconstruct(message, pair.ingress, eta_out, rng)
-        return outcome, delivered
-
-    def test_zero_successes(self):
-        rng = np.random.default_rng(0)
-        pair = MemoryPair(None)
-        _, delivered = self.run_chain(rng, pair, 100)
-        assert delivered == 0
-
-    def test_perfect_egress_access(self):
-        rng = np.random.default_rng(1)
-        pair = MemoryPair(None)
-        pair.store_pairs(500)
-        outcome, delivered = self.run_chain(rng, pair, 200, eta_out=1.0)
-        assert delivered == outcome.successes
-
-    def test_end_to_end_mean_with_surplus(self):
-        # 1e5 qubits through eta, 50% teleport, eta again: mean 31547.87
-        rng = np.random.default_rng(4)
-        delivered = []
-        for _ in range(100):
-            pair = MemoryPair(None)
-            pair.store_pairs(200_000)
-            survivors = access_link_survivors(100_000, ETA_5KM, rng)
-            _, d = self.run_chain(rng, pair, survivors)
-            delivered.append(d)
-        p_total = ETA_5KM**2 * 0.5
-        mean = 100_000 * p_total
-        std = math.sqrt(100_000 * p_total * (1 - p_total))
-        assert np.mean(delivered) == pytest.approx(mean, abs=3 * std / 10)
-
-    def test_range_mismatch_raises(self):
-        rng = np.random.default_rng(5)
-        pair = MemoryPair(None)
-        pair.store_pairs(50)
-        _, message = egress_process(make_frame(), 10, pair, 0.5, rng, 0.0, 0.0)
-        forged = ClassicalMessage(
-            frame_id=message.frame_id,
-            header=message.header,
-            consumed_index_range=(5, 15),
-            success_count=message.success_count,
-            send_time_s=message.send_time_s,
-            arrival_time_s=message.arrival_time_s,
-        )
-        with pytest.raises(ProtocolViolationError):
-            ingress_reconstruct(forged, pair.ingress, 0.5, rng)
-
-    def test_replayed_message_raises(self):
-        rng = np.random.default_rng(6)
-        pair = MemoryPair(None)
-        pair.store_pairs(50)
-        _, message = egress_process(make_frame(), 10, pair, 0.5, rng, 0.0, 0.0)
-        ingress_reconstruct(message, pair.ingress, 0.5, rng)
-        with pytest.raises(ProtocolViolationError):
-            ingress_reconstruct(message, pair.ingress, 0.5, rng)
-
-    def test_messages_apply_in_fifo_order(self):
-        rng = np.random.default_rng(7)
-        pair = MemoryPair(None)
-        pair.store_pairs(100)
-        _, first = egress_process(make_frame(0), 10, pair, 0.5, rng, 0.0, 0.0)
-        _, second = egress_process(make_frame(1), 10, pair, 0.5, rng, 0.0, 0.0)
-        with pytest.raises(ProtocolViolationError):
-            ingress_reconstruct(second, pair.ingress, 0.5, rng)
-        ingress_reconstruct(first, pair.ingress, 0.5, rng)
-        ingress_reconstruct(second, pair.ingress, 0.5, rng)
-
-
-class TestAccountingIdentity:
-    def test_per_frame_identity_exact(self):
-        # payload = access losses + no-pair drops + failures + far losses + delivered
-        rng = np.random.default_rng(8)
-        for trial in range(30):
-            payload = int(rng.integers(0, 5000))
-            occupancy = int(rng.integers(0, 5000))
-            pair = MemoryPair(None)
-            pair.store_pairs(occupancy)
-            frame = make_frame(trial, payload)
-            survivors = access_link_survivors(payload, 0.7, rng)
-            outcome, message = egress_process(frame, survivors, pair, 0.5, rng, 0.0, 0.0)
-            delivered = ingress_reconstruct(message, pair.ingress, 0.7, rng)
-            ingress_access_lost = payload - survivors
-            teleport_failures = outcome.attempts - outcome.successes
-            egress_access_lost = outcome.successes - delivered
-            assert (
-                payload
-                == ingress_access_lost
-                + outcome.dropped_for_no_pair
-                + teleport_failures
-                + egress_access_lost
-                + delivered
-            )
-            assert pair.is_mirrored()
-
-    def test_delivered_zero_with_empty_memories(self):
-        rng = np.random.default_rng(9)
-        pair = MemoryPair(None)
-        frame = make_frame()
-        survivors = access_link_survivors(frame.payload_qubits, ETA_5KM, rng)
-        outcome, message = egress_process(frame, survivors, pair, 0.5, rng, 0.0, 0.0)
-        assert ingress_reconstruct(message, pair.ingress, ETA_5KM, rng) == 0
-        assert outcome.dropped_for_no_pair == survivors
-
-
-class TestTypes:
-    def test_frame_validation(self):
-        with pytest.raises(ValueError):
-            HybridFrame(0, 0.0, -1, FrameHeader("a", "b", -1))
-
-    def test_outcome_fields(self):
-        outcome = TeleportOutcome(1, 100, 50, 25, 50, (0, 50), 50)
-        assert outcome.attempts <= outcome.survivors_at_egress
-        assert outcome.successes <= outcome.attempts

@@ -20,7 +20,6 @@ from qbackbone.linkbudget import (
     attenuation_profile,
     fiber_transmittance,
     freespace_transmittance,
-    pair_coincidence_probability,
 )
 from qbackbone.scenario import dark_fiber_source, fiber_source, satellite_source
 
@@ -102,23 +101,8 @@ class TestFreespace:
 
 
 class TestCoincidence:
-    def test_trivial(self):
-        assert pair_coincidence_probability(1.0, 1.0) == 1.0
-        assert pair_coincidence_probability(0.5, 0.0) == 0.0
-
     def test_frozen_standard_fiber_split(self):
-        eta = fiber_transmittance(FiberLink(75.0, 0.2))
-        assert pair_coincidence_probability(eta, eta) == pytest.approx(9.99e-4, abs=1e-6)
-
-    def test_never_exceeds_smaller_arm(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            a, b = rng.uniform(0.0, 1.0, size=2)
-            assert pair_coincidence_probability(float(a), float(b)) <= min(a, b) + 1e-15
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            pair_coincidence_probability(1.5, 0.5)
+        assert fiber_source().coincidence_probability(0.0) == pytest.approx(9.99e-4, abs=1e-6)
 
     def test_peak_ordering_against_dark_fiber(self):
         # default-calibration ordering at the pass peaks

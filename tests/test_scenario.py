@@ -5,8 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbackbone.engine import run
+from qbackbone.geometry import GroundStation
+from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
 from qbackbone.scenario import (
     MAX_RUN_CELLS,
     MUNICH,
@@ -14,6 +18,7 @@ from qbackbone.scenario import (
     ConfigError,
     Policy,
     ScenarioConfig,
+    TrafficConfig,
     config_to_dict,
     dark_fiber_source,
     default_config,
@@ -142,6 +147,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="schema_version"):
             load_config({"schema_version": 99})
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_must_be_an_integer(self, version):
+        with pytest.raises(ConfigError, match="schema_version"):
+            load_config({"schema_version": version})
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"duration_s": 10**400}, "config.duration_s"),
+            ({"traffic": {"qubit_rate_hz": 10**400}}, "traffic.qubit_rate_hz"),
+            ({"sources": [dict(MICIUS_DOC, peak_time_s=10**400)]}, r"sources\[0\].peak_time_s"),
+        ],
+        ids=["duration", "traffic", "satellite_peak_time"],
+    )
+    def test_oversized_integer_names_its_field(self, doc, field):
+        with pytest.raises(ConfigError, match=field):
+            load_config(doc)
+
     def test_zero_duration_allowed(self):
         assert load_config({"duration_s": 0.0}).duration_s == 0.0
 
@@ -188,6 +211,72 @@ class TestRoundTrip:
         bad.write_text('{"seed": 1,\n  broken\n}')
         with pytest.raises(ConfigError, match=r"line 2"):
             load_config_file(str(bad))
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenario_configs(draw) -> ScenarioConfig:
+    def station(name: str) -> GroundStation:
+        return GroundStation(
+            name,
+            draw(st.one_of(st.sampled_from([-90.0, 90.0]), st.floats(-90.0, 90.0, **finite))),
+            draw(st.one_of(st.sampled_from([-180.0, 180.0]), st.floats(-180.0, 180.0, **finite))),
+        )
+
+    egress, ingress = station("A"), station("B")
+    step = draw(st.sampled_from([0.3, 2.0, 0.25, 1.1]))
+    sources = [
+        fiber_source(
+            "fiber",
+            draw(st.floats(0.0, 1.0, **finite)),
+            draw(st.floats(0.0, 200.0, **finite)),
+            draw(st.floats(1.0, 1.0e9, **finite)),
+        )
+    ]
+    names = draw(st.lists(st.sampled_from(["Micius", "Starlink-2007", "Iridium-126"]), unique=True))
+    for name in names:
+        sources.append(
+            satellite_source(
+                name,
+                egress,
+                ingress,
+                FreeSpaceLinkParams(min_elevation_deg=draw(st.floats(0.0, 89.0, **finite))),
+                peak_time_s=draw(st.floats(-1.0e4, 1.0e4, **finite)),
+            )
+        )
+    policy = draw(
+        st.sampled_from(
+            [Policy(kind) for kind in ("fiber-only", "best-source", "all-sources")]
+            + [Policy("satellite-only", name) for name in names]
+        )
+    )
+    return ScenarioConfig(
+        egress_station=egress,
+        ingress_station=ingress,
+        sources=tuple(sources),
+        policy=policy,
+        traffic=TrafficConfig(mean_interarrival_s=draw(st.floats(0.001, 10.0, **finite))),
+        ingress_access=FiberLink(draw(st.floats(0.0, 100.0, **finite)), 0.2),
+        egress_access=FiberLink(7.5, draw(st.floats(0.0, 1.0, **finite))),
+        memory_capacity=draw(st.one_of(st.none(), st.integers(1, 5))),
+        p_teleport_success=draw(st.floats(0.0, 1.0, **finite)),
+        duration_s=draw(st.floats(0.0, 600.0, **finite)),
+        bin_width_s=step * draw(st.integers(1, 4)),
+        channel_step_s=step,
+        classical_distance_km=draw(st.floats(0.1, 1000.0, **finite)),
+        seed=draw(st.integers(0, 2**63)),
+    )
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(config=scenario_configs())
+    def test_load_inverts_config_to_dict(self, config):
+        doc = config_to_dict(config)
+        assert load_config(doc) == config
+        assert load_config(json.loads(json.dumps(doc))) == config
 
 
 class TestSelectSources:
