@@ -21,6 +21,7 @@ from qbackbone.linkbudget import (
     fiber_transmittance,
     freespace_transmittance,
 )
+from qbackbone.entanglement import FiberSource
 from qbackbone.scenario import dark_fiber_source, fiber_source, satellite_source
 
 DEFAULTS = FreeSpaceLinkParams()
@@ -101,6 +102,25 @@ class TestFreespace:
 
 
 class TestCoincidence:
+    def test_trivial(self):
+        assert fiber_source(arm_length_km=0.0).coincidence_probability(0.0) == 1.0
+        assert satellite_source("Micius").coincidence_probability(128.0 + 5000.0) == 0.0
+
+    def test_never_exceeds_smaller_arm(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            length_a, length_b = rng.uniform(0.0, 200.0, size=2)
+            alpha = float(rng.uniform(0.0, 0.3))
+            source = FiberSource(
+                "f", FiberLink(float(length_a), alpha), FiberLink(float(length_b), alpha)
+            )
+            p = source.coincidence_probability(0.0)
+            assert p <= min(source.transmittances(0.0)) + 1e-15
+        micius = satellite_source("Micius")
+        for t in rng.uniform(-200.0, 400.0, size=100):
+            p = micius.coincidence_probability(float(t))
+            assert p <= min(micius.transmittances(float(t))) + 1e-15
+
     def test_frozen_standard_fiber_split(self):
         assert fiber_source().coincidence_probability(0.0) == pytest.approx(9.99e-4, abs=1e-6)
 
