@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from . import engine, scenario
 from .geometry import slant_range_km, visibility_window
-from .linkbudget import attenuation_profile, fiber_transmittance
+from .linkbudget import downlink, fiber_transmittance
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -356,25 +356,24 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
             )
         ]
     else:
-        samples = attenuation_profile(
-            source.pass_model,
-            (source.station_a, source.station_b),
-            source.link_params,
-            step_s=config.channel_step_s,
+        model, params = source.pass_model, source.link_params
+        window = visibility_window(
+            model, params.min_elevation_deg, (source.station_a, source.station_b)
         )
-        rows = [
-            (
-                s.time_s,
-                None if math.isnan(s.elevation_a_deg) else s.elevation_a_deg,
-                None if math.isnan(s.elevation_b_deg) else s.elevation_b_deg,
-                None if math.isnan(s.range_a_km) else s.range_a_km,
-                None if math.isnan(s.range_b_km) else s.range_b_km,
-                s.eta_a,
-                s.eta_b,
-                s.coincidence_probability,
-            )
-            for s in samples
-        ]
+        rows = []
+        if window is not None:
+            step = config.channel_step_s
+            n_samples = int(math.floor(window.duration_s / step + 1e-9)) + 1
+            if n_samples > scenario.MAX_RUN_CELLS:
+                raise scenario.ConfigError(
+                    f"linkbudget sample count {n_samples} exceeds the ceiling of "
+                    f"{scenario.MAX_RUN_CELLS}; lengthen channel_step_s"
+                )
+            for k in range(n_samples):
+                t = window.start_s + k * step
+                elev_a, range_a, eta_a = downlink(t, model, source.station_a, params)
+                elev_b, range_b, eta_b = downlink(t, model, source.station_b, params)
+                rows.append((t, elev_a, elev_b, range_a, range_b, eta_a, eta_b, eta_a * eta_b))
     _write_rows(sys.stdout, LINKBUDGET_COLUMNS, rows)
     return EXIT_OK
 
@@ -419,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     passes.set_defaults(func=_cmd_passes)
 
     linkbudget = sub.add_parser(
-        "linkbudget", help="Print one source's attenuation profile as CSV."
+        "linkbudget", help="Print one source's downlink budget per channel step as CSV."
     )
     linkbudget.add_argument("--config", help="Scenario JSON (defaults when omitted).")
     linkbudget.add_argument("--seed", type=int, help=argparse.SUPPRESS)

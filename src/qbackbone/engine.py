@@ -36,10 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entanglement import coincidence_matrix
 from .geometry import visibility_window
 from .interface import classical_latency_s
 from .linkbudget import fiber_transmittance
-from .scenario import ScenarioConfig, select_sources
+from .scenario import ScenarioConfig, active_sources
 
 STREAM_NAMES = ("traffic", "coincidence", "ingress_access", "teleport", "egress_access")
 
@@ -191,17 +192,10 @@ def run(config: ScenarioConfig) -> RunResult:
     n_frames = len(created)
     egress_times = created + delay_in
 
-    # Stage 2: per-step policy decisions and pair rates.
-    rate_table = np.zeros((n_steps, len(sources)))
-    for k in range(n_steps):
-        decision = select_sources(cfg.policy, k * step, sources)
-        active = set(decision.active_source_ids)
-        for j, source in enumerate(sources):
-            if source.source_id in active:
-                rate_table[k, j] = (
-                    source.emission_rate_hz
-                    * decision.coincidence_probabilities[source.source_id]
-                )
+    # Stage 2: pair rates of the sources the policy keeps active at each step.
+    p = coincidence_matrix(sources, np.arange(n_steps) * step)
+    emission = np.array([source.emission_rate_hz for source in sources])
+    rate_table = np.where(active_sources(cfg.policy, sources, p), emission * p, 0.0)
 
     # Stage 3: integration boundaries and per-segment coincidence draws.
     # A segment's step and bin are found by searching the grids it was cut

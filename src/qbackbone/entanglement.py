@@ -1,21 +1,24 @@
 """Backbone entanglement sources: ground fiber and satellite passes.
 
 A source emits pairs at a fixed rate and a pair counts only if both
-photons pass their respective arms, so its pair rate is the emission
-rate times the product of the two arm transmittances.  ``engine.run``
-draws thinned Poisson pair counts from these rates.  The egress and
-ingress memories that hold the two halves mirror each other, so the
-engine tracks both as one occupancy count.
+photons pass their respective arms, so its coincidence probability is
+the product of the two arm transmittances.  ``coincidence_matrix``
+evaluates it for every source at every channel step; ``engine.run``
+thins the emission rates by it and draws Poisson pair counts.  The
+egress and ingress memories that hold the two halves mirror each other,
+so the engine tracks both as one occupancy count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, Sequence, Union
 
-from .geometry import SatellitePassModel, elevation_at
-from .linkbudget import FiberLink, FreeSpaceLinkParams, fiber_transmittance, freespace_transmittance
+import numpy as np
+
+from .geometry import SatellitePassModel
+from .linkbudget import FiberLink, FreeSpaceLinkParams, downlink, fiber_transmittance
 
 DEFAULT_EMISSION_RATE_HZ = 2.0e5
 
@@ -34,16 +37,6 @@ class FiberSource:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.emission_rate_hz) and self.emission_rate_hz > 0.0):
             raise ValueError(f"emission_rate_hz must be > 0: {self.emission_rate_hz}")
-
-    def transmittances(self, t_s: float) -> tuple[float, float]:
-        return fiber_transmittance(self.arm_a), fiber_transmittance(self.arm_b)
-
-    def coincidence_probability(self, t_s: float) -> float:
-        eta_a, eta_b = self.transmittances(t_s)
-        return eta_a * eta_b
-
-    def pair_rate_hz(self, t_s: float) -> float:
-        return self.emission_rate_hz * self.coincidence_probability(t_s)
 
 
 @dataclass(frozen=True)
@@ -69,29 +62,29 @@ class SatelliteSource:
                     f"{self.pass_model.satellite_name!r}"
                 )
 
-    def transmittances(self, t_s: float) -> tuple[float, float]:
-        etas = []
-        for name in (self.station_a, self.station_b):
-            elevation = elevation_at(t_s, self.pass_model, name)
-            if elevation is None:
-                etas.append(0.0)
-            else:
-                etas.append(
-                    freespace_transmittance(
-                        elevation,
-                        self.pass_model.altitude_km,
-                        self.link_params,
-                        self.pass_model.earth_radius_km,
-                    )
-                )
-        return etas[0], etas[1]
-
-    def coincidence_probability(self, t_s: float) -> float:
-        eta_a, eta_b = self.transmittances(t_s)
-        return eta_a * eta_b
-
-    def pair_rate_hz(self, t_s: float) -> float:
-        return self.emission_rate_hz * self.coincidence_probability(t_s)
-
 
 EntanglementSource = Union[FiberSource, SatelliteSource]
+
+
+def coincidence_matrix(
+    sources: Sequence[EntanglementSource], times: np.ndarray
+) -> np.ndarray:
+    """Coincidence probability of every source at every time, shape (times, sources).
+
+    A fiber source's probability is constant.  A satellite's is the
+    product of its two ``downlink`` transmittances, evaluated on Python
+    floats so the values do not depend on numpy's SIMD dispatch.
+    """
+    p = np.zeros((len(times), len(sources)))
+    t_list = times.tolist()
+    for j, source in enumerate(sources):
+        if source.kind == "ground-fiber":
+            p[:, j] = fiber_transmittance(source.arm_a) * fiber_transmittance(source.arm_b)
+        else:
+            model, params = source.pass_model, source.link_params
+            p[:, j] = [
+                downlink(t, model, source.station_a, params)[2]
+                * downlink(t, model, source.station_b, params)[2]
+                for t in t_list
+            ]
+    return p

@@ -24,21 +24,9 @@ def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class GroundStation:
-    """A ground station at fixed geodetic coordinates on a spherical Earth."""
+    """A named ground station; each pass sets its geometry per station."""
 
     name: str
-    latitude_deg: float
-    longitude_deg: float
-
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.latitude_deg <= 90.0:
-            raise ValueError(
-                f"latitude_deg out of range [-90, 90] for {self.name!r}: {self.latitude_deg}"
-            )
-        if not -180.0 <= self.longitude_deg <= 180.0:
-            raise ValueError(
-                f"longitude_deg out of range [-180, 180] for {self.name!r}: {self.longitude_deg}"
-            )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ diffraction-limited Gaussian beam by the receiver aperture, zenith
 atmospheric transmittance scaled by a secant air-mass term, a fixed
 pointing loss, and a fixed system efficiency.  Service is gated at a
 minimum elevation below which the transmittance is exactly zero.
+
+``downlink`` evaluates one station's downlink at one instant with the
+scalar ``math`` kernels; the engine's probability matrix and the
+``linkbudget`` command both read it.  Outputs must not depend on the
+host's SIMD dispatch, so no numpy transcendental function is used here.
 """
 
 from __future__ import annotations
@@ -12,14 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import (
-    EARTH_RADIUS_KM,
-    SatellitePassModel,
-    VisibilityWindow,
-    elevation_at,
-    slant_range_km,
-    visibility_window,
-)
+from .geometry import EARTH_RADIUS_KM, SatellitePassModel, elevation_at, slant_range_km
 
 
 @dataclass(frozen=True)
@@ -71,27 +69,6 @@ class FreeSpaceLinkParams:
             raise ValueError("min_elevation_deg must be in [0, 90)")
 
 
-@dataclass(frozen=True)
-class AttenuationSample:
-    """One time step of a two-station downlink attenuation profile.
-
-    Station `a` is the egress side, station `b` the ingress side.  The
-    elevation and range are NaN when the satellite is below the horizon.
-    """
-
-    time_s: float
-    elevation_a_deg: float
-    elevation_b_deg: float
-    range_a_km: float
-    range_b_km: float
-    eta_a: float
-    eta_b: float
-
-    @property
-    def coincidence_probability(self) -> float:
-        return self.eta_a * self.eta_b
-
-
 def fiber_transmittance(link: FiberLink) -> float:
     """Per-photon survival probability of a fiber span."""
     return 10.0 ** (-link.loss_db / 10.0)
@@ -139,44 +116,24 @@ def freespace_transmittance(
     return params.system_efficiency * eta_point * eta_atm * eta_geo
 
 
-def attenuation_profile(
+def downlink(
+    t_s: float,
     pass_model: SatellitePassModel,
-    station_names: tuple[str, str],
+    station_name: str,
     params: FreeSpaceLinkParams,
-    step_s: float = 2.0,
-    window: VisibilityWindow | None = None,
-) -> list[AttenuationSample]:
-    """Time-discretised downlink profile over a visibility window.
+) -> tuple[float | None, float | None, float]:
+    """Elevation, slant range and transmittance of one station's downlink.
 
-    Samples are taken every ``step_s`` seconds from the window start,
-    endpoints included.  When ``window`` is None the joint visibility
-    window above ``params.min_elevation_deg`` is used; an empty window
-    yields an empty profile.
+    Elevation and range are None while the satellite is below the
+    station's horizon, and the transmittance is then 0.
     """
-    if not (math.isfinite(step_s) and step_s > 0.0):
-        raise ValueError(f"step_s must be > 0: {step_s}")
-    if window is None:
-        window = visibility_window(pass_model, params.min_elevation_deg, station_names)
-        if window is None:
-            return []
-    name_a, name_b = station_names
-    samples: list[AttenuationSample] = []
-    n_steps = int(math.floor(window.duration_s / step_s + 1e-9))
-    for k in range(n_steps + 1):
-        t = window.start_s + k * step_s
-        per_station = []
-        for name in (name_a, name_b):
-            elevation = elevation_at(t, pass_model, name)
-            if elevation is None:
-                per_station.append((math.nan, math.nan, 0.0))
-            else:
-                rng_km = slant_range_km(
-                    elevation, pass_model.altitude_km, pass_model.earth_radius_km
-                )
-                eta = freespace_transmittance(
-                    elevation, pass_model.altitude_km, params, pass_model.earth_radius_km
-                )
-                per_station.append((elevation, rng_km, eta))
-        (el_a, rng_a, eta_a), (el_b, rng_b, eta_b) = per_station
-        samples.append(AttenuationSample(t, el_a, el_b, rng_a, rng_b, eta_a, eta_b))
-    return samples
+    elevation = elevation_at(t_s, pass_model, station_name)
+    if elevation is None:
+        return None, None, 0.0
+    altitude_km = pass_model.altitude_km
+    earth_radius_km = pass_model.earth_radius_km
+    return (
+        elevation,
+        slant_range_km(elevation, altitude_km, earth_radius_km),
+        freespace_transmittance(elevation, altitude_km, params, earth_radius_km),
+    )

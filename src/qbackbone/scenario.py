@@ -14,6 +14,8 @@ import os
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping
 
+import numpy as np
+
 from .entanglement import (
     DEFAULT_EMISSION_RATE_HZ,
     EntanglementSource,
@@ -23,14 +25,14 @@ from .entanglement import (
 from .geometry import GroundStation, SatellitePassModel, StationPass
 from .linkbudget import FiberLink, FreeSpaceLinkParams
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SEED_ENV_VAR = "QBACKBONE_SEED"
 
 STANDARD_FIBER_DB_PER_KM = 0.2
 DARK_FIBER_DB_PER_KM = 0.16
 
-MUNICH = GroundStation("Munich", 48.15, 11.533333333333333)
-NUREMBERG = GroundStation("Nuremberg", 49.43333333333333, 11.116666666666667)
+MUNICH = GroundStation("Munich")
+NUREMBERG = GroundStation("Nuremberg")
 
 # name -> (altitude_km, peak elevation egress/ingress, default peak time)
 _SATELLITES = {
@@ -68,15 +70,6 @@ class Policy:
             raise ConfigError("policy satellite-only requires a source_id")
         if self.kind != "satellite-only" and self.source_id is not None:
             raise ConfigError(f"policy {self.kind!r} takes no source_id")
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    """Active sources at one instant with their coincidence probabilities."""
-
-    time_s: float
-    active_source_ids: tuple[str, ...]
-    coincidence_probabilities: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -203,35 +196,27 @@ def _cell_count(duration_s: float, width_s: float) -> int:
     return max(1, int(math.ceil(duration_s / width_s - 1e-9)))
 
 
-def select_sources(
-    policy: Policy, t_s: float, sources: tuple[EntanglementSource, ...]
-) -> PolicyDecision:
-    """Evaluate a source-selection policy at one instant.
+def active_sources(
+    policy: Policy, sources: tuple[EntanglementSource, ...], p: np.ndarray
+) -> np.ndarray:
+    """Which sources feed the memories at each step, as a mask shaped like ``p``.
 
-    best-source picks the single source with the highest instantaneous
-    coincidence probability (ties broken by lexicographic source id);
-    sources with zero probability are never selected.
+    ``p`` holds the coincidence probabilities, one row per step and one
+    column per source.  A source with zero probability is never active.
+    best-source keeps the single source with the highest probability;
+    ties go to the lexicographically first source id.
     """
-    probabilities = {s.source_id: s.coincidence_probability(t_s) for s in sources}
+    available = p > 0.0
     if policy.kind == "fiber-only":
-        active = sorted(
-            s.source_id
-            for s in sources
-            if s.kind == "ground-fiber" and probabilities[s.source_id] > 0.0
-        )
-    elif policy.kind == "satellite-only":
-        active = (
-            [policy.source_id]
-            if probabilities.get(policy.source_id, 0.0) > 0.0
-            else []
-        )
-    elif policy.kind == "all-sources":
-        active = sorted(sid for sid, p in probabilities.items() if p > 0.0)
-    else:  # best-source
-        candidates = [(sid, p) for sid, p in probabilities.items() if p > 0.0]
-        candidates.sort(key=lambda item: (-item[1], item[0]))
-        active = [candidates[0][0]] if candidates else []
-    return PolicyDecision(t_s, tuple(active), probabilities)
+        return available & np.array([s.kind == "ground-fiber" for s in sources], dtype=bool)
+    if policy.kind == "satellite-only":
+        return available & np.array([s.source_id == policy.source_id for s in sources], dtype=bool)
+    if policy.kind == "all-sources" or not sources:
+        return available
+    by_id = np.array(sorted(range(len(sources)), key=lambda j: sources[j].source_id))
+    best = np.zeros_like(available)
+    best[np.arange(len(p)), by_id[np.argmax(p[:, by_id], axis=1)]] = True
+    return available & best
 
 
 def satellite_pass(

@@ -7,6 +7,11 @@ simple and slow; fiber-backbone scenarios only.
 
 ``write_frames`` is the oracle for the column-wise ``frames.csv``
 writer: one row per frame, one cell at a time, through ``csv.writer``.
+
+``coincidence_probability``, ``pair_rate_hz`` and ``select_sources``
+are the per-source, per-instant oracles of the probability matrix and
+the whole-matrix policy: one scalar evaluation per source, and a dict
+and a sort per instant.
 """
 
 from __future__ import annotations
@@ -17,9 +22,70 @@ import numpy as np
 
 from qbackbone.cli import FRAMES_COLUMNS
 from qbackbone.engine import FrameTable
+from qbackbone.entanglement import EntanglementSource
+from qbackbone.geometry import elevation_at
 from qbackbone.interface import classical_latency_s
-from qbackbone.linkbudget import fiber_transmittance
-from qbackbone.scenario import ScenarioConfig
+from qbackbone.linkbudget import fiber_transmittance, freespace_transmittance
+from qbackbone.scenario import Policy, ScenarioConfig
+
+
+def transmittances(source: EntanglementSource, t_s: float) -> tuple[float, float]:
+    """Per-photon transmittance of each arm of ``source`` at ``t_s``."""
+    if source.kind == "ground-fiber":
+        return fiber_transmittance(source.arm_a), fiber_transmittance(source.arm_b)
+    model = source.pass_model
+    etas = []
+    for name in (source.station_a, source.station_b):
+        elevation = elevation_at(t_s, model, name)
+        if elevation is None:
+            etas.append(0.0)
+        else:
+            etas.append(
+                freespace_transmittance(
+                    elevation, model.altitude_km, source.link_params, model.earth_radius_km
+                )
+            )
+    return etas[0], etas[1]
+
+
+def coincidence_probability(source: EntanglementSource, t_s: float) -> float:
+    eta_a, eta_b = transmittances(source, t_s)
+    return eta_a * eta_b
+
+
+def pair_rate_hz(source: EntanglementSource, t_s: float) -> float:
+    return source.emission_rate_hz * coincidence_probability(source, t_s)
+
+
+def select_sources(
+    policy: Policy, sources: tuple[EntanglementSource, ...], probabilities: dict[str, float]
+) -> tuple[str, ...]:
+    """Sorted ids of the sources a policy keeps active at one instant.
+
+    ``probabilities`` maps each source id to its coincidence probability
+    at that instant.  best-source picks the single source with the highest instantaneous
+    coincidence probability (ties broken by lexicographic source id);
+    sources with zero probability are never selected.
+    """
+    if policy.kind == "fiber-only":
+        active = sorted(
+            s.source_id
+            for s in sources
+            if s.kind == "ground-fiber" and probabilities[s.source_id] > 0.0
+        )
+    elif policy.kind == "satellite-only":
+        active = (
+            [policy.source_id]
+            if probabilities.get(policy.source_id, 0.0) > 0.0
+            else []
+        )
+    elif policy.kind == "all-sources":
+        active = sorted(sid for sid, p in probabilities.items() if p > 0.0)
+    else:  # best-source
+        candidates = [(sid, p) for sid, p in probabilities.items() if p > 0.0]
+        candidates.sort(key=lambda item: (-item[1], item[0]))
+        active = [candidates[0][0]] if candidates else []
+    return tuple(active)
 
 
 def simulate_per_qubit(config: ScenarioConfig, seed: int) -> int:
@@ -35,7 +101,7 @@ def simulate_per_qubit(config: ScenarioConfig, seed: int) -> int:
     delay_in = classical_latency_s(config.ingress_access.length_km)
     delay_out = classical_latency_s(config.egress_access.length_km)
     latency = classical_latency_s(config.classical_distance_km)
-    rate = sum(s.pair_rate_hz(0.0) for s in config.sources)
+    rate = sum(pair_rate_hz(s, 0.0) for s in config.sources)
 
     n_pairs = int(rng.poisson(rate * duration))
     pair_times = np.sort(rng.uniform(0.0, duration, size=n_pairs))

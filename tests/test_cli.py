@@ -127,6 +127,26 @@ class TestSimulate:
         assert not out.exists()
 
 
+    def test_schema_v1_document_exits_1(self, tmp_path, capsys):
+        doc = config_to_dict(default_config())
+        doc["schema_version"] = 1
+        doc["stations"]["egress"].update(latitude_deg=48.15, longitude_deg=11.5333)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "schema_version" in capsys.readouterr().err
+
+    def test_station_coordinates_exit_1(self, tmp_path, capsys):
+        doc = config_to_dict(default_config())
+        assert doc["schema_version"] == 2
+        doc["stations"]["ingress"]["latitude_deg"] = 49.4333
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "latitude_deg" in err and "stations.ingress" in err
+
+
 def synthetic_frames(n: int, n_completed: int, seed: int = 0) -> engine.FrameTable:
     """A frame table with random counts and times of every float form."""
     rng = np.random.default_rng(seed)
@@ -417,3 +437,25 @@ class TestLinkbudget:
         lines = [line for line in out.splitlines() if line]
         assert len(lines) == 1
         assert lines[0].startswith("time_s,")
+
+    def test_huge_window_exits_1_before_allocating(self, tmp_path, capsys):
+        # 100,000 channel steps pass the run ceiling, but Micius's 280 s
+        # window at 1e-5 s steps would be about 2.8e7 rows.
+        config = ScenarioConfig(
+            sources=(satellite_source("Micius"),),
+            duration_s=1.0,
+            channel_step_s=1.0e-5,
+            bin_width_s=0.5,
+        )
+        path = write_config(tmp_path, config)
+        tracemalloc.start()
+        try:
+            code = main(["linkbudget", "--config", path, "--source", "Micius"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ceiling" in captured.err
+        assert peak < 1_000_000

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _reference
 from qbackbone.engine import STREAM_NAMES, FrameTable, RandomStreams, _traffic_times, run
 from qbackbone.interface import classical_latency_s
 from qbackbone.scenario import (
@@ -215,7 +216,7 @@ class TestTimeGrid:
             traffic=dataclasses.replace(base.traffic, mean_interarrival_s=1.0e4),
         )
         result = run(config)
-        expected = source.pair_rate_hz(0.0) * 0.9
+        expected = _reference.pair_rate_hz(source, 0.0) * 0.9
         full = [b for b in result.bins if b.bin_start_s + 0.9 <= 400.0]
         assert len(full) == 444
         for b in full:

@@ -13,8 +13,10 @@ import math
 import numpy as np
 import pytest
 
+import _reference
 from qbackbone.engine import run
-from qbackbone.linkbudget import FiberLink, fiber_transmittance
+from qbackbone.entanglement import coincidence_matrix
+from qbackbone.linkbudget import FiberLink, downlink, fiber_transmittance
 from qbackbone.scenario import (
     ConfigError,
     Policy,
@@ -57,7 +59,12 @@ class TestCoincidenceCount:
     def test_dead_arm_always_zero(self):
         source = invisible_satellite().sources[0]
         for t in (0.0, 8.0, 16.0):
-            assert 0.0 in source.transmittances(t)
+            etas = [
+                downlink(t, source.pass_model, name, source.link_params)[2]
+                for name in (source.station_a, source.station_b)
+            ]
+            assert 0.0 in etas
+        assert not coincidence_matrix((source,), np.arange(5) * 2.0).any()
         for seed in range(20):
             result = run(invisible_satellite(duration_s=8.0, seed=seed))
             assert result.totals.pairs_arrived == 0
@@ -80,7 +87,7 @@ class TestCoincidenceCount:
         # A bin cut into many segments (every frame egress and 0.25 s step
         # edge) has the mean and variance of an uncut bin: Poisson(lam).
         source = fiber_source(emission_rate_hz=1.0e5)
-        lam = source.pair_rate_hz(0.0)
+        lam = _reference.pair_rate_hz(source, 0.0)
         trials = 2000
         common = dict(sources=(source,), duration_s=float(trials), bin_width_s=1.0)
         split = run(config(0.05, channel_step_s=0.25, seed=3, **common))
@@ -181,16 +188,17 @@ class TestMemory:
 class TestSources:
     def test_fiber_source_constant(self):
         source = fiber_source()
-        assert source.coincidence_probability(0.0) == source.coincidence_probability(599.0)
-        assert source.pair_rate_hz(0.0) == pytest.approx(2.0e5 * STD_ARM_ETA**2)
+        p = coincidence_matrix((source,), np.array([0.0, 599.0]))
+        assert p[0, 0] == p[1, 0] == STD_ARM_ETA**2
+        assert _reference.pair_rate_hz(source, 0.0) == pytest.approx(2.0e5 * STD_ARM_ETA**2)
 
     def test_satellite_source_peak_and_gating(self):
         source = satellite_source("Micius")
-        p_peak = source.coincidence_probability(128.0)
+        p_peak, p_gone = coincidence_matrix((source,), np.array([128.0, 128.0 + 5000.0]))[:, 0]
         assert p_peak > 0.0
-        assert source.coincidence_probability(128.0 + 5000.0) == 0.0
-        eta_a, eta_b = source.transmittances(128.0)
-        assert p_peak == pytest.approx(eta_a * eta_b, rel=1e-12)
+        assert p_gone == 0.0
+        eta_a, eta_b = _reference.transmittances(source, 128.0)
+        assert p_peak == eta_a * eta_b
 
     def test_satellite_requires_station_parameters(self):
         source = satellite_source("Micius")

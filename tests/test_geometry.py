@@ -7,7 +7,6 @@ import pytest
 
 from qbackbone.geometry import (
     EARTH_RADIUS_KM,
-    GroundStation,
     SatellitePassModel,
     StationPass,
     central_angle_rad,
@@ -188,12 +187,6 @@ class TestVisibilityWindow:
 
 
 class TestValidation:
-    def test_station_coordinate_ranges(self):
-        with pytest.raises(ValueError):
-            GroundStation("bad", 91.0, 0.0)
-        with pytest.raises(ValueError):
-            GroundStation("bad", 0.0, 181.0)
-
     def test_pass_model_invariants(self):
         with pytest.raises(ValueError):
             SatellitePassModel("x", -5.0, {"a": StationPass(45.0, 0.0)})

@@ -1,28 +1,36 @@
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qbackbone.cli import main
+from qbackbone.entanglement import FiberSource, SatelliteSource, coincidence_matrix
 from qbackbone.geometry import (
     SatellitePassModel,
     StationPass,
-    VisibilityWindow,
     elevation_at,
     slant_range_km,
     visibility_window,
 )
 from qbackbone.linkbudget import (
-    AttenuationSample,
     FiberLink,
     FreeSpaceLinkParams,
-    attenuation_profile,
+    downlink,
     fiber_transmittance,
     freespace_transmittance,
 )
-from qbackbone.entanglement import FiberSource
-from qbackbone.scenario import dark_fiber_source, fiber_source, satellite_source
+from qbackbone.scenario import (
+    ScenarioConfig,
+    config_to_dict,
+    dark_fiber_source,
+    fiber_source,
+    satellite_source,
+)
 
 DEFAULTS = FreeSpaceLinkParams()
 
@@ -101,10 +109,24 @@ class TestFreespace:
             FreeSpaceLinkParams(system_efficiency=0.0)
 
 
+def probability(source, t_s: float) -> float:
+    return float(coincidence_matrix((source,), np.array([t_s]))[0, 0])
+
+
+def profile(tmp_path, capsys, source, step_s: float = 2.0) -> list[dict[str, float | None]]:
+    """Rows of ``qbackbone linkbudget`` for ``source``, empty cells as None."""
+    config = ScenarioConfig(sources=(source,), channel_step_s=step_s, bin_width_s=step_s)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config_to_dict(config)))
+    assert main(["linkbudget", "--config", str(path), "--source", source.source_id]) == 0
+    rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    return [{k: float(v) if v else None for k, v in row.items()} for row in rows]
+
+
 class TestCoincidence:
     def test_trivial(self):
-        assert fiber_source(arm_length_km=0.0).coincidence_probability(0.0) == 1.0
-        assert satellite_source("Micius").coincidence_probability(128.0 + 5000.0) == 0.0
+        assert probability(fiber_source(arm_length_km=0.0), 0.0) == 1.0
+        assert probability(satellite_source("Micius"), 128.0 + 5000.0) == 0.0
 
     def test_never_exceeds_smaller_arm(self):
         rng = np.random.default_rng(5)
@@ -114,88 +136,84 @@ class TestCoincidence:
             source = FiberSource(
                 "f", FiberLink(float(length_a), alpha), FiberLink(float(length_b), alpha)
             )
-            p = source.coincidence_probability(0.0)
-            assert p <= min(source.transmittances(0.0)) + 1e-15
+            etas = fiber_transmittance(source.arm_a), fiber_transmittance(source.arm_b)
+            assert probability(source, 0.0) <= min(etas) + 1e-15
         micius = satellite_source("Micius")
-        for t in rng.uniform(-200.0, 400.0, size=100):
-            p = micius.coincidence_probability(float(t))
-            assert p <= min(micius.transmittances(float(t))) + 1e-15
+        times = rng.uniform(-200.0, 400.0, size=100)
+        p = coincidence_matrix((micius,), times)[:, 0]
+        for t, p_t in zip(times.tolist(), p.tolist()):
+            etas = [
+                downlink(t, micius.pass_model, name, micius.link_params)[2]
+                for name in (micius.station_a, micius.station_b)
+            ]
+            assert p_t == etas[0] * etas[1]
+            assert p_t <= min(etas) + 1e-15
 
     def test_frozen_standard_fiber_split(self):
-        assert fiber_source().coincidence_probability(0.0) == pytest.approx(9.99e-4, abs=1e-6)
+        assert probability(fiber_source(), 0.0) == pytest.approx(9.99e-4, abs=1e-6)
 
     def test_peak_ordering_against_dark_fiber(self):
         # default-calibration ordering at the pass peaks
-        dark = dark_fiber_source()
-        standard = fiber_source()
-        p_dark = dark.coincidence_probability(0.0)
-        p_std = standard.coincidence_probability(0.0)
-        micius = satellite_source("Micius")
-        starlink = satellite_source("Starlink-2007")
-        iridium = satellite_source("Iridium-126")
-        p_micius = micius.coincidence_probability(128.0)
-        p_starlink = starlink.coincidence_probability(199.0)
-        p_iridium = iridium.coincidence_probability(328.0)
+        p_dark = probability(dark_fiber_source(), 0.0)
+        p_std = probability(fiber_source(), 0.0)
+        p_micius = probability(satellite_source("Micius"), 128.0)
+        p_starlink = probability(satellite_source("Starlink-2007"), 199.0)
+        p_iridium = probability(satellite_source("Iridium-126"), 328.0)
         assert p_micius > p_dark > p_iridium
         assert p_starlink > p_dark
         assert p_dark > p_std
 
 
 class TestAttenuationProfile:
-    def make_model(self):
-        return SatellitePassModel(
-            satellite_name="m",
-            altitude_km=474.0,
-            station_passes={"a": StationPass(83.0, 128.0), "b": StationPass(75.0, 128.0)},
-        )
+    """The ``linkbudget`` command's satellite rows and the ``downlink`` kernel."""
 
-    def test_sample_count_inclusive_endpoints(self):
-        model = self.make_model()
-        window = VisibilityWindow(0.0, 256.0)
-        samples = attenuation_profile(model, ("a", "b"), DEFAULTS, 2.0, window)
-        assert len(samples) == 129
-        assert samples[0].time_s == 0.0
-        assert samples[-1].time_s == 256.0
+    source = satellite_source("Micius")
+    model = source.pass_model
 
-    def test_peak_sample_elevation(self):
-        model = self.make_model()
-        samples = attenuation_profile(model, ("a", "b"), DEFAULTS, 2.0)
-        peak = max(samples, key=lambda s: s.eta_a)
-        assert peak.elevation_a_deg == pytest.approx(83.0, abs=0.1)
+    def window(self):
+        return visibility_window(self.model, DEFAULTS.min_elevation_deg, ("Munich", "Nuremberg"))
 
-    def test_internal_consistency(self):
-        model = self.make_model()
-        samples = attenuation_profile(model, ("a", "b"), DEFAULTS, 2.0)
-        for s in samples[:: max(1, len(samples) // 10)]:
-            elevation = elevation_at(s.time_s, model, "a")
-            assert s.elevation_a_deg == pytest.approx(elevation, abs=1e-9)
-            assert s.range_a_km == pytest.approx(
-                slant_range_km(elevation, model.altitude_km), rel=1e-12
+    def test_sample_count_inclusive_endpoints(self, tmp_path, capsys):
+        window = self.window()
+        for step, count in ((2.0, int(window.duration_s // 2.0) + 1), (window.duration_s / 128, 129)):
+            rows = profile(tmp_path, capsys, self.source, step)
+            assert len(rows) == count
+            assert [r["time_s"] for r in rows] == [window.start_s + k * step for k in range(count)]
+            assert rows[-1]["time_s"] == pytest.approx(window.end_s, abs=step)
+        assert rows[-1]["time_s"] == pytest.approx(window.end_s, abs=1e-9)
+
+    def test_peak_sample_elevation(self, tmp_path, capsys):
+        peak = max(profile(tmp_path, capsys, self.source), key=lambda r: r["eta_a"])
+        assert peak["elev_a_deg"] == pytest.approx(83.0, abs=0.1)
+
+    def test_internal_consistency(self, tmp_path, capsys):
+        rows = profile(tmp_path, capsys, self.source)
+        for r in rows[:: max(1, len(rows) // 10)]:
+            elevation = elevation_at(r["time_s"], self.model, "Munich")
+            assert r["elev_a_deg"] == elevation
+            assert r["range_a_km"] == slant_range_km(elevation, self.model.altitude_km)
+            assert r["eta_a"] == freespace_transmittance(elevation, self.model.altitude_km, DEFAULTS)
+            assert r["p_coincidence"] == r["eta_a"] * r["eta_b"]
+            assert downlink(r["time_s"], self.model, "Nuremberg", DEFAULTS) == (
+                r["elev_b_deg"], r["range_b_km"], r["eta_b"]
             )
-            assert s.eta_a == pytest.approx(
-                freespace_transmittance(elevation, model.altitude_km, DEFAULTS), rel=1e-12
-            )
-            assert s.coincidence_probability == pytest.approx(s.eta_a * s.eta_b, rel=1e-12)
 
     def test_outside_visibility_is_zero(self):
-        model = self.make_model()
-        window = VisibilityWindow(5000.0, 5010.0)
-        samples = attenuation_profile(model, ("a", "b"), DEFAULTS, 2.0, window)
-        assert samples
-        assert all(s.eta_a == 0.0 and s.eta_b == 0.0 for s in samples)
+        for t in np.arange(5000.0, 5012.0, 2.0).tolist():
+            for name in ("Munich", "Nuremberg"):
+                assert downlink(t, self.model, name, DEFAULTS) == (None, None, 0.0)
 
-    def test_empty_window(self):
-        model = SatellitePassModel(
+    def test_empty_window(self, tmp_path, capsys):
+        low = SatellitePassModel(
             satellite_name="low",
             altitude_km=474.0,
-            station_passes={"a": StationPass(15.0, 0.0), "b": StationPass(15.0, 0.0)},
+            station_passes={"Munich": StationPass(15.0, 0.0), "Nuremberg": StationPass(15.0, 0.0)},
         )
-        assert attenuation_profile(model, ("a", "b"), DEFAULTS, 2.0) == []
+        source = SatelliteSource("low", low, "Munich", "Nuremberg")
+        assert profile(tmp_path, capsys, source) == []
 
-    def test_profile_matches_visibility_gate(self):
-        model = self.make_model()
-        samples = attenuation_profile(model, ("a", "b"), DEFAULTS, 2.0)
-        window = visibility_window(model, DEFAULTS.min_elevation_deg, ("a", "b"))
-        assert samples[0].time_s == pytest.approx(window.start_s)
-        for s in samples:
-            assert s.eta_a > 0.0 or s.elevation_a_deg < DEFAULTS.min_elevation_deg + 1e-9
+    def test_profile_matches_visibility_gate(self, tmp_path, capsys):
+        rows = profile(tmp_path, capsys, self.source)
+        assert rows[0]["time_s"] == self.window().start_s
+        for r in rows:
+            assert r["eta_a"] > 0.0 or r["elev_a_deg"] < DEFAULTS.min_elevation_deg + 1e-9

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference
 from qbackbone.engine import run
+from qbackbone.entanglement import coincidence_matrix
 from qbackbone.geometry import GroundStation
 from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
 from qbackbone.scenario import (
@@ -19,6 +21,7 @@ from qbackbone.scenario import (
     Policy,
     ScenarioConfig,
     TrafficConfig,
+    active_sources,
     config_to_dict,
     dark_fiber_source,
     default_config,
@@ -28,7 +31,6 @@ from qbackbone.scenario import (
     builtin_sources,
     satellite_source,
     seed_from_env,
-    select_sources,
 )
 
 MICIUS_DOC = {
@@ -218,14 +220,7 @@ finite = dict(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def scenario_configs(draw) -> ScenarioConfig:
-    def station(name: str) -> GroundStation:
-        return GroundStation(
-            name,
-            draw(st.one_of(st.sampled_from([-90.0, 90.0]), st.floats(-90.0, 90.0, **finite))),
-            draw(st.one_of(st.sampled_from([-180.0, 180.0]), st.floats(-180.0, 180.0, **finite))),
-        )
-
-    egress, ingress = station("A"), station("B")
+    egress, ingress = GroundStation("A"), GroundStation("B")
     step = draw(st.sampled_from([0.3, 2.0, 0.25, 1.1]))
     sources = [
         fiber_source(
@@ -279,55 +274,93 @@ class TestRoundTripProperty:
         assert load_config(json.loads(json.dumps(doc))) == config
 
 
+def decide(policy: Policy, t_s: float, sources) -> tuple[tuple[str, ...], dict[str, float]]:
+    """Sorted active ids and every source's probability at one instant."""
+    p = coincidence_matrix(sources, np.array([t_s]))
+    mask = active_sources(policy, sources, p)
+    active = tuple(sorted(s.source_id for s, on in zip(sources, mask[0]) if on))
+    return active, {s.source_id: float(p[0, j]) for j, s in enumerate(sources)}
+
+
+def policies(sources) -> list[Policy]:
+    return [Policy(kind) for kind in ("fiber-only", "best-source", "all-sources")] + [
+        Policy("satellite-only", s.source_id) for s in sources if s.kind == "satellite-pass"
+    ]
+
+
+def assert_matches_reference(sources, times: np.ndarray) -> None:
+    """The matrix equals the scalar probabilities, and every policy's mask the
+    per-step reference selection, at every step."""
+    p = coincidence_matrix(sources, times)
+    assert p.shape == (len(times), len(sources))
+    masks = {policy: active_sources(policy, sources, p) for policy in policies(sources)}
+    for k, t in enumerate(times.tolist()):
+        probabilities = {s.source_id: _reference.coincidence_probability(s, t) for s in sources}
+        assert p[k].tolist() == list(probabilities.values())
+        for policy, mask in masks.items():
+            active = tuple(sorted(s.source_id for s, on in zip(sources, mask[k]) if on))
+            assert active == _reference.select_sources(policy, sources, probabilities), (policy, t)
+
+
 class TestSelectSources:
     def test_fiber_only(self):
         sources = (fiber_source(), satellite_source("Micius"))
-        decision = select_sources(Policy("fiber-only"), 128.0, sources)
-        assert decision.active_source_ids == ("fiber-standard",)
+        assert decide(Policy("fiber-only"), 128.0, sources)[0] == ("fiber-standard",)
 
     def test_best_source_at_micius_peak(self):
         sources = (dark_fiber_source(), satellite_source("Micius"))
-        decision = select_sources(Policy("best-source"), 128.0, sources)
-        assert decision.active_source_ids == ("Micius",)
-        probs = decision.coincidence_probabilities
+        active, probs = decide(Policy("best-source"), 128.0, sources)
+        assert active == ("Micius",)
         assert probs["Micius"] > probs["fiber-dark"]
 
     def test_best_source_without_visible_satellite(self):
         sources = (dark_fiber_source(), satellite_source("Micius"))
-        decision = select_sources(Policy("best-source"), 5000.0, sources)
-        assert decision.active_source_ids == ("fiber-dark",)
+        assert decide(Policy("best-source"), 5000.0, sources)[0] == ("fiber-dark",)
 
     def test_best_source_empty_when_nothing_available(self):
         sources = (satellite_source("Micius"),)
-        decision = select_sources(Policy("best-source"), 5000.0, sources)
-        assert decision.active_source_ids == ()
+        assert decide(Policy("best-source"), 5000.0, sources)[0] == ()
 
     def test_satellite_only_invisible_is_empty(self):
         sources = (satellite_source("Micius"),)
-        decision = select_sources(Policy("satellite-only", "Micius"), 5000.0, sources)
-        assert decision.active_source_ids == ()
+        assert decide(Policy("satellite-only", "Micius"), 5000.0, sources)[0] == ()
 
     def test_all_sources_excludes_zero_probability(self):
         sources = (fiber_source(), dark_fiber_source("fiber-dark"), satellite_source("Micius"))
-        at_peak = select_sources(Policy("all-sources"), 128.0, sources)
-        assert at_peak.active_source_ids == ("Micius", "fiber-dark", "fiber-standard")
-        later = select_sources(Policy("all-sources"), 5000.0, sources)
-        assert later.active_source_ids == ("fiber-dark", "fiber-standard")
+        at_peak = decide(Policy("all-sources"), 128.0, sources)[0]
+        assert at_peak == ("Micius", "fiber-dark", "fiber-standard")
+        later = decide(Policy("all-sources"), 5000.0, sources)[0]
+        assert later == ("fiber-dark", "fiber-standard")
 
     def test_lexicographic_tie_break(self):
         twin_a = fiber_source("alpha")
         twin_b = fiber_source("beta")
-        decision = select_sources(Policy("best-source"), 0.0, (twin_b, twin_a))
-        assert decision.active_source_ids == ("alpha",)
+        assert decide(Policy("best-source"), 0.0, (twin_b, twin_a))[0] == ("alpha",)
+        assert_matches_reference((twin_b, twin_a), np.arange(4) * 0.25)
 
     def test_best_source_probability_dominates(self):
         sources = builtin_sources()
         for t in np.linspace(0.0, 599.0, 41):
-            decision = select_sources(Policy("best-source"), float(t), sources)
-            if not decision.active_source_ids:
+            active, probs = decide(Policy("best-source"), float(t), sources)
+            if not active:
                 continue
-            best = decision.coincidence_probabilities[decision.active_source_ids[0]]
-            assert best >= max(decision.coincidence_probabilities.values()) - 1e-15
+            assert probs[active[0]] >= max(probs.values()) - 1e-15
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(peaks=st.lists(st.floats(-300.0, 900.0, **finite), min_size=3, max_size=3))
+    def test_matches_reference_at_every_step(self, peaks):
+        sources = builtin_sources()[:2] + tuple(
+            satellite_source(name, peak_time_s=peak)
+            for name, peak in zip(("Micius", "Starlink-2007", "Iridium-126"), peaks)
+        )
+        assert_matches_reference(sources, np.arange(2400) * 0.25)
+
+    def test_no_sources_or_no_steps(self):
+        for policy in policies(builtin_sources()):
+            assert active_sources(policy, (), np.zeros((7, 0))).shape == (7, 0)
+            p = coincidence_matrix(builtin_sources(), np.zeros(0))
+            assert active_sources(policy, builtin_sources(), p).shape == (0, 5)
+        assert_matches_reference((), np.arange(4) * 0.25)
 
 
 class TestPolicyMonotonicity:
