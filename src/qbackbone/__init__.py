@@ -2,7 +2,7 @@
 entanglement-based backbone joining two packetized quantum subnetworks."""
 
 from .engine import MetricsBin, RandomStreams, RunResult, run
-from .geometry import GroundStation, SatellitePassModel, VisibilityWindow
+from .geometry import SatellitePassModel, VisibilityWindow
 from .linkbudget import FiberLink, FreeSpaceLinkParams
 from .scenario import (
     ConfigError,
@@ -20,7 +20,6 @@ __all__ = [
     "ConfigError",
     "FiberLink",
     "FreeSpaceLinkParams",
-    "GroundStation",
     "MetricsBin",
     "Policy",
     "RandomStreams",

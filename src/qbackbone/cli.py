@@ -310,19 +310,15 @@ def _cmd_passes(args: argparse.Namespace) -> int:
         if source.kind != "satellite-pass":
             continue
         model = source.pass_model
-        pass_a = model.station_passes[source.station_a]
-        pass_b = model.station_passes[source.station_b]
-        window = visibility_window(
-            model, args.min_elevation, (source.station_a, source.station_b)
-        )
+        window = visibility_window(model, args.min_elevation)
         rows.append(
             (
-                model.satellite_name,
+                source.source_id,
                 model.altitude_km,
-                pass_a.peak_elevation_deg,
-                pass_b.peak_elevation_deg,
-                slant_range_km(pass_a.peak_elevation_deg, model.altitude_km, model.earth_radius_km),
-                slant_range_km(pass_b.peak_elevation_deg, model.altitude_km, model.earth_radius_km),
+                model.egress.peak_elevation_deg,
+                model.ingress.peak_elevation_deg,
+                slant_range_km(model.egress.peak_elevation_deg, model.altitude_km),
+                slant_range_km(model.ingress.peak_elevation_deg, model.altitude_km),
                 None if window is None else window.start_s,
                 None if window is None else window.end_s,
                 None if window is None else window.duration_s,
@@ -341,25 +337,12 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
         raise scenario.ConfigError(f"unknown source {args.source!r}")
     source = matches[0]
     if source.kind == "ground-fiber":
-        eta_a = fiber_transmittance(source.arm_a)
-        eta_b = fiber_transmittance(source.arm_b)
-        rows = [
-            (
-                0.0,
-                None,
-                None,
-                source.arm_a.length_km,
-                source.arm_b.length_km,
-                eta_a,
-                eta_b,
-                eta_a * eta_b,
-            )
-        ]
+        eta = fiber_transmittance(source.arm)
+        length = source.arm.length_km
+        rows = [(0.0, None, None, length, length, eta, eta, eta * eta)]
     else:
         model, params = source.pass_model, source.link_params
-        window = visibility_window(
-            model, params.min_elevation_deg, (source.station_a, source.station_b)
-        )
+        window = visibility_window(model, params.min_elevation_deg)
         rows = []
         if window is not None:
             step = config.channel_step_s
@@ -371,8 +354,8 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
                 )
             for k in range(n_samples):
                 t = window.start_s + k * step
-                elev_a, range_a, eta_a = downlink(t, model, source.station_a, params)
-                elev_b, range_b, eta_b = downlink(t, model, source.station_b, params)
+                elev_a, range_a, eta_a = downlink(t, model, model.egress, params)
+                elev_b, range_b, eta_b = downlink(t, model, model.ingress, params)
                 rows.append((t, elev_a, elev_b, range_a, range_b, eta_a, eta_b, eta_a * eta_b))
     _write_rows(sys.stdout, LINKBUDGET_COLUMNS, rows)
     return EXIT_OK

@@ -42,8 +42,6 @@ from .interface import classical_latency_s
 from .linkbudget import fiber_transmittance
 from .scenario import ScenarioConfig, active_sources
 
-STREAM_NAMES = ("traffic", "coincidence", "ingress_access", "teleport", "egress_access")
-
 
 class RandomStreams:
     """Named random substreams, each a deterministic function of (seed, name)."""
@@ -207,11 +205,7 @@ def run(config: ScenarioConfig) -> RunResult:
     for source in sources:
         if source.kind != "satellite-pass":
             continue
-        window = visibility_window(
-            source.pass_model,
-            source.link_params.min_elevation_deg,
-            (source.station_a, source.station_b),
-        )
+        window = visibility_window(source.pass_model, source.link_params.min_elevation_deg)
         if window is None:
             continue
         for edge in (window.start_s, window.end_s):
@@ -278,14 +272,17 @@ def run(config: ScenarioConfig) -> RunResult:
     delivered = streams.egress_access.binomial(successes[:n_completed], eta_out)
     delivered_bin = np.searchsorted(bin_starts, delivered_at[:n_completed], side="right") - 1
 
-    def per_bin(index: np.ndarray, weights: np.ndarray | None = None) -> list[int]:
-        return np.bincount(index, weights, minlength=n_bins).astype(np.int64).tolist()
+    def per_bin(index: np.ndarray, counts: np.ndarray) -> list[int]:
+        # Summed in int64: bincount's float64 weights round counts above 2**53.
+        total = np.zeros(n_bins, dtype=np.int64)
+        np.add.at(total, index, counts)
+        return total.tolist()
 
     arrived_per_bin = per_bin(seg_bin, pairs_per_segment)
     stored_per_bin = per_bin(seg_bin, stored_per_segment)
     dropped_per_bin = per_bin(seg_bin, pairs_per_segment - stored_per_segment)
     delivered_per_bin = per_bin(delivered_bin, delivered)
-    frames_per_bin = per_bin(delivered_bin)
+    frames_per_bin = np.bincount(delivered_bin, minlength=n_bins).tolist()
 
     if int(attempts.sum()) + occupancy != sum(stored_per_bin) or any(
         s + d != a for s, d, a in zip(stored_per_bin, dropped_per_bin, arrived_per_bin)

@@ -1,11 +1,13 @@
 """Backbone entanglement sources: ground fiber and satellite passes.
 
-A source emits pairs at a fixed rate and a pair counts only if both
-photons pass their respective arms, so its coincidence probability is
-the product of the two arm transmittances.  ``coincidence_matrix``
-evaluates it for every source at every channel step; ``engine.run``
-thins the emission rates by it and draws Poisson pair counts.  The
-egress and ingress memories that hold the two halves mirror each other,
+A source emits pairs at a fixed rate and sends one photon of each pair
+to the egress station and one to the ingress station.  A pair counts
+only if both photons arrive, so its coincidence probability is the
+product of the two arm transmittances: two equal fiber arms for a
+ground source, the egress and ingress downlinks for a satellite.
+``coincidence_matrix`` evaluates it for every source at every channel
+step; ``engine.run`` thins the emission rates by it and draws Poisson
+pair counts.  The egress and ingress memories that hold the two halves mirror each other,
 so the engine tracks both as one occupancy count.
 """
 
@@ -25,11 +27,10 @@ DEFAULT_EMISSION_RATE_HZ = 2.0e5
 
 @dataclass(frozen=True)
 class FiberSource:
-    """Ground pair source feeding both stations through fixed fiber arms."""
+    """Ground pair source feeding both stations through two equal fiber arms."""
 
     source_id: str
-    arm_a: FiberLink = FiberLink(75.0, 0.2)
-    arm_b: FiberLink = FiberLink(75.0, 0.2)
+    arm: FiberLink = FiberLink(75.0, 0.2)
     emission_rate_hz: float = DEFAULT_EMISSION_RATE_HZ
 
     kind: ClassVar[str] = "ground-fiber"
@@ -45,8 +46,6 @@ class SatelliteSource:
 
     source_id: str
     pass_model: SatellitePassModel
-    station_a: str
-    station_b: str
     link_params: FreeSpaceLinkParams = FreeSpaceLinkParams()
     emission_rate_hz: float = DEFAULT_EMISSION_RATE_HZ
 
@@ -55,12 +54,6 @@ class SatelliteSource:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.emission_rate_hz) and self.emission_rate_hz > 0.0):
             raise ValueError(f"emission_rate_hz must be > 0: {self.emission_rate_hz}")
-        for name in (self.station_a, self.station_b):
-            if name not in self.pass_model.station_passes:
-                raise ValueError(
-                    f"station {name!r} has no pass parameters in "
-                    f"{self.pass_model.satellite_name!r}"
-                )
 
 
 EntanglementSource = Union[FiberSource, SatelliteSource]
@@ -79,12 +72,13 @@ def coincidence_matrix(
     t_list = times.tolist()
     for j, source in enumerate(sources):
         if source.kind == "ground-fiber":
-            p[:, j] = fiber_transmittance(source.arm_a) * fiber_transmittance(source.arm_b)
+            eta = fiber_transmittance(source.arm)
+            p[:, j] = eta * eta
         else:
             model, params = source.pass_model, source.link_params
             p[:, j] = [
-                downlink(t, model, source.station_a, params)[2]
-                * downlink(t, model, source.station_b, params)[2]
+                downlink(t, model, model.egress, params)[2]
+                * downlink(t, model, model.ingress, params)[2]
                 for t in t_list
             ]
     return p

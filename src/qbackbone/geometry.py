@@ -1,8 +1,9 @@
-"""Circular-orbit pass geometry over named ground stations.
+"""Circular-orbit pass geometry over the egress and ingress stations.
 
 A satellite pass is modelled as a circular orbit whose ground track is a
-great circle, parameterised per ground station by the elevation and time
-of closest approach.  Earth rotation and orbital eccentricity are
+great circle, parameterised for each of the two stations it links (the
+edge nodes of the egress and ingress subnetworks) by the elevation and
+time of closest approach.  Earth rotation and orbital eccentricity are
 ignored.  The model describes a single pass around each configured peak
 time: from half an orbital period before the peak to half a period after
 it, and the satellite is below the horizon outside that interval.
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 EARTH_RADIUS_KM = 6371.0
 EARTH_MU_KM3_S2 = 398600.4418
@@ -20,13 +20,6 @@ EARTH_MU_KM3_S2 = 398600.4418
 
 def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
     return lo if x < lo else hi if x > hi else x
-
-
-@dataclass(frozen=True)
-class GroundStation:
-    """A named ground station; each pass sets its geometry per station."""
-
-    name: str
 
 
 @dataclass(frozen=True)
@@ -47,28 +40,32 @@ class StationPass:
 
 @dataclass(frozen=True)
 class SatellitePassModel:
-    """One overhead pass of a circular-orbit satellite over a set of stations."""
+    """One overhead pass of a circular-orbit satellite over the two stations."""
 
-    satellite_name: str
     altitude_km: float
-    station_passes: Mapping[str, StationPass]
-    earth_radius_km: float = EARTH_RADIUS_KM
-    mu_km3_s2: float = EARTH_MU_KM3_S2
+    egress: StationPass
+    ingress: StationPass
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.altitude_km) and self.altitude_km > 0.0):
             raise ValueError(f"altitude_km must be > 0: {self.altitude_km}")
-        if not self.station_passes:
-            raise ValueError("station_passes must contain at least one station")
+        for role in ("egress", "ingress"):
+            if not isinstance(getattr(self, role), StationPass):
+                raise ValueError(f"{role} must be a StationPass: {getattr(self, role)!r}")
+
+    @property
+    def station_passes(self) -> dict[str, StationPass]:
+        """Both passes keyed by role."""
+        return {"egress": self.egress, "ingress": self.ingress}
 
     @property
     def orbit_radius_km(self) -> float:
-        return self.earth_radius_km + self.altitude_km
+        return EARTH_RADIUS_KM + self.altitude_km
 
     @property
     def angular_rate_rad_s(self) -> float:
         """Orbital angular rate of the circular orbit."""
-        return math.sqrt(self.mu_km3_s2 / self.orbit_radius_km**3)
+        return math.sqrt(EARTH_MU_KM3_S2 / self.orbit_radius_km**3)
 
 
 @dataclass(frozen=True)
@@ -94,11 +91,7 @@ def _check_elevation_altitude(elevation_deg: float, altitude_km: float) -> None:
         raise ValueError(f"altitude_km must be > 0: {altitude_km}")
 
 
-def slant_range_km(
-    elevation_deg: float,
-    altitude_km: float,
-    earth_radius_km: float = EARTH_RADIUS_KM,
-) -> float:
+def slant_range_km(elevation_deg: float, altitude_km: float) -> float:
     """Line-of-sight distance from a station to a satellite.
 
     Parameters
@@ -107,8 +100,6 @@ def slant_range_km(
         Elevation of the satellite above the local horizon, in [0, 90].
     altitude_km : float
         Orbit altitude above the spherical Earth surface.
-    earth_radius_km : float
-        Earth radius used for the geometry.
 
     Returns
     -------
@@ -117,24 +108,20 @@ def slant_range_km(
         the horizon range.
     """
     _check_elevation_altitude(elevation_deg, altitude_km)
-    re = earth_radius_km
+    re = EARTH_RADIUS_KM
     r = re + altitude_km
     el = math.radians(elevation_deg)
     return math.sqrt(r * r - (re * math.cos(el)) ** 2) - re * math.sin(el)
 
 
-def central_angle_rad(
-    elevation_deg: float,
-    altitude_km: float,
-    earth_radius_km: float = EARTH_RADIUS_KM,
-) -> float:
+def central_angle_rad(elevation_deg: float, altitude_km: float) -> float:
     """Earth-central angle between a station and the sub-satellite point.
 
     Zero at zenith and strictly decreasing in elevation for a fixed
     altitude.
     """
     _check_elevation_altitude(elevation_deg, altitude_km)
-    rho = earth_radius_km / (earth_radius_km + altitude_km)
+    rho = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + altitude_km)
     el = math.radians(elevation_deg)
     return math.acos(_clamp(rho * math.cos(el))) - el
 
@@ -148,9 +135,7 @@ def _elevation_deg_signed(
     peak, the satellite stays at its farthest point, below the horizon,
     instead of rising again one period later.
     """
-    gamma_min = central_angle_rad(
-        station.peak_elevation_deg, pass_model.altitude_km, pass_model.earth_radius_km
-    )
+    gamma_min = central_angle_rad(station.peak_elevation_deg, pass_model.altitude_km)
     omega = pass_model.angular_rate_rad_s
     phase = min(omega * abs(t_s - station.peak_time_s), math.pi)
     cos_gamma = math.cos(gamma_min) * math.cos(phase)
@@ -158,21 +143,21 @@ def _elevation_deg_signed(
     gamma = math.acos(cos_gamma)
     if gamma < 1e-12:
         return 90.0
-    rho = pass_model.earth_radius_km / pass_model.orbit_radius_km
+    rho = EARTH_RADIUS_KM / pass_model.orbit_radius_km
     return math.degrees(math.atan((cos_gamma - rho) / math.sin(gamma)))
 
 
 def elevation_at(
-    t_s: float, pass_model: SatellitePassModel, station_name: str
+    t_s: float, pass_model: SatellitePassModel, station: StationPass
 ) -> float | None:
     """Elevation in degrees at time ``t_s``, or None when below the horizon.
 
-    The profile peaks at the station's configured peak elevation and time
-    and is symmetric about the peak.
+    ``station`` is ``pass_model.egress`` or ``pass_model.ingress``.  The
+    profile peaks at that station's peak elevation and time and is
+    symmetric about the peak.
     """
     if not math.isfinite(t_s):
         raise ValueError(f"t_s must be finite: {t_s}")
-    station = pass_model.station_passes[station_name]
     elevation = _elevation_deg_signed(t_s, pass_model, station)
     return elevation if elevation >= 0.0 else None
 
@@ -182,38 +167,29 @@ def _station_window(
 ) -> VisibilityWindow | None:
     if min_elevation_deg > station.peak_elevation_deg:
         return None
-    gamma_lim = central_angle_rad(
-        min_elevation_deg, pass_model.altitude_km, pass_model.earth_radius_km
-    )
-    gamma_min = central_angle_rad(
-        station.peak_elevation_deg, pass_model.altitude_km, pass_model.earth_radius_km
-    )
+    gamma_lim = central_angle_rad(min_elevation_deg, pass_model.altitude_km)
+    gamma_min = central_angle_rad(station.peak_elevation_deg, pass_model.altitude_km)
     ratio = _clamp(math.cos(gamma_lim) / math.cos(gamma_min))
     half = math.acos(ratio) / pass_model.angular_rate_rad_s
     return VisibilityWindow(station.peak_time_s - half, station.peak_time_s + half)
 
 
 def visibility_window(
-    pass_model: SatellitePassModel,
-    min_elevation_deg: float,
-    station_names: tuple[str, ...] | None = None,
+    pass_model: SatellitePassModel, min_elevation_deg: float
 ) -> VisibilityWindow | None:
-    """Interval where the pass is above ``min_elevation_deg`` at every station.
+    """Interval where the pass is above ``min_elevation_deg`` at both stations.
 
-    Returns None when the per-station windows do not intersect or the
-    mask exceeds some station's peak elevation.
+    Returns None when the egress and ingress windows do not intersect or
+    the mask exceeds either station's peak elevation.
     """
     if not 0.0 < min_elevation_deg <= 90.0:
         raise ValueError(f"min_elevation_deg must be in (0, 90]: {min_elevation_deg}")
-    names = station_names if station_names is not None else tuple(pass_model.station_passes)
-    start = -math.inf
-    end = math.inf
-    for name in names:
-        window = _station_window(pass_model, pass_model.station_passes[name], min_elevation_deg)
-        if window is None:
-            return None
-        start = max(start, window.start_s)
-        end = min(end, window.end_s)
+    egress = _station_window(pass_model, pass_model.egress, min_elevation_deg)
+    ingress = _station_window(pass_model, pass_model.ingress, min_elevation_deg)
+    if egress is None or ingress is None:
+        return None
+    start = max(egress.start_s, ingress.start_s)
+    end = min(egress.end_s, ingress.end_s)
     if start > end:
         return None
     return VisibilityWindow(start, end)

@@ -16,10 +16,8 @@ SPEED_OF_LIGHT_KM_S = 299792.458
 FIBER_REFRACTIVE_INDEX = 1.468
 
 
-def classical_latency_s(
-    distance_km: float, refractive_index: float = FIBER_REFRACTIVE_INDEX
-) -> float:
+def classical_latency_s(distance_km: float) -> float:
     """One-way propagation delay of light in fiber over ``distance_km``."""
     if not (math.isfinite(distance_km) and distance_km >= 0.0):
         raise ValueError(f"distance_km must be >= 0: {distance_km}")
-    return distance_km / (SPEED_OF_LIGHT_KM_S / refractive_index)
+    return distance_km / (SPEED_OF_LIGHT_KM_S / FIBER_REFRACTIVE_INDEX)

@@ -6,10 +6,11 @@ atmospheric transmittance scaled by a secant air-mass term, a fixed
 pointing loss, and a fixed system efficiency.  Service is gated at a
 minimum elevation below which the transmittance is exactly zero.
 
-``downlink`` evaluates one station's downlink at one instant with the
-scalar ``math`` kernels; the engine's probability matrix and the
-``linkbudget`` command both read it.  Outputs must not depend on the
-host's SIMD dispatch, so no numpy transcendental function is used here.
+``downlink`` evaluates the downlink to one station, egress or ingress,
+at one instant with the scalar ``math`` kernels; the engine's
+probability matrix and the ``linkbudget`` command both read it.
+Outputs must not depend on the host's SIMD dispatch, so no numpy
+transcendental function is used here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import EARTH_RADIUS_KM, SatellitePassModel, elevation_at, slant_range_km
+from .geometry import SatellitePassModel, StationPass, elevation_at, slant_range_km
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,7 @@ def fiber_transmittance(link: FiberLink) -> float:
 
 
 def freespace_transmittance(
-    elevation_deg: float,
-    altitude_km: float,
-    params: FreeSpaceLinkParams,
-    earth_radius_km: float = EARTH_RADIUS_KM,
+    elevation_deg: float, altitude_km: float, params: FreeSpaceLinkParams
 ) -> float:
     """Per-photon survival probability of the satellite downlink.
 
@@ -104,7 +102,7 @@ def freespace_transmittance(
         raise ValueError(f"altitude_km must be > 0: {altitude_km}")
     if elevation_deg < params.min_elevation_deg:
         return 0.0
-    range_m = 1000.0 * slant_range_km(elevation_deg, altitude_km, earth_radius_km)
+    range_m = 1000.0 * slant_range_km(elevation_deg, altitude_km)
     beam_radius_m = params.divergence_half_angle_rad * range_m
     eta_geo = 1.0 - math.exp(
         -(params.receiver_aperture_diameter_m**2) / (2.0 * beam_radius_m**2)
@@ -119,21 +117,21 @@ def freespace_transmittance(
 def downlink(
     t_s: float,
     pass_model: SatellitePassModel,
-    station_name: str,
+    station: StationPass,
     params: FreeSpaceLinkParams,
 ) -> tuple[float | None, float | None, float]:
     """Elevation, slant range and transmittance of one station's downlink.
 
+    ``station`` is ``pass_model.egress`` or ``pass_model.ingress``.
     Elevation and range are None while the satellite is below the
     station's horizon, and the transmittance is then 0.
     """
-    elevation = elevation_at(t_s, pass_model, station_name)
+    elevation = elevation_at(t_s, pass_model, station)
     if elevation is None:
         return None, None, 0.0
     altitude_km = pass_model.altitude_km
-    earth_radius_km = pass_model.earth_radius_km
     return (
         elevation,
-        slant_range_km(elevation, altitude_km, earth_radius_km),
-        freespace_transmittance(elevation, altitude_km, params, earth_radius_km),
+        slant_range_km(elevation, altitude_km),
+        freespace_transmittance(elevation, altitude_km, params),
     )

@@ -22,17 +22,14 @@ from .entanglement import (
     FiberSource,
     SatelliteSource,
 )
-from .geometry import GroundStation, SatellitePassModel, StationPass
+from .geometry import SatellitePassModel, StationPass
 from .linkbudget import FiberLink, FreeSpaceLinkParams
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SEED_ENV_VAR = "QBACKBONE_SEED"
 
 STANDARD_FIBER_DB_PER_KM = 0.2
 DARK_FIBER_DB_PER_KM = 0.16
-
-MUNICH = GroundStation("Munich")
-NUREMBERG = GroundStation("Nuremberg")
 
 # name -> (altitude_km, peak elevation egress/ingress, default peak time)
 _SATELLITES = {
@@ -48,6 +45,12 @@ POLICY_KINDS = ("fiber-only", "satellite-only", "best-source", "all-sources")
 # holds about 220 bytes per frame, so the ceiling keeps a run near 1 GB;
 # at the default traffic it allows a 27 h horizon.
 MAX_RUN_CELLS = 5_000_000
+
+# Ceiling on the expected pair count and the expected qubit count of one
+# run.  Counts are drawn and summed in int64, and numpy's Poisson sampler
+# takes means up to about 9.2e18; 2**56 (7.2e16) leaves a factor of 128
+# above the mean for fluctuations and sums.
+MAX_RUN_COUNT = 2**56
 
 
 class ConfigError(ValueError):
@@ -101,8 +104,6 @@ class TrafficConfig:
 class ScenarioConfig:
     """Complete, validated description of one simulation run."""
 
-    egress_station: GroundStation = MUNICH
-    ingress_station: GroundStation = NUREMBERG
     sources: tuple[EntanglementSource, ...] = ()
     policy: Policy = Policy("fiber-only")
     traffic: TrafficConfig = TrafficConfig()
@@ -135,31 +136,33 @@ class ScenarioConfig:
                 f"bin_width_s ({self.bin_width_s}) must be a multiple of "
                 f"channel_step_s ({self.channel_step_s})"
             )
-        for name, count in (
-            ("expected frame count", self.duration_s / self.traffic.mean_interarrival_s),
-            ("channel step count", self.n_steps),
+        frames = self.duration_s / self.traffic.mean_interarrival_s
+        cells_hint = "shorten duration_s or lengthen channel_step_s or the frame gap"
+        for name, count, ceiling, hint in (
+            ("expected frame count", frames, MAX_RUN_CELLS, cells_hint),
+            ("channel step count", self.n_steps, MAX_RUN_CELLS, cells_hint),
+            (
+                "expected pair count",
+                sum(s.emission_rate_hz for s in self.sources) * self.duration_s,
+                MAX_RUN_COUNT,
+                "lower the sources' emission_rate_hz or shorten duration_s",
+            ),
+            (
+                "expected qubit count",
+                self.payload_qubits * max(1.0, frames),
+                MAX_RUN_COUNT,
+                "lower traffic.qubit_rate_hz x traffic.frame_duration_s or shorten duration_s",
+            ),
         ):
-            if count > MAX_RUN_CELLS:
-                raise ConfigError(
-                    f"{name} {count:.6g} exceeds the ceiling of {MAX_RUN_CELLS}; "
-                    "shorten duration_s or lengthen channel_step_s or the frame gap"
-                )
+            if count > ceiling:
+                raise ConfigError(f"{name} {count:.6g} exceeds the ceiling of {ceiling}; {hint}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer: {self.seed}")
-        if self.egress_station.name == self.ingress_station.name:
-            raise ConfigError("egress and ingress stations must have distinct names")
         seen: set[str] = set()
         for source in self.sources:
             if source.source_id in seen:
                 raise ConfigError(f"duplicate source id {source.source_id!r}")
             seen.add(source.source_id)
-            if source.kind == "satellite-pass":
-                for name in (self.egress_station.name, self.ingress_station.name):
-                    if name not in source.pass_model.station_passes:
-                        raise ConfigError(
-                            f"source {source.source_id!r} lacks pass parameters "
-                            f"for station {name!r}"
-                        )
         if self.policy.kind == "satellite-only":
             match = [s for s in self.sources if s.source_id == self.policy.source_id]
             if not match:
@@ -219,29 +222,17 @@ def active_sources(
     return available & best
 
 
-def satellite_pass(
-    name: str,
-    egress: GroundStation = MUNICH,
-    ingress: GroundStation = NUREMBERG,
-    peak_time_s: float | None = None,
-) -> SatellitePassModel:
-    """Pass model of one of the built-in satellites over two stations."""
-    altitude_km, peak_a, peak_b, default_peak_time = _SATELLITES[name]
+def satellite_pass(name: str, peak_time_s: float | None = None) -> SatellitePassModel:
+    """Pass model of one of the built-in satellites over the two stations."""
+    altitude_km, peak_egress, peak_ingress, default_peak_time = _SATELLITES[name]
     t_peak = default_peak_time if peak_time_s is None else peak_time_s
     return SatellitePassModel(
-        satellite_name=name,
-        altitude_km=altitude_km,
-        station_passes={
-            egress.name: StationPass(peak_a, t_peak),
-            ingress.name: StationPass(peak_b, t_peak),
-        },
+        altitude_km, StationPass(peak_egress, t_peak), StationPass(peak_ingress, t_peak)
     )
 
 
 def satellite_source(
     name: str,
-    egress: GroundStation = MUNICH,
-    ingress: GroundStation = NUREMBERG,
     link_params: FreeSpaceLinkParams = FreeSpaceLinkParams(),
     emission_rate_hz: float = DEFAULT_EMISSION_RATE_HZ,
     peak_time_s: float | None = None,
@@ -249,9 +240,7 @@ def satellite_source(
     """Backbone source backed by a built-in satellite pass."""
     return SatelliteSource(
         source_id=name,
-        pass_model=satellite_pass(name, egress, ingress, peak_time_s),
-        station_a=egress.name,
-        station_b=ingress.name,
+        pass_model=satellite_pass(name, peak_time_s),
         link_params=link_params,
         emission_rate_hz=emission_rate_hz,
     )
@@ -264,8 +253,7 @@ def fiber_source(
     emission_rate_hz: float = DEFAULT_EMISSION_RATE_HZ,
 ) -> FiberSource:
     """Ground source placed equidistantly between egress and ingress."""
-    arm = FiberLink(arm_length_km, attenuation_db_per_km)
-    return FiberSource(source_id, arm, arm, emission_rate_hz)
+    return FiberSource(source_id, FiberLink(arm_length_km, attenuation_db_per_km), emission_rate_hz)
 
 
 def dark_fiber_source(source_id: str = "fiber-dark") -> FiberSource:
@@ -374,9 +362,7 @@ def _per_role(doc: Mapping[str, Any], key: str, path: str, required: bool) -> di
     }
 
 
-def _load_source(
-    doc: Any, egress: GroundStation, ingress: GroundStation, path: str
-) -> EntanglementSource:
+def _load_source(doc: Any, path: str) -> EntanglementSource:
     doc = _require_mapping(doc, path)
     kind = _get_str(doc, "kind", path)
     source_id = _get_str(doc, "id", path)
@@ -389,15 +375,14 @@ def _load_source(
             )
             default = fiber_source()
             arm = FiberLink(
-                length_km=_get_number(doc, "arm_length_km", default.arm_a.length_km, path),
+                length_km=_get_number(doc, "arm_length_km", default.arm.length_km, path),
                 attenuation_db_per_km=_get_number(
-                    doc, "attenuation_db_per_km", default.arm_a.attenuation_db_per_km, path
+                    doc, "attenuation_db_per_km", default.arm.attenuation_db_per_km, path
                 ),
             )
             return FiberSource(
                 source_id=source_id,
-                arm_a=arm,
-                arm_b=arm,
+                arm=arm,
                 emission_rate_hz=_get_number(
                     doc, "emission_rate_hz", default.emission_rate_hz, path
                 ),
@@ -422,18 +407,13 @@ def _load_source(
                 "ingress": 0.0,
             }
             pass_model = SatellitePassModel(
-                satellite_name=source_id,
                 altitude_km=_get_number(doc, "altitude_km", math.nan, path),
-                station_passes={
-                    egress.name: StationPass(peaks["egress"], times["egress"]),
-                    ingress.name: StationPass(peaks["ingress"], times["ingress"]),
-                },
+                egress=StationPass(peaks["egress"], times["egress"]),
+                ingress=StationPass(peaks["ingress"], times["ingress"]),
             )
             return SatelliteSource(
                 source_id=source_id,
                 pass_model=pass_model,
-                station_a=egress.name,
-                station_b=ingress.name,
                 link_params=_load_fields(
                     FreeSpaceLinkParams, doc.get("link"), FreeSpaceLinkParams(), f"{path}.link"
                 ),
@@ -472,7 +452,6 @@ _TOP_LEVEL_KEYS = {
     "memory_capacity",
     "p_teleport_success",
     "classical_distance_km",
-    "stations",
     "traffic",
     "access",
     "policy",
@@ -483,29 +462,12 @@ _TOP_LEVEL_KEYS = {
 def load_config(doc: Mapping[str, Any]) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a configuration document."""
     doc = _require_mapping(doc, "config")
-    _check_keys(doc, _TOP_LEVEL_KEYS, "config")
-    defaults = ScenarioConfig()
-
     version = doc.get("schema_version", SCHEMA_VERSION)
     if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    _check_keys(doc, _TOP_LEVEL_KEYS, "config")
+    defaults = ScenarioConfig()
 
-    stations_doc = doc.get("stations")
-    if stations_doc is not None:
-        stations_doc = _require_mapping(stations_doc, "stations")
-        _check_keys(stations_doc, {"egress", "ingress"}, "stations")
-    egress = _load_fields(
-        GroundStation,
-        stations_doc.get("egress") if stations_doc else None,
-        defaults.egress_station,
-        "stations.egress",
-    )
-    ingress = _load_fields(
-        GroundStation,
-        stations_doc.get("ingress") if stations_doc else None,
-        defaults.ingress_station,
-        "stations.ingress",
-    )
     traffic = _load_fields(TrafficConfig, doc.get("traffic"), defaults.traffic, "traffic")
 
     access_doc = doc.get("access")
@@ -532,7 +494,7 @@ def load_config(doc: Mapping[str, Any]) -> ScenarioConfig:
         if not isinstance(sources_doc, (list, tuple)):
             raise ConfigError("sources must be a list of source objects")
         sources = tuple(
-            _load_source(entry, egress, ingress, f"sources[{i}]")
+            _load_source(entry, f"sources[{i}]")
             for i, entry in enumerate(sources_doc)
         )
 
@@ -545,8 +507,6 @@ def load_config(doc: Mapping[str, Any]) -> ScenarioConfig:
         raise ConfigError(f"seed must be an integer: {seed!r}")
 
     return ScenarioConfig(
-        egress_station=egress,
-        ingress_station=ingress,
         sources=sources,
         policy=_load_policy(doc.get("policy"), defaults.policy),
         traffic=traffic,
@@ -584,18 +544,17 @@ def load_config_file(path: str) -> ScenarioConfig:
     return load_config(doc)
 
 
-def _source_to_dict(source: EntanglementSource, config: ScenarioConfig) -> dict[str, Any]:
+def _source_to_dict(source: EntanglementSource) -> dict[str, Any]:
     if source.kind == "ground-fiber":
         return {
             "id": source.source_id,
             "kind": source.kind,
             "emission_rate_hz": source.emission_rate_hz,
-            "arm_length_km": source.arm_a.length_km,
-            "attenuation_db_per_km": source.arm_a.attenuation_db_per_km,
+            "arm_length_km": source.arm.length_km,
+            "attenuation_db_per_km": source.arm.attenuation_db_per_km,
         }
-    passes = source.pass_model.station_passes
-    egress_pass = passes[config.egress_station.name]
-    ingress_pass = passes[config.ingress_station.name]
+    egress_pass = source.pass_model.egress
+    ingress_pass = source.pass_model.ingress
     return {
         "id": source.source_id,
         "kind": source.kind,
@@ -627,15 +586,11 @@ def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
         "memory_capacity": config.memory_capacity,
         "p_teleport_success": config.p_teleport_success,
         "classical_distance_km": config.classical_distance_km,
-        "stations": {
-            "egress": asdict(config.egress_station),
-            "ingress": asdict(config.ingress_station),
-        },
         "traffic": asdict(config.traffic),
         "access": {
             "ingress_access": asdict(config.ingress_access),
             "egress_access": asdict(config.egress_access),
         },
         "policy": policy,
-        "sources": [_source_to_dict(s, config) for s in config.sources],
+        "sources": [_source_to_dict(s) for s in config.sources],
     }

@@ -32,19 +32,16 @@ from qbackbone.scenario import Policy, ScenarioConfig
 def transmittances(source: EntanglementSource, t_s: float) -> tuple[float, float]:
     """Per-photon transmittance of each arm of ``source`` at ``t_s``."""
     if source.kind == "ground-fiber":
-        return fiber_transmittance(source.arm_a), fiber_transmittance(source.arm_b)
+        eta = fiber_transmittance(source.arm)
+        return eta, eta
     model = source.pass_model
     etas = []
-    for name in (source.station_a, source.station_b):
-        elevation = elevation_at(t_s, model, name)
+    for station in (model.egress, model.ingress):
+        elevation = elevation_at(t_s, model, station)
         if elevation is None:
             etas.append(0.0)
         else:
-            etas.append(
-                freespace_transmittance(
-                    elevation, model.altitude_km, source.link_params, model.earth_radius_km
-                )
-            )
+            etas.append(freespace_transmittance(elevation, model.altitude_km, source.link_params))
     return etas[0], etas[1]
 
 

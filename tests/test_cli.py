@@ -128,23 +128,67 @@ class TestSimulate:
 
 
     def test_schema_v1_document_exits_1(self, tmp_path, capsys):
-        doc = config_to_dict(default_config())
-        doc["schema_version"] = 1
-        doc["stations"]["egress"].update(latitude_deg=48.15, longitude_deg=11.5333)
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(doc))
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "schema_version" in capsys.readouterr().err
+        for version in (1, 2):
+            doc = config_to_dict(default_config())
+            doc["schema_version"] = version
+            doc["stations"] = {"egress": {"name": "Munich"}, "ingress": {"name": "Nuremberg"}}
+            if version == 1:
+                doc["stations"]["egress"].update(latitude_deg=48.15, longitude_deg=11.5333)
+            path = tmp_path / f"v{version}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            assert "schema_version" in capsys.readouterr().err
 
     def test_station_coordinates_exit_1(self, tmp_path, capsys):
         doc = config_to_dict(default_config())
-        assert doc["schema_version"] == 2
-        doc["stations"]["ingress"]["latitude_deg"] = 49.4333
-        path = tmp_path / "v2.json"
+        assert doc["schema_version"] == 3
+        doc["stations"] = {"egress": {"name": "Munich"}, "ingress": {"name": "Nuremberg"}}
+        path = tmp_path / "v3.json"
         path.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert "latitude_deg" in err and "stations.ingress" in err
+        assert "'stations'" in err
+
+    def test_pair_counts_above_2_53_stay_exact(self, tmp_path, capsys):
+        # 8 s bins of a lossless 2e15 Hz source hold about 1.6e16 pairs,
+        # beyond the integers a float64 holds exactly.
+        config = short_config(
+            sources=(fiber_source(arm_length_km=0.0, emission_rate_hz=2e15),), duration_s=16.0
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        with open(out / "timeseries.csv", newline="") as fh:
+            bins = list(csv.DictReader(fh))
+        assert len(bins) == 2
+        for b in bins:
+            arrived = int(b["pairs_arrived"])
+            assert arrived > 2**53
+            assert int(b["pairs_stored"]) + int(b["pairs_dropped"]) == arrived
+        with open(out / "summary.csv", newline="") as fh:
+            (summary,) = list(csv.DictReader(fh))
+        assert int(summary["pairs_arrived"]) == sum(int(b["pairs_arrived"]) for b in bins)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc["sources"][0].update(emission_rate_hz=1e300), "emission_rate_hz"),
+            (
+                lambda doc: doc["traffic"].update(qubit_rate_hz=1e25, frame_duration_s=1.0),
+                "traffic.qubit_rate_hz",
+            ),
+        ],
+        ids=["pairs", "qubits"],
+    )
+    def test_undrawable_counts_exit_1(self, tmp_path, capsys, edit, field):
+        doc = config_to_dict(default_config())
+        edit(doc)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "ceiling" in err
+        assert not out.exists()
 
 
 def synthetic_frames(n: int, n_completed: int, seed: int = 0) -> engine.FrameTable:

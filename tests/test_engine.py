@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
-from qbackbone.engine import STREAM_NAMES, FrameTable, RandomStreams, _traffic_times, run
+from qbackbone.engine import FrameTable, RandomStreams, _traffic_times, run
 from qbackbone.interface import classical_latency_s
 from qbackbone.scenario import (
     Policy,
+    builtin_sources,
     dark_fiber_source,
     default_config,
     fiber_source,
@@ -28,7 +29,9 @@ class TestRandomStreams:
 
     def test_distinct_names_never_share_state(self):
         streams = RandomStreams(42)
-        draws = {name: streams.stream(name).random(8) for name in STREAM_NAMES}
+        names = [n for n, v in vars(RandomStreams).items() if isinstance(v, property)]
+        assert len(names) == 5
+        draws = {name: getattr(streams, name).random(8) for name in names}
         names = list(draws)
         for i, m in enumerate(names):
             for n in names[i + 1:]:
@@ -223,6 +226,29 @@ class TestTimeGrid:
             assert abs(b.pairs_arrived - expected) < 5.0 * math.sqrt(expected), b
 
 
+@st.composite
+def sources_and_policies(draw):
+    """A subset of the built-in sources, satellites at drawn peak times, and
+    any policy those sources admit."""
+    sources = []
+    for source in builtin_sources():
+        if not draw(st.booleans()):
+            continue
+        if source.kind == "satellite-pass":
+            source = satellite_source(source.source_id, peak_time_s=draw(st.floats(-200.0, 250.0)))
+        sources.append(source)
+    policy = draw(
+        st.sampled_from(
+            [Policy(kind) for kind in ("fiber-only", "best-source", "all-sources")]
+            + [Policy("satellite-only", s.source_id) for s in sources if s.kind == "satellite-pass"]
+        )
+    )
+    return tuple(sources), policy
+
+
+DEFAULT_SOURCES_POLICY = (default_config().sources, default_config().policy)
+
+
 class TestWalkProperties:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -230,13 +256,38 @@ class TestWalkProperties:
         memory=st.one_of(st.none(), st.integers(1, 50)),
         duration=st.floats(0.0, 64.0),
         mean_gap=st.floats(0.005, 2.0),
+        sources_policy=st.one_of(st.just(DEFAULT_SOURCES_POLICY), sources_and_policies()),
     )
-    @example(seed=0, memory=None, duration=1e-10, mean_gap=0.02)
-    @example(seed=0, memory=1, duration=8.000000001, mean_gap=0.02)
-    def test_walk_invariants(self, seed, memory, duration, mean_gap):
+    @example(
+        seed=0, memory=None, duration=1e-10, mean_gap=0.02, sources_policy=DEFAULT_SOURCES_POLICY
+    )
+    @example(
+        seed=0, memory=1, duration=8.000000001, mean_gap=0.02, sources_policy=DEFAULT_SOURCES_POLICY
+    )
+    @example(
+        seed=0,
+        memory=None,
+        duration=64.0,
+        mean_gap=0.02,
+        sources_policy=(builtin_sources(), Policy("all-sources")),
+    )
+    @example(
+        seed=1,
+        memory=3,
+        duration=64.0,
+        mean_gap=0.05,
+        sources_policy=(
+            (dark_fiber_source(), satellite_source("Micius", peak_time_s=32.0)),
+            Policy("best-source"),
+        ),
+    )
+    def test_walk_invariants(self, seed, memory, duration, mean_gap, sources_policy):
         base = default_config()
+        sources, policy = sources_policy
         config = dataclasses.replace(
             base,
+            sources=sources,
+            policy=policy,
             seed=seed,
             memory_capacity=memory,
             duration_s=duration,
@@ -249,6 +300,10 @@ class TestWalkProperties:
             assert b.pairs_stored + b.pairs_dropped == b.pairs_arrived
             if memory is None:
                 assert b.pairs_dropped == 0
+        assert set(result.pairs_by_source) == {s.source_id for s in sources}
+        assert sum(result.pairs_by_source.values()) == result.totals.pairs_arrived
+        assert result.totals.pairs_arrived == sum(b.pairs_arrived for b in result.bins)
+        assert result.totals.pairs_stored == sum(b.pairs_stored for b in result.bins)
 
         frames = result.frames
         stops = np.cumsum(frames.attempts)

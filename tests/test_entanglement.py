@@ -16,6 +16,7 @@ import pytest
 import _reference
 from qbackbone.engine import run
 from qbackbone.entanglement import coincidence_matrix
+from qbackbone.geometry import SatellitePassModel
 from qbackbone.linkbudget import FiberLink, downlink, fiber_transmittance
 from qbackbone.scenario import (
     ConfigError,
@@ -58,10 +59,11 @@ def per_second_arrivals(source, seed: int, duration_s: float = 100.0) -> np.ndar
 class TestCoincidenceCount:
     def test_dead_arm_always_zero(self):
         source = invisible_satellite().sources[0]
+        model = source.pass_model
         for t in (0.0, 8.0, 16.0):
             etas = [
-                downlink(t, source.pass_model, name, source.link_params)[2]
-                for name in (source.station_a, source.station_b)
+                downlink(t, model, station, source.link_params)[2]
+                for station in (model.egress, model.ingress)
             ]
             assert 0.0 in etas
         assert not coincidence_matrix((source,), np.arange(5) * 2.0).any()
@@ -201,11 +203,12 @@ class TestSources:
         assert p_peak == eta_a * eta_b
 
     def test_satellite_requires_station_parameters(self):
-        source = satellite_source("Micius")
-        with pytest.raises(ValueError):
-            type(source)(
-                source_id="bad",
-                pass_model=source.pass_model,
-                station_a="Munich",
-                station_b="nowhere",
-            )
+        # a pass model carries one StationPass for each role
+        model = satellite_source("Micius").pass_model
+        for bad in (None, {"Munich": model.egress}, 75.0):
+            with pytest.raises(ValueError, match="ingress"):
+                SatellitePassModel(model.altitude_km, model.egress, bad)
+            with pytest.raises(ValueError, match="egress"):
+                SatellitePassModel(model.altitude_km, bad, model.ingress)
+        with pytest.raises(TypeError):
+            SatellitePassModel(model.altitude_km, model.egress)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,15 +15,19 @@ from qbackbone.geometry import (
     slant_range_km,
     visibility_window,
 )
-from qbackbone.scenario import MUNICH, satellite_pass
+from qbackbone.scenario import satellite_pass
+
+
+def twin_model(
+    altitude_km: float, peak_elevation_deg: float, peak_time_s: float = 0.0
+) -> SatellitePassModel:
+    """A pass seen identically from the egress and the ingress station."""
+    station = StationPass(peak_elevation_deg, peak_time_s)
+    return SatellitePassModel(altitude_km, egress=station, ingress=station)
 
 
 def micius_model(altitude_km: float = 480.0, peak_time_s: float = 0.0) -> SatellitePassModel:
-    return SatellitePassModel(
-        satellite_name="test-sat",
-        altitude_km=altitude_km,
-        station_passes={"a": StationPass(83.0, peak_time_s)},
-    )
+    return twin_model(altitude_km, 83.0, peak_time_s)
 
 
 class TestSlantRange:
@@ -82,13 +87,13 @@ class TestCentralAngle:
 class TestElevationAt:
     def test_peak_by_construction(self):
         model = micius_model()
-        assert elevation_at(0.0, model, "a") == pytest.approx(83.0, abs=1e-9)
+        assert elevation_at(0.0, model, model.egress) == pytest.approx(83.0, abs=1e-9)
 
     def test_symmetry_and_monotonicity(self):
         model = micius_model(peak_time_s=100.0)
         offsets = np.linspace(0.0, 140.0, 15)
-        rising = [elevation_at(100.0 - float(dt), model, "a") for dt in offsets]
-        falling = [elevation_at(100.0 + float(dt), model, "a") for dt in offsets]
+        rising = [elevation_at(100.0 - float(dt), model, model.egress) for dt in offsets]
+        falling = [elevation_at(100.0 + float(dt), model, model.egress) for dt in offsets]
         for r, f in zip(rising, falling):
             assert r == pytest.approx(f, abs=1e-9)
         assert all(a > b for a, b in zip(rising, rising[1:]))
@@ -97,39 +102,35 @@ class TestElevationAt:
         # half of the 20 degree window for an 83 degree, 480 km pass
         half = 142.2921202994694
         model = micius_model()
-        assert elevation_at(half, model, "a") == pytest.approx(20.0, abs=1e-6)
-        assert elevation_at(-half, model, "a") == pytest.approx(20.0, abs=1e-6)
-        assert elevation_at(142.4, model, "a") == pytest.approx(20.0, abs=0.5)
+        assert elevation_at(half, model, model.egress) == pytest.approx(20.0, abs=1e-6)
+        assert elevation_at(-half, model, model.egress) == pytest.approx(20.0, abs=1e-6)
+        assert elevation_at(142.4, model, model.egress) == pytest.approx(20.0, abs=0.5)
 
     def test_below_horizon(self):
         model = micius_model()
-        assert elevation_at(10000.0, model, "a") is None
-        assert elevation_at(-10000.0, model, "a") is None
+        assert elevation_at(10000.0, model, model.egress) is None
+        assert elevation_at(-10000.0, model, model.ingress) is None
 
     def test_pass_does_not_repeat_after_one_period(self):
         model = satellite_pass("Micius")
         period = 2.0 * math.pi / model.angular_rate_rad_s
-        peak = model.station_passes[MUNICH.name].peak_time_s
-        assert elevation_at(peak, model, MUNICH.name) == pytest.approx(83.0, abs=1e-9)
+        peak = model.egress.peak_time_s
+        assert elevation_at(peak, model, model.egress) == pytest.approx(83.0, abs=1e-9)
         for t in (peak + period, peak - period, peak + 2.0 * period, peak + 0.75 * period):
-            assert elevation_at(t, model, MUNICH.name) is None
+            assert elevation_at(t, model, model.egress) is None
 
     def test_zenith_pass(self):
-        model = SatellitePassModel(
-            satellite_name="zenith",
-            altitude_km=500.0,
-            station_passes={"a": StationPass(90.0, 0.0)},
-        )
-        assert elevation_at(0.0, model, "a") == pytest.approx(90.0)
+        model = twin_model(500.0, 90.0)
+        assert elevation_at(0.0, model, model.egress) == pytest.approx(90.0)
 
     def test_slant_range_round_trip(self):
         # range from the orbit geometry equals the closed form at theta(t)
         model = micius_model(peak_time_s=0.0)
-        re = model.earth_radius_km
+        re = EARTH_RADIUS_KM
         r = model.orbit_radius_km
         gamma_min = central_angle_rad(83.0, model.altitude_km)
         for t in np.linspace(-140.0, 140.0, 29):
-            theta = elevation_at(float(t), model, "a")
+            theta = elevation_at(float(t), model, model.egress)
             assert theta is not None
             cos_gamma = math.cos(gamma_min) * math.cos(model.angular_rate_rad_s * float(t))
             chord = math.sqrt(re**2 + r**2 - 2 * re * r * cos_gamma)
@@ -138,27 +139,24 @@ class TestElevationAt:
 
 class TestVisibilityWindow:
     def test_single_station_equals_intersection_with_itself(self):
-        model = SatellitePassModel(
-            satellite_name="twin",
-            altitude_km=480.0,
-            station_passes={"a": StationPass(83.0, 0.0), "b": StationPass(83.0, 0.0)},
-        )
-        joint = visibility_window(model, 20.0)
-        single = visibility_window(model, 20.0, ("a",))
-        assert joint == single
+        # A zenith pass at one station is visible longer than the 83 degree
+        # pass at the other, so the joint window, in either role order, is
+        # the 83 degree station's window intersected with itself.
+        twin = micius_model()
+        wider = dataclasses.replace(twin, ingress=StationPass(90.0, 0.0))
+        swapped = dataclasses.replace(wider, egress=wider.ingress, ingress=wider.egress)
+        assert visibility_window(wider, 20.0) == visibility_window(twin, 20.0)
+        assert visibility_window(swapped, 20.0) == visibility_window(twin, 20.0)
+        zenith = visibility_window(twin_model(480.0, 90.0), 20.0)
+        assert zenith.duration_s > visibility_window(twin, 20.0).duration_s
 
     def test_frozen_durations(self):
         micius = micius_model(480.0)
-        window = visibility_window(micius, 20.0, ("a",))
+        window = visibility_window(micius, 20.0)
         assert window.duration_s == pytest.approx(284.5842405989388, abs=0.01)
         assert window.duration_s == pytest.approx(284.8, abs=1.0)
 
-        starlink = SatellitePassModel(
-            satellite_name="starlink",
-            altitude_km=551.0,
-            station_passes={"a": StationPass(88.0, 0.0)},
-        )
-        window = visibility_window(starlink, 20.0, ("a",))
+        window = visibility_window(twin_model(551.0, 88.0), 20.0)
         assert window.duration_s == pytest.approx(322.4976985659435, abs=0.01)
         assert window.duration_s == pytest.approx(322.5, abs=1.0)
 
@@ -174,11 +172,7 @@ class TestVisibilityWindow:
         assert visibility_window(model, 89.0) is None
 
     def test_disjoint_station_windows(self):
-        model = SatellitePassModel(
-            satellite_name="split",
-            altitude_km=480.0,
-            station_passes={"a": StationPass(83.0, 0.0), "b": StationPass(83.0, 10000.0)},
-        )
+        model = SatellitePassModel(480.0, StationPass(83.0, 0.0), StationPass(83.0, 10000.0))
         assert visibility_window(model, 20.0) is None
 
     def test_invalid_mask(self):
@@ -189,7 +183,7 @@ class TestVisibilityWindow:
 class TestValidation:
     def test_pass_model_invariants(self):
         with pytest.raises(ValueError):
-            SatellitePassModel("x", -5.0, {"a": StationPass(45.0, 0.0)})
+            SatellitePassModel(-5.0, StationPass(45.0, 0.0), StationPass(45.0, 0.0))
         with pytest.raises(ValueError):
             StationPass(0.0, 0.0)
         with pytest.raises(ValueError):

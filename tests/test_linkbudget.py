@@ -131,20 +131,20 @@ class TestCoincidence:
     def test_never_exceeds_smaller_arm(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            length_a, length_b = rng.uniform(0.0, 200.0, size=2)
+            length = float(rng.uniform(0.0, 200.0))
             alpha = float(rng.uniform(0.0, 0.3))
-            source = FiberSource(
-                "f", FiberLink(float(length_a), alpha), FiberLink(float(length_b), alpha)
-            )
-            etas = fiber_transmittance(source.arm_a), fiber_transmittance(source.arm_b)
-            assert probability(source, 0.0) <= min(etas) + 1e-15
+            source = FiberSource("f", FiberLink(length, alpha))
+            eta = fiber_transmittance(source.arm)
+            assert probability(source, 0.0) == eta * eta
+            assert probability(source, 0.0) <= eta + 1e-15
         micius = satellite_source("Micius")
+        model = micius.pass_model
         times = rng.uniform(-200.0, 400.0, size=100)
         p = coincidence_matrix((micius,), times)[:, 0]
         for t, p_t in zip(times.tolist(), p.tolist()):
             etas = [
-                downlink(t, micius.pass_model, name, micius.link_params)[2]
-                for name in (micius.station_a, micius.station_b)
+                downlink(t, model, station, micius.link_params)[2]
+                for station in (model.egress, model.ingress)
             ]
             assert p_t == etas[0] * etas[1]
             assert p_t <= min(etas) + 1e-15
@@ -171,7 +171,7 @@ class TestAttenuationProfile:
     model = source.pass_model
 
     def window(self):
-        return visibility_window(self.model, DEFAULTS.min_elevation_deg, ("Munich", "Nuremberg"))
+        return visibility_window(self.model, DEFAULTS.min_elevation_deg)
 
     def test_sample_count_inclusive_endpoints(self, tmp_path, capsys):
         window = self.window()
@@ -189,27 +189,23 @@ class TestAttenuationProfile:
     def test_internal_consistency(self, tmp_path, capsys):
         rows = profile(tmp_path, capsys, self.source)
         for r in rows[:: max(1, len(rows) // 10)]:
-            elevation = elevation_at(r["time_s"], self.model, "Munich")
+            elevation = elevation_at(r["time_s"], self.model, self.model.egress)
             assert r["elev_a_deg"] == elevation
             assert r["range_a_km"] == slant_range_km(elevation, self.model.altitude_km)
             assert r["eta_a"] == freespace_transmittance(elevation, self.model.altitude_km, DEFAULTS)
             assert r["p_coincidence"] == r["eta_a"] * r["eta_b"]
-            assert downlink(r["time_s"], self.model, "Nuremberg", DEFAULTS) == (
+            assert downlink(r["time_s"], self.model, self.model.ingress, DEFAULTS) == (
                 r["elev_b_deg"], r["range_b_km"], r["eta_b"]
             )
 
     def test_outside_visibility_is_zero(self):
         for t in np.arange(5000.0, 5012.0, 2.0).tolist():
-            for name in ("Munich", "Nuremberg"):
-                assert downlink(t, self.model, name, DEFAULTS) == (None, None, 0.0)
+            for station in (self.model.egress, self.model.ingress):
+                assert downlink(t, self.model, station, DEFAULTS) == (None, None, 0.0)
 
     def test_empty_window(self, tmp_path, capsys):
-        low = SatellitePassModel(
-            satellite_name="low",
-            altitude_km=474.0,
-            station_passes={"Munich": StationPass(15.0, 0.0), "Nuremberg": StationPass(15.0, 0.0)},
-        )
-        source = SatelliteSource("low", low, "Munich", "Nuremberg")
+        low = SatellitePassModel(474.0, StationPass(15.0, 0.0), StationPass(15.0, 0.0))
+        source = SatelliteSource("low", low)
         assert profile(tmp_path, capsys, source) == []
 
     def test_profile_matches_visibility_gate(self, tmp_path, capsys):

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 import _reference
 from qbackbone.engine import run
 from qbackbone.entanglement import coincidence_matrix
-from qbackbone.geometry import GroundStation
 from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
 from qbackbone.scenario import (
     MAX_RUN_CELLS,
-    MUNICH,
-    NUREMBERG,
+    MAX_RUN_COUNT,
     ConfigError,
     Policy,
     ScenarioConfig,
@@ -53,14 +51,12 @@ class TestDefaults:
         assert config.channel_step_s == 2.0
         assert config.p_teleport_success == 0.5
         assert config.traffic.mean_interarrival_s == 0.020
-        assert config.egress_station == MUNICH
-        assert config.ingress_station == NUREMBERG
         assert len(config.sources) == 1
         source = config.sources[0]
         assert source.kind == "ground-fiber"
         assert source.emission_rate_hz == 2.0e5
-        assert source.arm_a.length_km == 75.0
-        assert source.arm_a.attenuation_db_per_km == 0.2
+        assert source.arm.length_km == 75.0
+        assert source.arm.attenuation_db_per_km == 0.2
         assert config.ingress_access.length_km == 5.0
         assert config.policy == Policy("fiber-only")
 
@@ -86,12 +82,12 @@ class TestDefaults:
     def test_builtin_satellite_parameters(self):
         micius = satellite_source("Micius")
         assert micius.pass_model.altitude_km == 474.0
-        assert micius.pass_model.station_passes["Munich"].peak_elevation_deg == 83.0
-        assert micius.pass_model.station_passes["Nuremberg"].peak_elevation_deg == 75.0
+        assert micius.pass_model.egress.peak_elevation_deg == 83.0
+        assert micius.pass_model.ingress.peak_elevation_deg == 75.0
         iridium = satellite_source("Iridium-126")
         assert iridium.pass_model.altitude_km == 804.0
         starlink = satellite_source("Starlink-2007")
-        assert starlink.pass_model.station_passes["Munich"].peak_elevation_deg == 88.0
+        assert starlink.pass_model.egress.peak_elevation_deg == 88.0
 
 
 class TestValidation:
@@ -134,7 +130,8 @@ class TestValidation:
         assert len(config.sources) == 1
         assert config.sources[0].source_id == "Micius"
         assert config.sources[0].kind == "satellite-pass"
-        assert config.sources[0].pass_model.station_passes["Munich"].peak_time_s == 128.0
+        assert config.sources[0].pass_model.egress.peak_time_s == 128.0
+        assert config.sources[0].pass_model.ingress.peak_time_s == 128.0
 
     def test_duplicate_source_ids(self):
         doc = {"sources": [{"id": "f", "kind": "ground-fiber"}, {"id": "f", "kind": "ground-fiber"}]}
@@ -186,6 +183,33 @@ class TestValidation:
             load_config(rejected)
         assert load_config(accepted).n_steps <= MAX_RUN_CELLS
 
+    def test_draw_count_ceiling(self):
+        lossless = {"id": "f", "kind": "ground-fiber", "arm_length_km": 0.0}
+        accepted = {"duration_s": 16.0, "sources": [dict(lossless, emission_rate_hz=2e15)]}
+        assert load_config(accepted).duration_s == 16.0
+        rejected = dict(accepted, duration_s=64.0)
+        with pytest.raises(ConfigError, match=f"expected pair count .* {MAX_RUN_COUNT}"):
+            load_config(rejected)
+        # the pair ceiling sums over sources
+        twins = [
+            dict(lossless, emission_rate_hz=2.5e15),
+            dict(lossless, id="g", emission_rate_hz=2.5e15),
+        ]
+        with pytest.raises(ConfigError, match="emission_rate_hz"):
+            load_config({"duration_s": 16.0, "sources": twins})
+        payload = 2**40  # x 30,000 expected frames is about 3.3e16, below 2**56
+        assert load_config({"traffic": {"qubit_rate_hz": payload, "frame_duration_s": 1.0}})
+        with pytest.raises(ConfigError, match="expected qubit count .*traffic.qubit_rate_hz"):
+            load_config({"traffic": {"qubit_rate_hz": 4 * payload, "frame_duration_s": 1.0}})
+        # a horizon below one frame gap still draws one payload
+        with pytest.raises(ConfigError, match="expected qubit count"):
+            load_config(
+                {
+                    "duration_s": 0.0,
+                    "traffic": {"qubit_rate_hz": 2.0 * MAX_RUN_COUNT, "frame_duration_s": 1.0},
+                }
+            )
+
 
 class TestRoundTrip:
     def test_default_round_trips(self):
@@ -220,7 +244,6 @@ finite = dict(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def scenario_configs(draw) -> ScenarioConfig:
-    egress, ingress = GroundStation("A"), GroundStation("B")
     step = draw(st.sampled_from([0.3, 2.0, 0.25, 1.1]))
     sources = [
         fiber_source(
@@ -235,8 +258,6 @@ def scenario_configs(draw) -> ScenarioConfig:
         sources.append(
             satellite_source(
                 name,
-                egress,
-                ingress,
                 FreeSpaceLinkParams(min_elevation_deg=draw(st.floats(0.0, 89.0, **finite))),
                 peak_time_s=draw(st.floats(-1.0e4, 1.0e4, **finite)),
             )
@@ -248,8 +269,6 @@ def scenario_configs(draw) -> ScenarioConfig:
         )
     )
     return ScenarioConfig(
-        egress_station=egress,
-        ingress_station=ingress,
         sources=tuple(sources),
         policy=policy,
         traffic=TrafficConfig(mean_interarrival_s=draw(st.floats(0.001, 10.0, **finite))),
