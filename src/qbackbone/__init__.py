@@ -9,7 +9,6 @@ from .scenario import (
     Policy,
     ScenarioConfig,
     config_to_dict,
-    default_config,
     load_config,
     load_config_file,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "ScenarioConfig",
     "VisibilityWindow",
     "config_to_dict",
-    "default_config",
     "load_config",
     "load_config_file",
     "run",

@@ -110,13 +110,11 @@ def _load(args: argparse.Namespace) -> scenario.ScenarioConfig:
     if args.config is not None:
         config = scenario.load_config_file(args.config)
     else:
-        config = scenario.default_config()
+        config = scenario.ScenarioConfig()
     seed = scenario.seed_from_env()
     if getattr(args, "seed", None) is not None:
         seed = args.seed
     if seed is not None:
-        if seed < 0:
-            raise scenario.ConfigError(f"seed must be >= 0: {seed}")
         config = dataclasses.replace(config, seed=seed)
     return config
 
@@ -198,7 +196,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 SUMMARY_COLUMNS,
                 [
                     (
-                        result.seed,
+                        config.seed,
                         config.duration_s,
                         t.frames_generated,
                         t.frames_processed,
@@ -394,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     passes = sub.add_parser("passes", help="Print the satellite pass table as CSV.")
     passes.add_argument("--config", help="Scenario JSON (defaults when omitted).")
-    passes.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     passes.add_argument(
         "--min-elevation", type=float, default=20.0, help="Elevation mask in degrees."
     )
@@ -404,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         "linkbudget", help="Print one source's downlink budget per channel step as CSV."
     )
     linkbudget.add_argument("--config", help="Scenario JSON (defaults when omitted).")
-    linkbudget.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     linkbudget.add_argument("--source", required=True, help="Source id to profile.")
     linkbudget.set_defaults(func=_cmd_linkbudget)
 

@@ -143,7 +143,6 @@ class RunResult:
     """All outputs of one simulation run."""
 
     config: ScenarioConfig
-    seed: int
     bins: tuple[MetricsBin, ...]
     frames: FrameTable
     totals: RunTotals
@@ -324,7 +323,6 @@ def run(config: ScenarioConfig) -> RunResult:
 
     return RunResult(
         config=cfg,
-        seed=cfg.seed,
         bins=bins,
         frames=frames,
         totals=totals,

@@ -1,18 +1,24 @@
 """Scenario configuration, defaults, and source-selection policies.
 
 Configurations are plain JSON documents validated strictly: unknown keys
-are rejected and every diagnostic names the offending field.  An empty
-document loads the default scenario (standard ground fiber backbone,
-unlimited memory, 10 minute horizon).
+are rejected and every diagnostic names the offending field.  The
+dataclasses are the schema: a document object holds one dataclass's
+fields under their own names, a source object also its ``kind``, and an
+absent key keeps its default.  An empty document loads
+``ScenarioConfig()``, the default scenario (standard ground fiber
+backbone, unlimited memory, 10 minute horizon).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Mapping
+import typing
+from collections.abc import Mapping
+from dataclasses import MISSING, Field, asdict, dataclass, fields, is_dataclass
+from typing import Any
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from .entanglement import (
 from .geometry import SatellitePassModel, StationPass
 from .linkbudget import FiberLink, FreeSpaceLinkParams
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 SEED_ENV_VAR = "QBACKBONE_SEED"
 
 STANDARD_FIBER_DB_PER_KM = 0.2
@@ -89,7 +95,7 @@ class TrafficConfig:
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"traffic.{name} must be > 0: {value}")
         payload = self.qubit_rate_hz * self.frame_duration_s
-        if abs(payload - round(payload)) > 1e-6 or round(payload) < 1:
+        if not math.isfinite(payload) or abs(payload - round(payload)) > 1e-6 or round(payload) < 1:
             raise ConfigError(
                 "traffic.qubit_rate_hz * traffic.frame_duration_s must be a "
                 f"positive integer payload: {payload}"
@@ -104,18 +110,18 @@ class TrafficConfig:
 class ScenarioConfig:
     """Complete, validated description of one simulation run."""
 
-    sources: tuple[EntanglementSource, ...] = ()
-    policy: Policy = Policy("fiber-only")
-    traffic: TrafficConfig = TrafficConfig()
-    ingress_access: FiberLink = FiberLink(5.0, STANDARD_FIBER_DB_PER_KM)
-    egress_access: FiberLink = FiberLink(5.0, STANDARD_FIBER_DB_PER_KM)
-    memory_capacity: int | None = None
-    p_teleport_success: float = 0.5
+    seed: int = 0
     duration_s: float = 600.0
     bin_width_s: float = 8.0
     channel_step_s: float = 2.0
+    memory_capacity: int | None = None
+    p_teleport_success: float = 0.5
     classical_distance_km: float = 150.0
-    seed: int = 0
+    traffic: TrafficConfig = TrafficConfig()
+    ingress_access: FiberLink = FiberLink(5.0, STANDARD_FIBER_DB_PER_KM)
+    egress_access: FiberLink = FiberLink(5.0, STANDARD_FIBER_DB_PER_KM)
+    policy: Policy = Policy("fiber-only")
+    sources: tuple[EntanglementSource, ...] = (FiberSource("fiber-standard"),)
 
     def __post_init__(self) -> None:
         if self.memory_capacity is not None and self.memory_capacity < 1:
@@ -131,7 +137,7 @@ class ScenarioConfig:
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be > 0: {value}")
         ratio = self.bin_width_s / self.channel_step_s
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError(
                 f"bin_width_s ({self.bin_width_s}) must be a multiple of "
                 f"channel_step_s ({self.channel_step_s})"
@@ -140,7 +146,7 @@ class ScenarioConfig:
         cells_hint = "shorten duration_s or lengthen channel_step_s or the frame gap"
         for name, count, ceiling, hint in (
             ("expected frame count", frames, MAX_RUN_CELLS, cells_hint),
-            ("channel step count", self.n_steps, MAX_RUN_CELLS, cells_hint),
+            ("channel step count", self.duration_s / self.channel_step_s, MAX_RUN_CELLS, cells_hint),
             (
                 "expected pair count",
                 sum(s.emission_rate_hz for s in self.sources) * self.duration_s,
@@ -271,11 +277,6 @@ def builtin_sources() -> tuple[EntanglementSource, ...]:
     )
 
 
-def default_config() -> ScenarioConfig:
-    """The default scenario: standard fiber backbone, unlimited memory."""
-    return ScenarioConfig(sources=(fiber_source(),))
-
-
 def seed_from_env() -> int | None:
     """Seed override from the environment, or None when unset."""
     raw = os.environ.get(SEED_ENV_VAR)
@@ -290,7 +291,7 @@ def seed_from_env() -> int | None:
     return seed
 
 
-# --- document loading -------------------------------------------------------
+# --- documents --------------------------------------------------------------
 
 
 def _require_mapping(value: Any, path: str) -> Mapping[str, Any]:
@@ -305,37 +306,30 @@ def _check_keys(doc: Mapping[str, Any], allowed: set[str], path: str) -> None:
         raise ConfigError(f"unknown key(s) in {path}: {sorted(unknown)}")
 
 
-def _get_number(doc: Mapping[str, Any], key: str, default: float, path: str) -> float:
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{path}.{key} is too large for a float") from None
-
-
-def _get_str(doc: Mapping[str, Any], key: str, path: str, default: str | None = None) -> str:
-    value = doc.get(key, default)
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{path}.{key} must be a non-empty string, got {value!r}")
-    return value
+@functools.cache
+def _typed_fields(cls: type) -> tuple[tuple[Field, Any], ...]:
+    """Each field of a dataclass with its resolved type annotation."""
+    types = typing.get_type_hints(cls)
+    return tuple((f, types[f.name]) for f in fields(cls))
 
 
 def _load_fields(cls: type, doc: Any, default: Any, path: str) -> Any:
-    """A dataclass leaf read field by field; absent keys keep ``default``'s values."""
-    if doc is None:
-        return default
+    """A dataclass from a document object that holds its fields under their names.
+
+    An absent key keeps the field of ``default`` when one is given, else
+    the dataclass default; a field with neither is required.
+    """
     doc = _require_mapping(doc, path)
-    names = [f.name for f in fields(cls)]
-    _check_keys(doc, set(names), path)
+    typed_fields = _typed_fields(cls)
+    _check_keys(doc, {f.name for f, _ in typed_fields}, path)
     values = {}
-    for name in names:
-        value = getattr(default, name)
-        if isinstance(value, str):
-            values[name] = _get_str(doc, name, path, value)
-        else:
-            values[name] = _get_number(doc, name, value, path)
+    for f, tp in typed_fields:
+        value = f.default if default is None else getattr(default, f.name)
+        if f.name in doc:
+            value = _load(tp, doc[f.name], value, f"{path}.{f.name}")
+        elif value is MISSING:
+            raise ConfigError(f"{path}.{f.name} is required")
+        values[f.name] = value
     try:
         return cls(**values)
     except ConfigError:
@@ -344,186 +338,53 @@ def _load_fields(cls: type, doc: Any, default: Any, path: str) -> Any:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _per_role(doc: Mapping[str, Any], key: str, path: str, required: bool) -> dict[str, float] | None:
-    """A scalar or an {egress, ingress} object, normalised to a role map."""
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{path}.{key} is required for satellite sources")
-        return None
-    value = doc[key]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        number = _get_number(doc, key, math.nan, path)
-        return {"egress": number, "ingress": number}
-    value = _require_mapping(value, f"{path}.{key}")
-    _check_keys(value, {"egress", "ingress"}, f"{path}.{key}")
-    return {
-        "egress": _get_number(value, "egress", math.nan, f"{path}.{key}"),
-        "ingress": _get_number(value, "ingress", math.nan, f"{path}.{key}"),
-    }
+def _load(tp: Any, value: Any, default: Any, path: str) -> Any:
+    """One document value read as the field type ``tp``.
 
-
-def _load_source(doc: Any, path: str) -> EntanglementSource:
-    doc = _require_mapping(doc, path)
-    kind = _get_str(doc, "kind", path)
-    source_id = _get_str(doc, "id", path)
+    ``default`` is the value the key replaces: a nested dataclass keeps
+    its fields for the keys the object leaves out.
+    """
+    if is_dataclass(tp):
+        return _load_fields(tp, value, None if default is MISSING else default, path)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
+        return tuple(_load(args[0], item, None, f"{path}[{i}]") for i, item in enumerate(value))
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (tp,) = set(args) - {type(None)}
+        return _load(tp, value, default, path)
+    if args:  # a union of dataclasses, each object tagged by its class's ``kind``
+        kinds = {cls.kind: cls for cls in args}
+        doc = dict(_require_mapping(value, path))
+        kind = doc.pop("kind", None)
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{path}.kind must be one of {sorted(kinds)}, got {kind!r}")
+        return _load_fields(kinds[kind], doc, None, path)
+    if tp is str:
+        if isinstance(value, str) and value:
+            return value
+        raise ConfigError(f"{path} must be a non-empty string, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else int):
+        what = "a number" if tp is float else "an integer"
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
+    if tp is int:
+        return value
     try:
-        if kind == "ground-fiber":
-            _check_keys(
-                doc,
-                {"id", "kind", "emission_rate_hz", "arm_length_km", "attenuation_db_per_km"},
-                path,
-            )
-            default = fiber_source()
-            arm = FiberLink(
-                length_km=_get_number(doc, "arm_length_km", default.arm.length_km, path),
-                attenuation_db_per_km=_get_number(
-                    doc, "attenuation_db_per_km", default.arm.attenuation_db_per_km, path
-                ),
-            )
-            return FiberSource(
-                source_id=source_id,
-                arm=arm,
-                emission_rate_hz=_get_number(
-                    doc, "emission_rate_hz", default.emission_rate_hz, path
-                ),
-            )
-        if kind == "satellite-pass":
-            _check_keys(
-                doc,
-                {
-                    "id",
-                    "kind",
-                    "emission_rate_hz",
-                    "altitude_km",
-                    "peak_elevation_deg",
-                    "peak_time_s",
-                    "link",
-                },
-                path,
-            )
-            peaks = _per_role(doc, "peak_elevation_deg", path, required=True)
-            times = _per_role(doc, "peak_time_s", path, required=False) or {
-                "egress": 0.0,
-                "ingress": 0.0,
-            }
-            pass_model = SatellitePassModel(
-                altitude_km=_get_number(doc, "altitude_km", math.nan, path),
-                egress=StationPass(peaks["egress"], times["egress"]),
-                ingress=StationPass(peaks["ingress"], times["ingress"]),
-            )
-            return SatelliteSource(
-                source_id=source_id,
-                pass_model=pass_model,
-                link_params=_load_fields(
-                    FreeSpaceLinkParams, doc.get("link"), FreeSpaceLinkParams(), f"{path}.link"
-                ),
-                emission_rate_hz=_get_number(
-                    doc, "emission_rate_hz", DEFAULT_EMISSION_RATE_HZ, path
-                ),
-            )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(
-        f"{path}.kind must be 'ground-fiber' or 'satellite-pass', got {kind!r}"
-    )
-
-
-def _load_policy(doc: Any, default: Policy) -> Policy:
-    if doc is None:
-        return default
-    if isinstance(doc, str):
-        return Policy(doc)
-    doc = _require_mapping(doc, "policy")
-    _check_keys(doc, {"kind", "source_id"}, "policy")
-    source_id = doc.get("source_id")
-    if source_id is not None and not isinstance(source_id, str):
-        raise ConfigError(f"policy.source_id must be a string, got {source_id!r}")
-    return Policy(_get_str(doc, "kind", "policy"), source_id)
-
-
-_TOP_LEVEL_KEYS = {
-    "schema_version",
-    "seed",
-    "duration_s",
-    "bin_width_s",
-    "channel_step_s",
-    "memory_capacity",
-    "p_teleport_success",
-    "classical_distance_km",
-    "traffic",
-    "access",
-    "policy",
-    "sources",
-}
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path} is too large for a float") from None
 
 
 def load_config(doc: Mapping[str, Any]) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a configuration document."""
-    doc = _require_mapping(doc, "config")
-    version = doc.get("schema_version", SCHEMA_VERSION)
+    doc = dict(_require_mapping(doc, "config"))
+    version = doc.pop("schema_version", SCHEMA_VERSION)
     if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    _check_keys(doc, _TOP_LEVEL_KEYS, "config")
-    defaults = ScenarioConfig()
-
-    traffic = _load_fields(TrafficConfig, doc.get("traffic"), defaults.traffic, "traffic")
-
-    access_doc = doc.get("access")
-    if access_doc is not None:
-        access_doc = _require_mapping(access_doc, "access")
-        _check_keys(access_doc, {"ingress_access", "egress_access"}, "access")
-    ingress_access = _load_fields(
-        FiberLink,
-        access_doc.get("ingress_access") if access_doc else None,
-        defaults.ingress_access,
-        "access.ingress_access",
-    )
-    egress_access = _load_fields(
-        FiberLink,
-        access_doc.get("egress_access") if access_doc else None,
-        defaults.egress_access,
-        "access.egress_access",
-    )
-
-    sources_doc = doc.get("sources")
-    if sources_doc is None:
-        sources: tuple[EntanglementSource, ...] = (fiber_source(),)
-    else:
-        if not isinstance(sources_doc, (list, tuple)):
-            raise ConfigError("sources must be a list of source objects")
-        sources = tuple(
-            _load_source(entry, f"sources[{i}]")
-            for i, entry in enumerate(sources_doc)
-        )
-
-    memory = doc.get("memory_capacity", defaults.memory_capacity)
-    if memory is not None and (isinstance(memory, bool) or not isinstance(memory, int)):
-        raise ConfigError(f"memory_capacity must be an integer or null: {memory!r}")
-
-    seed = doc.get("seed", defaults.seed)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer: {seed!r}")
-
-    return ScenarioConfig(
-        sources=sources,
-        policy=_load_policy(doc.get("policy"), defaults.policy),
-        traffic=traffic,
-        ingress_access=ingress_access,
-        egress_access=egress_access,
-        memory_capacity=memory,
-        p_teleport_success=_get_number(
-            doc, "p_teleport_success", defaults.p_teleport_success, "config"
-        ),
-        duration_s=_get_number(doc, "duration_s", defaults.duration_s, "config"),
-        bin_width_s=_get_number(doc, "bin_width_s", defaults.bin_width_s, "config"),
-        channel_step_s=_get_number(doc, "channel_step_s", defaults.channel_step_s, "config"),
-        classical_distance_km=_get_number(
-            doc, "classical_distance_km", defaults.classical_distance_km, "config"
-        ),
-        seed=seed,
-    )
+    return _load_fields(ScenarioConfig, doc, None, "config")
 
 
 def load_config_file(path: str) -> ScenarioConfig:
@@ -544,53 +405,8 @@ def load_config_file(path: str) -> ScenarioConfig:
     return load_config(doc)
 
 
-def _source_to_dict(source: EntanglementSource) -> dict[str, Any]:
-    if source.kind == "ground-fiber":
-        return {
-            "id": source.source_id,
-            "kind": source.kind,
-            "emission_rate_hz": source.emission_rate_hz,
-            "arm_length_km": source.arm.length_km,
-            "attenuation_db_per_km": source.arm.attenuation_db_per_km,
-        }
-    egress_pass = source.pass_model.egress
-    ingress_pass = source.pass_model.ingress
-    return {
-        "id": source.source_id,
-        "kind": source.kind,
-        "emission_rate_hz": source.emission_rate_hz,
-        "altitude_km": source.pass_model.altitude_km,
-        "peak_elevation_deg": {
-            "egress": egress_pass.peak_elevation_deg,
-            "ingress": ingress_pass.peak_elevation_deg,
-        },
-        "peak_time_s": {
-            "egress": egress_pass.peak_time_s,
-            "ingress": ingress_pass.peak_time_s,
-        },
-        "link": asdict(source.link_params),
-    }
-
-
 def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
     """Canonical JSON-compatible form; round-trips through load_config."""
-    policy: dict[str, Any] = {"kind": config.policy.kind}
-    if config.policy.source_id is not None:
-        policy["source_id"] = config.policy.source_id
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": config.seed,
-        "duration_s": config.duration_s,
-        "bin_width_s": config.bin_width_s,
-        "channel_step_s": config.channel_step_s,
-        "memory_capacity": config.memory_capacity,
-        "p_teleport_success": config.p_teleport_success,
-        "classical_distance_km": config.classical_distance_km,
-        "traffic": asdict(config.traffic),
-        "access": {
-            "ingress_access": asdict(config.ingress_access),
-            "egress_access": asdict(config.egress_access),
-        },
-        "policy": policy,
-        "sources": [_source_to_dict(s) for s in config.sources],
-    }
+    doc = asdict(config)
+    doc["sources"] = [{"kind": s.kind, **d} for s, d in zip(config.sources, doc["sources"])]
+    return {"schema_version": SCHEMA_VERSION, **doc}

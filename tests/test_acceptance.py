@@ -23,8 +23,8 @@ from qbackbone.geometry import visibility_window
 from qbackbone.linkbudget import FiberLink, fiber_transmittance
 from qbackbone.scenario import (
     Policy,
+    ScenarioConfig,
     dark_fiber_source,
-    default_config,
     fiber_source,
     satellite_source,
 )
@@ -35,7 +35,7 @@ ETA_5KM = 10.0 ** (-0.1)
 
 
 def config_with(**overrides):
-    return dataclasses.replace(default_config(), **overrides)
+    return ScenarioConfig(**overrides)
 
 
 def satellite_config(name: str, memory: int | None, seed: int = 0):
@@ -314,7 +314,7 @@ def test_criterion_7_determinism_and_accounting(tmp_path):
 def test_criterion_8_performance():
     """Full default scenario in aggregated mode completes in under 10 s."""
     start = time.perf_counter()
-    result = run(default_config())
+    result = run(ScenarioConfig())
     elapsed = time.perf_counter() - start
     assert result.totals.frames_generated > 0
     assert elapsed < 10.0, f"default scenario took {elapsed:.2f}s"

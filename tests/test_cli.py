@@ -19,7 +19,6 @@ from qbackbone.scenario import (
     ScenarioConfig,
     config_to_dict,
     dark_fiber_source,
-    default_config,
     fiber_source,
     builtin_sources,
     satellite_source,
@@ -110,7 +109,7 @@ class TestSimulate:
         assert message in capsys.readouterr().err
 
     def test_huge_horizon_exits_1_before_allocating(self, tmp_path, capsys):
-        doc = config_to_dict(default_config())
+        doc = config_to_dict(ScenarioConfig())
         doc["duration_s"] = 1e12
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
@@ -129,7 +128,7 @@ class TestSimulate:
 
     def test_schema_v1_document_exits_1(self, tmp_path, capsys):
         for version in (1, 2):
-            doc = config_to_dict(default_config())
+            doc = config_to_dict(ScenarioConfig())
             doc["schema_version"] = version
             doc["stations"] = {"egress": {"name": "Munich"}, "ingress": {"name": "Nuremberg"}}
             if version == 1:
@@ -139,11 +138,25 @@ class TestSimulate:
             assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
             assert "schema_version" in capsys.readouterr().err
 
-    def test_station_coordinates_exit_1(self, tmp_path, capsys):
-        doc = config_to_dict(default_config())
-        assert doc["schema_version"] == 3
-        doc["stations"] = {"egress": {"name": "Munich"}, "ingress": {"name": "Nuremberg"}}
+    def test_schema_v3_document_exits_1(self, tmp_path, capsys):
+        doc = {
+            "schema_version": 3,
+            "access": {"egress_access": {"length_km": 5.0, "attenuation_db_per_km": 0.2}},
+            "sources": [{"id": "fiber-standard", "kind": "ground-fiber", "arm_length_km": 75.0}],
+        }
         path = tmp_path / "v3.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "schema_version 3" in err
+        assert not out.exists()
+
+    def test_station_coordinates_exit_1(self, tmp_path, capsys):
+        doc = config_to_dict(ScenarioConfig())
+        assert doc["schema_version"] == 4
+        doc["stations"] = {"egress": {"name": "Munich"}, "ingress": {"name": "Nuremberg"}}
+        path = tmp_path / "v4.json"
         path.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
@@ -180,7 +193,7 @@ class TestSimulate:
         ids=["pairs", "qubits"],
     )
     def test_undrawable_counts_exit_1(self, tmp_path, capsys, edit, field):
-        doc = config_to_dict(default_config())
+        doc = config_to_dict(ScenarioConfig())
         edit(doc)
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
@@ -188,6 +201,33 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "ceiling" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, fields",
+        [
+            ({"traffic": {"frame_duration_s": 1e308}}, ["traffic.frame_duration_s"]),
+            ({"bin_width_s": 1e308, "channel_step_s": 1e-308}, ["bin_width_s", "channel_step_s"]),
+            ({"duration_s": 1e308, "channel_step_s": 1e-10}, ["duration_s", "channel_step_s"]),
+            (
+                {
+                    "duration_s": 1e308,
+                    "channel_step_s": 1e-10,
+                    "bin_width_s": 1e-10,
+                    "traffic": {"mean_interarrival_s": 1e308},
+                },
+                ["channel step count inf", "duration_s", "channel_step_s"],
+            ),
+        ],
+        ids=["payload", "bin_step_ratio", "frame_count", "step_count"],
+    )
+    def test_non_finite_ratios_exit_1(self, tmp_path, capsys, doc, fields):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and all(field in err for field in fields)
         assert not out.exists()
 
 
@@ -466,11 +506,13 @@ class TestLinkbudget:
         doc = {
             "sources": [
                 {
-                    "id": "low-pass",
                     "kind": "satellite-pass",
-                    "altitude_km": 500.0,
-                    "peak_elevation_deg": 15.0,
-                    "peak_time_s": 100.0,
+                    "source_id": "low-pass",
+                    "pass_model": {
+                        "altitude_km": 500.0,
+                        "egress": {"peak_elevation_deg": 15.0, "peak_time_s": 100.0},
+                        "ingress": {"peak_elevation_deg": 15.0, "peak_time_s": 100.0},
+                    },
                 }
             ]
         }

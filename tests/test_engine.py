@@ -13,9 +13,9 @@ from qbackbone.engine import FrameTable, RandomStreams, _traffic_times, run
 from qbackbone.interface import classical_latency_s
 from qbackbone.scenario import (
     Policy,
+    ScenarioConfig,
     builtin_sources,
     dark_fiber_source,
-    default_config,
     fiber_source,
     satellite_source,
 )
@@ -58,7 +58,7 @@ class TestRun:
     def short(self, **overrides):
         base = dict(duration_s=16.0, seed=3)
         base.update(overrides)
-        return dataclasses.replace(default_config(), **base)
+        return ScenarioConfig(**base)
 
     def test_zero_duration(self):
         result = run(self.short(duration_s=0.0))
@@ -173,7 +173,7 @@ class TestRun:
         config = self.short(seed=17)
         result = run(config)
         assert result.config == config
-        assert result.seed == 17
+        assert result.config.seed == 17
 
     def test_mean_delivered_matches_pair_supply(self):
         # fiber bottleneck: nearly every stored pair is teleported, so
@@ -209,7 +209,7 @@ class TestTimeGrid:
         # must still be counted in the bin that contains it.  No frames are
         # sent, so each segment is a whole channel step.
         source = fiber_source(emission_rate_hz=2.0e7)
-        base = default_config()
+        base = ScenarioConfig()
         config = dataclasses.replace(
             base,
             sources=(source,),
@@ -246,7 +246,7 @@ def sources_and_policies(draw):
     return tuple(sources), policy
 
 
-DEFAULT_SOURCES_POLICY = (default_config().sources, default_config().policy)
+DEFAULT_SOURCES_POLICY = (ScenarioConfig().sources, ScenarioConfig().policy)
 
 
 class TestWalkProperties:
@@ -282,7 +282,7 @@ class TestWalkProperties:
         ),
     )
     def test_walk_invariants(self, seed, memory, duration, mean_gap, sources_policy):
-        base = default_config()
+        base = ScenarioConfig()
         sources, policy = sources_policy
         config = dataclasses.replace(
             base,
@@ -344,7 +344,7 @@ class TestWalkProperties:
         # occupancy, and with it every attempt count, is monotone in M.
         # Small payloads leave pairs in memory between frames.
         step, bins_per_step = step_and_bins
-        base = default_config()
+        base = ScenarioConfig()
         if satellite:
             base = dataclasses.replace(
                 base,

@@ -21,8 +21,8 @@ from qbackbone.linkbudget import FiberLink, downlink, fiber_transmittance
 from qbackbone.scenario import (
     ConfigError,
     Policy,
+    ScenarioConfig,
     dark_fiber_source,
-    default_config,
     fiber_source,
     satellite_source,
 )
@@ -34,7 +34,7 @@ NO_FRAMES_GAP_S = 1.0e4
 
 def config(mean_gap_s: float | None = None, **overrides):
     """The default scenario with overrides; ``mean_gap_s`` sets the frame gap."""
-    base = default_config()
+    base = ScenarioConfig()
     if mean_gap_s is not None:
         overrides["traffic"] = dataclasses.replace(base.traffic, mean_interarrival_s=mean_gap_s)
     return dataclasses.replace(base, **overrides)

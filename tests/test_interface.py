@@ -23,8 +23,8 @@ from qbackbone.interface import classical_latency_s
 from qbackbone.linkbudget import FiberLink
 from qbackbone.scenario import (
     Policy,
+    ScenarioConfig,
     config_to_dict,
-    default_config,
     fiber_source,
     satellite_source,
 )
@@ -34,7 +34,7 @@ LOSSLESS = FiberLink(0.0, 0.2)
 
 
 def config(**overrides):
-    return dataclasses.replace(default_config(), **overrides)
+    return ScenarioConfig(**overrides)
 
 
 def saturated(**overrides):
@@ -180,7 +180,7 @@ class TestAccountingIdentity:
     def test_per_frame_identity_exact(self):
         # payload = access losses + no-pair drops + failures + far losses + delivered
         rng = np.random.default_rng(8)
-        base = default_config()
+        base = ScenarioConfig()
         for trial in range(10):
             payload = int(rng.integers(1, 5000))
             memory = [None, 1, int(rng.integers(2, 5000))][trial % 3]

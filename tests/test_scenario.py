@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,6 @@ from qbackbone.scenario import (
     active_sources,
     config_to_dict,
     dark_fiber_source,
-    default_config,
     fiber_source,
     load_config,
     load_config_file,
@@ -32,18 +35,46 @@ from qbackbone.scenario import (
 )
 
 MICIUS_DOC = {
-    "id": "Micius",
     "kind": "satellite-pass",
-    "altitude_km": 474.0,
-    "peak_elevation_deg": {"egress": 83.0, "ingress": 75.0},
-    "peak_time_s": 128.0,
+    "source_id": "Micius",
+    "pass_model": {
+        "altitude_km": 474.0,
+        "egress": {"peak_elevation_deg": 83.0, "peak_time_s": 128.0},
+        "ingress": {"peak_elevation_deg": 75.0, "peak_time_s": 128.0},
+    },
 }
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the value at ``path`` (keys and list indexes) replaced."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def _paths(node, prefix=()):
+    """Every key and list-index path below ``node``."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
 
 
 class TestDefaults:
     def test_empty_document_loads_defaults(self):
         config = load_config({})
-        assert config == default_config()
+        assert config == ScenarioConfig()
         assert config.payload_qubits == 100_000
         assert config.memory_capacity is None
         assert config.duration_s == 600.0
@@ -65,15 +96,15 @@ class TestDefaults:
         config = load_config(
             {
                 "traffic": {"qubit_rate_hz": 2.0e9},
-                "access": {"egress_access": {"length_km": 7.0}},
-                "sources": [{"id": "f", "kind": "ground-fiber"}],
+                "egress_access": {"length_km": 7.0},
+                "sources": [{"kind": "ground-fiber", "source_id": "f", "arm": {"length_km": 9.0}}],
             }
         )
         assert config.traffic == dataclasses.replace(defaults.traffic, qubit_rate_hz=2.0e9)
         assert config.ingress_access == defaults.ingress_access
         assert config.egress_access == dataclasses.replace(defaults.egress_access, length_km=7.0)
-        assert config.sources == (fiber_source("f"),)
-        assert load_config({"traffic": {}, "access": {}}) == load_config({})
+        assert config.sources == (fiber_source("f", arm_length_km=9.0),)
+        assert load_config({"traffic": {}, "egress_access": {}}) == load_config({})
 
     def test_builtin_sources_roster(self):
         ids = [s.source_id for s in builtin_sources()]
@@ -121,7 +152,7 @@ class TestValidation:
 
     def test_policy_kind_checked(self):
         with pytest.raises(ConfigError, match="policy.kind"):
-            load_config({"policy": "cheapest"})
+            load_config({"policy": {"kind": "cheapest"}})
 
     def test_satellite_only_config_loads(self):
         config = load_config(
@@ -134,8 +165,58 @@ class TestValidation:
         assert config.sources[0].pass_model.ingress.peak_time_s == 128.0
 
     def test_duplicate_source_ids(self):
-        doc = {"sources": [{"id": "f", "kind": "ground-fiber"}, {"id": "f", "kind": "ground-fiber"}]}
+        fiber = {"kind": "ground-fiber", "source_id": "f"}
+        doc = {"sources": [fiber, fiber]}
         with pytest.raises(ConfigError, match="duplicate"):
+            load_config(doc)
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"sources": [{"kind": "ground-fiber"}]}, "config.sources[0].source_id"),
+            (
+                {"sources": [{"kind": "satellite-pass", "source_id": "s"}]},
+                "config.sources[0].pass_model",
+            ),
+            (
+                {"sources": [_with(MICIUS_DOC, ("pass_model", "ingress"), {"peak_time_s": 1.0})]},
+                "config.sources[0].pass_model.ingress.peak_elevation_deg",
+            ),
+        ],
+        ids=["fiber_id", "pass_model", "peak_elevation"],
+    )
+    def test_missing_required_field_names_its_path(self, doc, path):
+        with pytest.raises(ConfigError, match=re.escape(f"{path} is required")):
+            load_config(doc)
+
+    def test_null_only_where_the_type_allows_none(self):
+        assert load_config({"memory_capacity": None}).memory_capacity is None
+        assert load_config({"policy": {"kind": "all-sources", "source_id": None}}).policy == Policy(
+            "all-sources"
+        )
+        for doc, field in [
+            ({"traffic": None}, "config.traffic"),
+            ({"seed": None}, "config.seed"),
+            ({"duration_s": None}, "config.duration_s"),
+            ({"sources": None}, "config.sources"),
+            ({"policy": {"kind": None}}, "config.policy.kind"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(field)):
+                load_config(doc)
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"policy": "best-source"}, "config.policy must be an object"),
+            (
+                {"sources": [_with(MICIUS_DOC, ("pass_model", "egress"), 83.0)]},
+                "config.sources[0].pass_model.egress must be an object",
+            ),
+        ],
+        ids=["bare_string_policy", "scalar_station_pass"],
+    )
+    def test_removed_shorthands_rejected(self, doc, field):
+        with pytest.raises(ConfigError, match=re.escape(field)):
             load_config(doc)
 
     def test_negative_seed(self):
@@ -156,7 +237,10 @@ class TestValidation:
         [
             ({"duration_s": 10**400}, "config.duration_s"),
             ({"traffic": {"qubit_rate_hz": 10**400}}, "traffic.qubit_rate_hz"),
-            ({"sources": [dict(MICIUS_DOC, peak_time_s=10**400)]}, r"sources\[0\].peak_time_s"),
+            (
+                {"sources": [_with(MICIUS_DOC, ("pass_model", "egress", "peak_time_s"), 10**400)]},
+                r"sources\[0\].pass_model.egress.peak_time_s",
+            ),
         ],
         ids=["duration", "traffic", "satellite_peak_time"],
     )
@@ -184,7 +268,7 @@ class TestValidation:
         assert load_config(accepted).n_steps <= MAX_RUN_CELLS
 
     def test_draw_count_ceiling(self):
-        lossless = {"id": "f", "kind": "ground-fiber", "arm_length_km": 0.0}
+        lossless = {"kind": "ground-fiber", "source_id": "f", "arm": {"length_km": 0.0}}
         accepted = {"duration_s": 16.0, "sources": [dict(lossless, emission_rate_hz=2e15)]}
         assert load_config(accepted).duration_s == 16.0
         rejected = dict(accepted, duration_s=64.0)
@@ -193,7 +277,7 @@ class TestValidation:
         # the pair ceiling sums over sources
         twins = [
             dict(lossless, emission_rate_hz=2.5e15),
-            dict(lossless, id="g", emission_rate_hz=2.5e15),
+            dict(lossless, source_id="g", emission_rate_hz=2.5e15),
         ]
         with pytest.raises(ConfigError, match="emission_rate_hz"):
             load_config({"duration_s": 16.0, "sources": twins})
@@ -211,9 +295,44 @@ class TestValidation:
             )
 
 
+class TestLoaderFuzz:
+    FUZZ_VALUES = (None, True, -1, 10**400, math.nan, math.inf, 1e308, "", [], {})
+
+    def test_every_path_and_value_loads_or_raises_config_error(self):
+        doc = config_to_dict(ScenarioConfig(sources=builtin_sources(), policy=Policy("best-source")))
+        paths = list(_paths(doc))
+        assert len(paths) > 80
+        escaped = []
+        for path in paths:
+            for value in self.FUZZ_VALUES:
+                try:
+                    load_config(_with(doc, path, value))
+                except ConfigError:
+                    pass
+                except Exception as exc:  # anything else reaches the user as a traceback
+                    escaped.append((path, value, repr(exc)))
+        assert escaped == []
+
+
 class TestRoundTrip:
+    def test_shipped_configs_are_canonical(self):
+        paths = sorted((ROOT / "configs").glob("*.json"))
+        assert len(paths) == 7
+        for path in paths:
+            assert json.loads(path.read_text()) == json.loads(
+                json.dumps(config_to_dict(load_config_file(str(path))))
+            ), path.name
+
+    def test_readme_example_loads(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1]
+        example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+        config = load_config(json.loads(example))
+        assert config.policy == Policy("satellite-only", "Micius")
+        assert [s.source_id for s in config.sources] == ["fiber-dark", "Micius"]
+
     def test_default_round_trips(self):
-        config = default_config()
+        config = ScenarioConfig()
         assert load_config(config_to_dict(config)) == config
 
     def test_full_round_trip(self):
@@ -231,8 +350,8 @@ class TestRoundTrip:
 
     def test_json_file_and_parse_error_position(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(config_to_dict(default_config())))
-        assert load_config_file(str(path)) == default_config()
+        path.write_text(json.dumps(config_to_dict(ScenarioConfig())))
+        assert load_config_file(str(path)) == ScenarioConfig()
         bad = tmp_path / "bad.json"
         bad.write_text('{"seed": 1,\n  broken\n}')
         with pytest.raises(ConfigError, match=r"line 2"):
@@ -386,7 +505,7 @@ class TestPolicyMonotonicity:
     def test_more_sources_deliver_more(self):
         # 60 s window around the Micius peak, dark fiber as the floor
         base = dataclasses.replace(
-            default_config(),
+            ScenarioConfig(),
             duration_s=60.0,
             sources=(dark_fiber_source(), satellite_source("Micius", peak_time_s=30.0)),
         )
