@@ -21,9 +21,10 @@ the remaining segments are stored.  Nothing at or after the horizon
 happens: a frame whose egress or delivery time equals ``duration_s`` is
 not served or not delivered.
 
-A segment takes the rate of the channel step and counts toward the bin
-it starts in; both are found by searching the step and bin grids the
-segments were cut from.  Per-frame results are returned as a
+A segment takes the rate of the channel step it starts in, found by
+searching the step grid the segments were cut from.  Bins are whole
+channel steps cut from the step grid, so a segment counts toward the
+bin of its step.  Per-frame results are returned as a
 ``FrameTable`` of numpy columns, slices of the arrays the stages build,
 rather than one object per frame.
 """
@@ -170,8 +171,7 @@ def run(config: ScenarioConfig) -> RunResult:
     streams = RandomStreams(cfg.seed)
     duration = cfg.duration_s
     step = cfg.channel_step_s
-    bin_width = cfg.bin_width_s
-    n_bins = cfg.n_bins
+    steps_per_bin = cfg.steps_per_bin
     n_steps = cfg.n_steps
     payload = cfg.payload_qubits
     eta_in = fiber_transmittance(cfg.ingress_access)
@@ -190,16 +190,18 @@ def run(config: ScenarioConfig) -> RunResult:
     egress_times = created + delay_in
 
     # Stage 2: pair rates of the sources the policy keeps active at each step.
-    p = coincidence_matrix(sources, np.arange(n_steps) * step)
+    step_grid = np.arange(n_steps + 1) * step
+    p = coincidence_matrix(sources, step_grid[:-1])
     emission = np.array([source.emission_rate_hz for source in sources])
     rate_table = np.where(active_sources(cfg.policy, sources, p), emission * p, 0.0)
 
     # Stage 3: integration boundaries and per-segment coincidence draws.
-    # A segment's step and bin are found by searching the grids it was cut
-    # from; ``start // width`` misplaces grid points that are not exact
+    # A segment's step is found by searching the step grid it was cut
+    # from; ``start // step`` misplaces grid points that are not exact
     # multiples in floating point (steps that are not powers of two).
-    step_grid = np.arange(n_steps + 1) * step
-    bin_starts = np.arange(n_bins) * bin_width
+    # Bins are whole steps, so a segment's bin is its step's.
+    bin_starts = step_grid[:n_steps:steps_per_bin]
+    n_bins = len(bin_starts)
     window_edges = []
     for source in sources:
         if source.kind != "satellite-pass":
@@ -214,10 +216,9 @@ def run(config: ScenarioConfig) -> RunResult:
         np.concatenate(
             [
                 np.clip(step_grid, 0.0, duration),
-                bin_starts,
                 np.asarray(window_edges),
                 egress_times[egress_times < duration],
-                [0.0, duration],
+                [duration],
             ]
         )
     )
@@ -225,7 +226,7 @@ def run(config: ScenarioConfig) -> RunResult:
     seg_len = np.diff(boundaries)
     n_segments = len(seg_start)
     seg_step = np.searchsorted(step_grid[:-1], seg_start, side="right") - 1
-    seg_bin = np.searchsorted(bin_starts, seg_start, side="right") - 1
+    seg_bin = seg_step // steps_per_bin
     lam = rate_table[seg_step, :] * seg_len[:, None]
     pairs_by_source = streams.coincidence.poisson(lam)
     pairs_per_segment = pairs_by_source.sum(axis=1)

@@ -186,23 +186,19 @@ class ScenarioConfig:
         return self.traffic.payload_qubits
 
     @property
-    def n_bins(self) -> int:
-        return _cell_count(self.duration_s, self.bin_width_s)
+    def n_steps(self) -> int:
+        """Channel steps covering [0, duration_s).
+
+        A remainder below 1e-9 steps is float noise and gets no step of
+        its own, but a positive horizon always has at least one step.
+        """
+        if self.duration_s <= 0.0:
+            return 0
+        return max(1, int(math.ceil(self.duration_s / self.channel_step_s - 1e-9)))
 
     @property
-    def n_steps(self) -> int:
-        return _cell_count(self.duration_s, self.channel_step_s)
-
-
-def _cell_count(duration_s: float, width_s: float) -> int:
-    """Cells of ``width_s`` covering [0, duration_s).
-
-    A remainder below 1e-9 cells is float noise and gets no cell of its
-    own, but a positive horizon always has at least one cell.
-    """
-    if duration_s <= 0.0:
-        return 0
-    return max(1, int(math.ceil(duration_s / width_s - 1e-9)))
+    def steps_per_bin(self) -> int:
+        return round(self.bin_width_s / self.channel_step_s)
 
 
 def active_sources(

@@ -257,12 +257,26 @@ class TestWalkProperties:
         duration=st.floats(0.0, 64.0),
         mean_gap=st.floats(0.005, 2.0),
         sources_policy=st.one_of(st.just(DEFAULT_SOURCES_POLICY), sources_and_policies()),
+        step=st.sampled_from([0.3, 0.7, 1.1, 2.0]),
+        steps_per_bin=st.sampled_from([1, 3, 4]),
     )
     @example(
-        seed=0, memory=None, duration=1e-10, mean_gap=0.02, sources_policy=DEFAULT_SOURCES_POLICY
+        seed=0,
+        memory=None,
+        duration=1e-10,
+        mean_gap=0.02,
+        sources_policy=DEFAULT_SOURCES_POLICY,
+        step=2.0,
+        steps_per_bin=4,
     )
     @example(
-        seed=0, memory=1, duration=8.000000001, mean_gap=0.02, sources_policy=DEFAULT_SOURCES_POLICY
+        seed=0,
+        memory=1,
+        duration=8.000000001,
+        mean_gap=0.02,
+        sources_policy=DEFAULT_SOURCES_POLICY,
+        step=2.0,
+        steps_per_bin=4,
     )
     @example(
         seed=0,
@@ -270,6 +284,8 @@ class TestWalkProperties:
         duration=64.0,
         mean_gap=0.02,
         sources_policy=(builtin_sources(), Policy("all-sources")),
+        step=2.0,
+        steps_per_bin=4,
     )
     @example(
         seed=1,
@@ -280,8 +296,12 @@ class TestWalkProperties:
             (dark_fiber_source(), satellite_source("Micius", peak_time_s=32.0)),
             Policy("best-source"),
         ),
+        step=0.3,
+        steps_per_bin=3,
     )
-    def test_walk_invariants(self, seed, memory, duration, mean_gap, sources_policy):
+    def test_walk_invariants(
+        self, seed, memory, duration, mean_gap, sources_policy, step, steps_per_bin
+    ):
         base = ScenarioConfig()
         sources, policy = sources_policy
         config = dataclasses.replace(
@@ -291,11 +311,20 @@ class TestWalkProperties:
             seed=seed,
             memory_capacity=memory,
             duration_s=duration,
+            channel_step_s=step,
+            bin_width_s=step * steps_per_bin,
             traffic=dataclasses.replace(base.traffic, mean_interarrival_s=mean_gap),
         )
         result = run(config)
 
-        assert len(result.bins) == config.n_bins
+        # Bins are whole channel steps cut from the step grid.
+        n_steps = config.n_steps
+        assert config.steps_per_bin == steps_per_bin
+        assert len(result.bins) == math.ceil(n_steps / steps_per_bin)
+        step_grid = np.arange(n_steps + 1) * step
+        assert [b.bin_start_s for b in result.bins] == [
+            step_grid[k * steps_per_bin] for k in range(len(result.bins))
+        ]
         for b in result.bins:
             assert b.pairs_stored + b.pairs_dropped == b.pairs_arrived
             if memory is None:
