@@ -21,10 +21,13 @@ the remaining segments are stored.  Nothing at or after the horizon
 happens: a frame whose egress or delivery time equals ``duration_s`` is
 not served or not delivered.
 
-A segment takes the rate of the channel step it starts in, found by
-searching the step grid the segments were cut from.  Bins are whole
-channel steps cut from the step grid, so a segment counts toward the
-bin of its step.  Per-frame results are returned as a
+Time has one grid, the channel steps.  Segments are the step grid cut
+at the served egress times and the horizon, nothing else: a rate is held
+from its step's start, so a visibility-window edge inside a step would
+only split a segment into two of the same rate.  A segment takes the
+rate of the channel step it starts in, found by searching the step grid.
+Bins are whole channel steps cut from the step grid, so a segment counts
+toward the bin of its step.  Per-frame results are returned as a
 ``FrameTable`` of numpy columns, slices of the arrays the stages build,
 rather than one object per frame.
 """
@@ -38,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import coincidence_matrix
-from .geometry import visibility_window
 from .interface import classical_latency_s
 from .linkbudget import fiber_transmittance
 from .scenario import ScenarioConfig, active_sources
@@ -202,24 +204,9 @@ def run(config: ScenarioConfig) -> RunResult:
     # Bins are whole steps, so a segment's bin is its step's.
     bin_starts = step_grid[:n_steps:steps_per_bin]
     n_bins = len(bin_starts)
-    window_edges = []
-    for source in sources:
-        if source.kind != "satellite-pass":
-            continue
-        window = visibility_window(source.pass_model, source.link_params.min_elevation_deg)
-        if window is None:
-            continue
-        for edge in (window.start_s, window.end_s):
-            if 0.0 < edge < duration:
-                window_edges.append(edge)
     boundaries = np.unique(
         np.concatenate(
-            [
-                np.clip(step_grid, 0.0, duration),
-                np.asarray(window_edges),
-                egress_times[egress_times < duration],
-                [duration],
-            ]
+            [np.clip(step_grid, 0.0, duration), egress_times[egress_times < duration], [duration]]
         )
     )
     seg_start = boundaries[:-1]

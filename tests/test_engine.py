@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
+from qbackbone import engine
 from qbackbone.engine import FrameTable, RandomStreams, _traffic_times, run
 from qbackbone.interface import classical_latency_s
 from qbackbone.scenario import (
@@ -17,8 +19,11 @@ from qbackbone.scenario import (
     builtin_sources,
     dark_fiber_source,
     fiber_source,
+    load_config_file,
     satellite_source,
 )
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestRandomStreams:
@@ -224,6 +229,43 @@ class TestTimeGrid:
         assert len(full) == 444
         for b in full:
             assert abs(b.pairs_arrived - expected) < 5.0 * math.sqrt(expected), b
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # Visibility-window edges fall inside the horizon.
+            load_config_file(str(CONFIGS_DIR / "starlink.json")),
+            # Bin starts that are not exact multiples of 0.9 in binary.
+            dataclasses.replace(
+                ScenarioConfig(), duration_s=60.0, channel_step_s=0.3, bin_width_s=0.9
+            ),
+        ],
+        ids=["starlink", "fiber-0.3-0.9"],
+    )
+    def test_segments_are_the_step_grid_cut_at_egress_times(self, monkeypatch, config):
+        shapes = []
+
+        class RecordingStreams(RandomStreams):
+            @property
+            def coincidence(self):
+                stream = super().coincidence
+
+                class Recorder:
+                    def poisson(self, lam):
+                        shapes.append(lam.shape)
+                        return stream.poisson(lam)
+
+                return Recorder()
+
+        monkeypatch.setattr(engine, "RandomStreams", RecordingStreams)
+        result = run(config)
+
+        duration = config.duration_s
+        step_grid = np.arange(config.n_steps + 1) * config.channel_step_s
+        boundaries = np.unique(
+            np.concatenate([np.minimum(step_grid, duration), result.frames.egress_at_s, [duration]])
+        )
+        assert shapes == [(len(boundaries) - 1, len(config.sources))]
 
 
 @st.composite

@@ -28,18 +28,18 @@ SIMULATE_FILES = ("timeseries.csv", "frames.csv", "summary.csv")
 
 # (config stem, seed, memory) -> sha256 over the three simulate CSVs.
 GOLDEN_SIMULATE = {
-    ("all_sources", 0, None): "577c64349165083059a5415a0b89ef54bd740611b7d2320b3bf06ce03bb54680",
-    ("all_sources", 0, 1): "88bcc2ef41477f83c7bce4fea42458fff1c70d8e9d2e4b57d620696b73b5c899",
-    ("all_sources", 0, 20): "8b6790436eb47a712f571e45efe4a398f6a4ae3702fb557d2fbc1d5d45848874",
-    ("all_sources", 1, None): "063ed8d4bcb1f36e65c1e751201c6072a152a2d1dec981f44576d89a76e3e11e",
-    ("all_sources", 1, 1): "9ca074a6dab54086baa3f9496629238dd959e72282d2776de897d020d605c8e3",
-    ("all_sources", 1, 20): "4d8d397e4c71684189bcc19242de4de18c6f702f85eacb60ab77dc38358df3ef",
-    ("best_source", 0, None): "2d95c76ea8762b085054c8c896116ac6fa9dbe87473b1c3b7fd8a0c56651edca",
-    ("best_source", 0, 1): "298de9facdab547637abe941b6a8cebde0ffc8d930ad45015d1080d71a487127",
-    ("best_source", 0, 20): "0047cb580d812c07c98cb4c8828180f21b7a47ecb87bb5e751e36d01b9e212a1",
-    ("best_source", 1, None): "5ffdf4ba1d8ac1536c848c85f5f27f7c6605b0100241bb6d3ec37e567084434f",
-    ("best_source", 1, 1): "c2e72bc075065adc83c6bda3e85de2e9f9b3159972a3e3fc1fbe616b50521689",
-    ("best_source", 1, 20): "35488cf847c79f81be72f9e8ea690ca114da24521a212caf7e84e023b8eb939e",
+    ("all_sources", 0, None): "060d9d74486e59cd66763ab9a02764d1c1d556dbadc948aeeb751e48fcf4b012",
+    ("all_sources", 0, 1): "100900b377178d70e6f4ec34745186490861644d31994aab6943c0adb3021024",
+    ("all_sources", 0, 20): "7f247582f9cbcd6214df4e2152b6def851786ef5096ce9976b05d130291d3218",
+    ("all_sources", 1, None): "2c1854ec4b52dd60e7c8cb6f35a82a256d1bf53463893e3f47a4b6bf6dae09f3",
+    ("all_sources", 1, 1): "85d3e7ac52245f9ad9cfd224f03e20301fc11530f06534babe30966b6ee28c06",
+    ("all_sources", 1, 20): "a553f8b77b6d4ee6f6c1deb9e565a352469681b9bf4e9a707d5928b3e061ffd7",
+    ("best_source", 0, None): "6ebefa23fb60125852218246a72843560c5461ca70b0cc05f09264623f23cef9",
+    ("best_source", 0, 1): "b26c94827eb7c3be5a419c71f9faca080df10f7dd65fbd6dd88a0908a159cdf6",
+    ("best_source", 0, 20): "1f4c57516ab4d29427c199cdc1de3952eac833cd027b2f62303a1892fcce896e",
+    ("best_source", 1, None): "b12e34b046a3b129e2c43943e3131f7c8798cc3c902a5f8349138cf4e0d1a3f6",
+    ("best_source", 1, 1): "56c93d0b6a4074fa7f4fa2c1b7172808d37da65cee74013a3e74af70407b9049",
+    ("best_source", 1, 20): "162e3684e441439c9330ae1c2679be89983eb0f0ea189fe6f56f57350a830aad",
     ("dark_fiber", 0, None): "77d573671e656df4c3b77cb38d501112f5f14f93a6b14b04b3b9d01956d71358",
     ("dark_fiber", 0, 1): "8a64380992c85179c2dcff824c4e3779ae3c9b9cae0588620a4c764a538d0619",
     ("dark_fiber", 0, 20): "4f39064e05d3077c19b0b77d708c200197d516522ba806c6dffd048c701d93d8",
@@ -52,24 +52,24 @@ GOLDEN_SIMULATE = {
     ("default", 1, None): "52688fb138f96620e43ca7ba787f2dcbc30ff945c19eb3ec989ec7575bf32615",
     ("default", 1, 1): "86bd43f86aebe3602b239428e888ce9f25160fa9196740e1a3aeb0a7b4892805",
     ("default", 1, 20): "ea0f3dcb7bfe7623a421b52ff98ac4801565f8b4b922179df1e38056ac5e0279",
-    ("iridium", 0, None): "f827fe089db35093203801c347c73c913119338fb31a6447c6d40e26c04e1659",
-    ("iridium", 0, 1): "d996e09af33bf426e48c244d41c77f585b84808de692f62bc0590dc31eb9b64d",
-    ("iridium", 0, 20): "4293b13051e1321978fbb10057c3f9fea11a842c4f955c83e50dc0865be7f15c",
-    ("iridium", 1, None): "34d9237735558863bbe9999d47c98ddf5af4a38ec5bbcde8a7525bd07771a6c5",
-    ("iridium", 1, 1): "5d9197acd1c6578fd735e6d999b28e64ceca5e0bc66c21f76b110c66fbb93bd6",
-    ("iridium", 1, 20): "14a701a6af050e84d21ee94dea428895c4eec73e735db57563778e281d0617e5",
+    ("iridium", 0, None): "280cc9d84e2cee1a47fb106347860d593b89a6b406fdd199c360ffa920de6c39",
+    ("iridium", 0, 1): "a13d72fdf77a8c81112b0306e74945d535066286a2f492d2d1009d12ee6caf8e",
+    ("iridium", 0, 20): "cf8efbc18bb75548266118df7150857a974e20d335e18da8b40c18f2e620991a",
+    ("iridium", 1, None): "817f4a092b3a12fbcc998adce256a89262cedb1e2f028c11efa1b403abf0845f",
+    ("iridium", 1, 1): "81c0ebdea2dca92d46b1a4bd82bd95fe1a23b00a232c6936a242985d683595b9",
+    ("iridium", 1, 20): "cdc543cb2daa47baec25c392601311522bff71f8a5380f6f0f0296ce200b75ec",
     ("micius", 0, None): "02a56ecf9d564beff66c3897b7fd329a43888e4f6643de0429a9d5ea7a1cf50c",
     ("micius", 0, 1): "4381010e7f3332c3de6e0a8aad57daad4dfcfd397adcd08dc3d8cc656eb9bbda",
     ("micius", 0, 20): "5d284ffaf06e8c80db6ff9e15f4654e10abe1549167a2512cab0e4e29a7465b8",
     ("micius", 1, None): "85979c2dd3bb5275fa103e319991763e3ad86902625fa5c86e2e1de37a3518d0",
     ("micius", 1, 1): "46f04adbed46bf612f6e8197354c7b20347675e084713f21086a5f5ebfb3b261",
     ("micius", 1, 20): "51762c73da49214ef61c83ecf70d5f583958f3de37e8e287803efd880194e6e6",
-    ("starlink", 0, None): "cdc25f8f15e7195ea8fd310e6945d0f5bfd80d3628990cb8613807d46e652a0f",
-    ("starlink", 0, 1): "4586e5008183b5a5e9d63826cbe6e58092dc36db96345dcebb8a6e52c2f55f33",
-    ("starlink", 0, 20): "8a97e022841aebbb23321e7c4decf553431525fab95a146660112a198d3bd265",
-    ("starlink", 1, None): "3a8ea383bb69ef5977238f8f6ba9305d45616763e8912f2b67c1ad5cf8096bb5",
-    ("starlink", 1, 1): "fea87fae55af8852062c79750dbd9cc13fb1ffcf5aeca1e9e9010d51b85a736b",
-    ("starlink", 1, 20): "fb9f8c50b9d5553f59020d41d88e6c25fb5f66fe62f76ec8b54a5897c8f1e33f",
+    ("starlink", 0, None): "80660cee29ca47f8e3b8970b31ad9d78a6c1cfe5dfdf70291b4e29ff1c5f4427",
+    ("starlink", 0, 1): "5978e19f663036e40f55148dd4a7a0bb91fdc8a2198d5e8a6a3b50ca7052771b",
+    ("starlink", 0, 20): "b2fd3dc93f7d00d7dabaacaf2d5c84598bc73f56031ea4585b095dd1505329b2",
+    ("starlink", 1, None): "ae05c6a426231cabe403bb804823e5a6414d7e2596aa23c1791a4130bac79e8a",
+    ("starlink", 1, 1): "ef4d12b37da95995ad755cf03bb9b0271ec3b6907bd15184ea7d0e16bb462eac",
+    ("starlink", 1, 20): "4b151cb0a9d2c8f4a24ca5c61d5c2fbab446b84228199090da5cddbd5230ae65",
 }
 GOLDEN_SWEEP = "89c118b1469fa66f4875dcf1be6d2d49e2e6e781dbc14a889879b4fde6d1c2e7"
 
