@@ -25,14 +25,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 
-TIMESERIES_COLUMNS = (
-    "bin_start_s",
-    "pairs_arrived",
-    "pairs_stored",
-    "pairs_dropped",
-    "qubits_delivered",
-    "frames_completed",
-)
+TIMESERIES_COLUMNS = tuple(f.name for f in dataclasses.fields(engine.MetricsBin))
 FRAMES_COLUMNS = (
     "frame_id",
     "created_at_s",
@@ -55,17 +48,7 @@ FRAMES_COLUMNS = (
 # amortise the per-chunk numpy calls, small enough that the formatted
 # strings of a chunk stay a small share of the run's memory.
 FRAMES_CHUNK = 1024
-SUMMARY_COLUMNS = (
-    "seed",
-    "duration_s",
-    "frames_generated",
-    "frames_processed",
-    "frames_completed",
-    "pairs_arrived",
-    "pairs_stored",
-    "pairs_dropped",
-    "qubits_delivered",
-)
+SUMMARY_COLUMNS = ("seed", "duration_s", *(f.name for f in dataclasses.fields(engine.RunTotals)))
 SWEEP_COLUMNS = ("label", "memory_capacity", "seed", "total_qubits_delivered")
 PASSES_COLUMNS = (
     "satellite",
@@ -106,16 +89,22 @@ def _write_rows(fh, columns: Sequence[str], rows: Iterable[Sequence[object]]) ->
 
 
 def _load(args: argparse.Namespace) -> scenario.ScenarioConfig:
-    """Config from --config (or defaults) with seed precedence --seed > env > file."""
+    """Config from --config (or defaults).
+
+    Commands with a --seed take the seed with precedence --seed > env >
+    file; the others ignore the environment, as no table of theirs
+    depends on the seed.
+    """
     if args.config is not None:
         config = scenario.load_config_file(args.config)
     else:
         config = scenario.ScenarioConfig()
-    seed = scenario.seed_from_env()
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
+    if "seed" in vars(args):
+        seed = scenario.seed_from_env()
+        if args.seed is not None:
+            seed = args.seed
+        if seed is not None:
+            config = dataclasses.replace(config, seed=seed)
     return config
 
 
@@ -172,42 +161,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "timeseries.csv"), "w", encoding="utf-8", newline="") as fh:
-            _write_rows(
-                fh,
-                TIMESERIES_COLUMNS,
-                (
-                    (
-                        b.bin_start_s,
-                        b.pairs_arrived,
-                        b.pairs_stored,
-                        b.pairs_dropped,
-                        b.qubits_delivered,
-                        b.frames_completed,
-                    )
-                    for b in result.bins
-                ),
-            )
+            _write_rows(fh, TIMESERIES_COLUMNS, map(dataclasses.astuple, result.bins))
         with open(os.path.join(args.out, "frames.csv"), "w", encoding="utf-8", newline="") as fh:
             _write_frames(fh, result.frames)
         with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
-            t = result.totals
-            _write_rows(
-                fh,
-                SUMMARY_COLUMNS,
-                [
-                    (
-                        config.seed,
-                        config.duration_s,
-                        t.frames_generated,
-                        t.frames_processed,
-                        t.frames_completed,
-                        t.pairs_arrived,
-                        t.pairs_stored,
-                        t.pairs_dropped,
-                        t.qubits_delivered,
-                    )
-                ],
-            )
+            totals = dataclasses.astuple(result.totals)
+            _write_rows(fh, SUMMARY_COLUMNS, [(config.seed, config.duration_s, *totals)])
     except OSError as exc:
         print(f"error: cannot write outputs under {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -66,8 +66,10 @@ class FreeSpaceLinkParams:
             raise ValueError("pointing_loss_db must be >= 0")
         if not 0.0 < self.system_efficiency <= 1.0:
             raise ValueError("system_efficiency must be in (0, 1]")
-        if not 0.0 <= self.min_elevation_deg < 90.0:
-            raise ValueError("min_elevation_deg must be in [0, 90)")
+        # The visibility window needs a mask above the horizon, and the
+        # air-mass term divides by its sine.
+        if not 0.0 < self.min_elevation_deg < 90.0:
+            raise ValueError(f"min_elevation_deg must be in (0, 90): {self.min_elevation_deg}")
 
 
 def fiber_transmittance(link: FiberLink) -> float:

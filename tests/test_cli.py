@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,12 @@ class TestSimulate:
         monkeypatch.delenv("QBACKBONE_SEED")
         main(["simulate", "--config", config, "--out", str(b), "--seed", "99"])
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
+
+    def test_invalid_env_seed_exits_1(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, short_config())
+        monkeypatch.setenv("QBACKBONE_SEED", "abc")
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 1
+        assert "QBACKBONE_SEED" in capsys.readouterr().err
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -545,3 +552,20 @@ class TestLinkbudget:
         assert captured.out == ""
         assert "ceiling" in captured.err
         assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate", "--out", "out"], ["linkbudget", "--source", "horizon-mask"]]
+)
+def test_zero_elevation_mask_exits_1(tmp_path, monkeypatch, capsys, command):
+    # A 0° mask has no visibility window, and the air-mass term divides by
+    # the sine of the elevation.
+    doc = config_to_dict(short_config(sources=(satellite_source("Micius"),)))
+    doc["sources"][0].update(source_id="horizon-mask", link_params={"min_elevation_deg": 0.0})
+    path = tmp_path / "mask.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert re.search(r"link_params\W+min_elevation_deg", err), err

@@ -377,7 +377,9 @@ def scenario_configs(draw) -> ScenarioConfig:
         sources.append(
             satellite_source(
                 name,
-                FreeSpaceLinkParams(min_elevation_deg=draw(st.floats(0.0, 89.0, **finite))),
+                FreeSpaceLinkParams(
+                    min_elevation_deg=draw(st.floats(0.0, 89.0, exclude_min=True, **finite))
+                ),
                 peak_time_s=draw(st.floats(-1.0e4, 1.0e4, **finite)),
             )
         )
