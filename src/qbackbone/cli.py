@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from . import engine, scenario
 from .geometry import slant_range_km, visibility_window
-from .linkbudget import downlink, fiber_transmittance
+from .linkbudget import downlink_profile, fiber_transmittance
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -309,11 +309,14 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
                     f"linkbudget sample count {n_samples} exceeds the ceiling of "
                     f"{scenario.MAX_RUN_CELLS}; lengthen channel_step_s"
                 )
-            for k in range(n_samples):
-                t = window.start_s + k * step
-                elev_a, range_a, eta_a = downlink(t, model, model.egress, params)
-                elev_b, range_b, eta_b = downlink(t, model, model.ingress, params)
-                rows.append((t, elev_a, elev_b, range_a, range_b, eta_a, eta_b, eta_a * eta_b))
+            times = [window.start_s + k * step for k in range(n_samples)]
+            egress = downlink_profile(times, model, model.egress, params)
+            ingress = downlink_profile(times, model, model.ingress, params)
+            rows = [
+                (t, elev_a, elev_b, range_a, range_b, eta_a, eta_b, eta_a * eta_b)
+                for t, (elev_a, range_a, eta_a), (elev_b, range_b, eta_b)
+                in zip(times, egress, ingress)
+            ]
     _write_rows(sys.stdout, LINKBUDGET_COLUMNS, rows)
     return EXIT_OK
 

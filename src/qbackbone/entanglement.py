@@ -6,9 +6,10 @@ only if both photons arrive, so its coincidence probability is the
 product of the two arm transmittances: two equal fiber arms for a
 ground source, the egress and ingress downlinks for a satellite.
 ``coincidence_matrix`` evaluates it for every source at every channel
-step; ``engine.run`` thins the emission rates by it and draws Poisson
-pair counts.  The egress and ingress memories that hold the two halves mirror each other,
-so the engine tracks both as one occupancy count.
+step, a satellite's only inside its pass; ``engine.run`` thins the
+emission rates by it and draws Poisson pair counts.  The egress and
+ingress memories that hold the two halves mirror each other, so the
+engine tracks both as one occupancy count.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
-from .geometry import SatellitePassModel
-from .linkbudget import FiberLink, FreeSpaceLinkParams, downlink, fiber_transmittance
+from .geometry import SatellitePassModel, service_interval
+from .linkbudget import FiberLink, FreeSpaceLinkParams, downlink_profile, fiber_transmittance
 
 DEFAULT_EMISSION_RATE_HZ = 2.0e5
 
@@ -64,21 +65,27 @@ def coincidence_matrix(
 ) -> np.ndarray:
     """Coincidence probability of every source at every time, shape (times, sources).
 
-    A fiber source's probability is constant.  A satellite's is the
-    product of its two ``downlink`` transmittances, evaluated on Python
-    floats so the values do not depend on numpy's SIMD dispatch.
+    ``times`` must be finite and ascending.  A fiber source's probability
+    is constant.  A satellite's is the product of its two
+    ``downlink_profile`` transmittances, evaluated on Python floats so the
+    values do not depend on numpy's SIMD dispatch, and only on the times
+    inside its ``service_interval`` plus one more on each side; every
+    other entry is exactly 0.
     """
+    if not (np.isfinite(times).all() and (np.diff(times) >= 0.0).all()):
+        raise ValueError("times must be finite and ascending")
     p = np.zeros((len(times), len(sources)))
-    t_list = times.tolist()
     for j, source in enumerate(sources):
         if source.kind == "ground-fiber":
             eta = fiber_transmittance(source.arm)
             p[:, j] = eta * eta
-        else:
-            model, params = source.pass_model, source.link_params
-            p[:, j] = [
-                downlink(t, model, model.egress, params)[2]
-                * downlink(t, model, model.ingress, params)[2]
-                for t in t_list
-            ]
+            continue
+        model, params = source.pass_model, source.link_params
+        start, end = service_interval(model, params.min_elevation_deg)
+        lo = max(int(np.searchsorted(times, start)) - 1, 0)
+        hi = min(int(np.searchsorted(times, end, side="right")) + 1, len(times))
+        t_list = times[lo:hi].tolist()
+        egress = downlink_profile(t_list, model, model.egress, params)
+        ingress = downlink_profile(t_list, model, model.ingress, params)
+        p[lo:hi, j] = [a[2] * b[2] for a, b in zip(egress, ingress)]
     return p

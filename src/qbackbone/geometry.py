@@ -7,15 +7,23 @@ time of closest approach.  Earth rotation and orbital eccentricity are
 ignored.  The model describes a single pass around each configured peak
 time: from half an orbital period before the peak to half a period after
 it, and the satellite is below the horizon outside that interval.
+
+``elevation_profile`` evaluates one station's pass at many instants with
+scalar ``math`` kernels, so outputs do not depend on the host's SIMD
+dispatch; this module does not import numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 EARTH_RADIUS_KM = 6371.0
 EARTH_MU_KM3_S2 = 398600.4418
+# Orbit phase added to each side of ``service_interval``: about 70 times
+# the sqrt(eps) error of ``acos`` near 1, and 1 ms of a low orbit's pass.
+_MASK_SLACK_RAD = 1e-6
 
 
 def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
@@ -55,7 +63,7 @@ class SatellitePassModel:
 
     @property
     def station_passes(self) -> dict[str, StationPass]:
-        """Both passes keyed by role."""
+        """Both passes keyed by role; only the benchmark's self-tests read it."""
         return {"egress": self.egress, "ingress": self.ingress}
 
     @property
@@ -126,52 +134,54 @@ def central_angle_rad(elevation_deg: float, altitude_km: float) -> float:
     return math.acos(_clamp(rho * math.cos(el))) - el
 
 
-def _elevation_deg_signed(
-    t_s: float, pass_model: SatellitePassModel, station: StationPass
-) -> float:
-    """Elevation at time ``t_s``; negative values mean below the horizon.
-
-    The model covers one pass: half an orbital period or more from the
-    peak, the satellite stays at its farthest point, below the horizon,
-    instead of rising again one period later.
-    """
-    gamma_min = central_angle_rad(station.peak_elevation_deg, pass_model.altitude_km)
-    omega = pass_model.angular_rate_rad_s
-    phase = min(omega * abs(t_s - station.peak_time_s), math.pi)
-    cos_gamma = math.cos(gamma_min) * math.cos(phase)
-    cos_gamma = _clamp(cos_gamma)
-    gamma = math.acos(cos_gamma)
-    if gamma < 1e-12:
-        return 90.0
-    rho = EARTH_RADIUS_KM / pass_model.orbit_radius_km
-    return math.degrees(math.atan((cos_gamma - rho) / math.sin(gamma)))
-
-
-def elevation_at(
-    t_s: float, pass_model: SatellitePassModel, station: StationPass
-) -> float | None:
-    """Elevation in degrees at time ``t_s``, or None when below the horizon.
+def elevation_profile(
+    times: Iterable[float], pass_model: SatellitePassModel, station: StationPass
+) -> list[float | None]:
+    """Elevation in degrees at each of ``times``, None while below the horizon.
 
     ``station`` is ``pass_model.egress`` or ``pass_model.ingress``.  The
     profile peaks at that station's peak elevation and time and is
-    symmetric about the peak.
+    symmetric about the peak.  The model covers one pass: half an orbital
+    period or more from the peak, the satellite stays at its farthest
+    point, below the horizon, instead of rising again one period later.
+    What does not depend on the time is computed once per call.
     """
-    if not math.isfinite(t_s):
-        raise ValueError(f"t_s must be finite: {t_s}")
-    elevation = _elevation_deg_signed(t_s, pass_model, station)
-    return elevation if elevation >= 0.0 else None
+    cos_gamma_min = math.cos(central_angle_rad(station.peak_elevation_deg, pass_model.altitude_km))
+    omega = pass_model.angular_rate_rad_s
+    rho = EARTH_RADIUS_KM / pass_model.orbit_radius_km
+    peak_s = station.peak_time_s
+    elevations: list[float | None] = []
+    for t_s in times:
+        if not math.isfinite(t_s):
+            raise ValueError(f"t_s must be finite: {t_s}")
+        phase = min(omega * abs(t_s - peak_s), math.pi)
+        cos_gamma = _clamp(cos_gamma_min * math.cos(phase))
+        gamma = math.acos(cos_gamma)
+        if gamma < 1e-12:
+            elevations.append(90.0)
+            continue
+        elevation = math.degrees(math.atan((cos_gamma - rho) / math.sin(gamma)))
+        elevations.append(elevation if elevation >= 0.0 else None)
+    return elevations
 
 
-def _station_window(
-    pass_model: SatellitePassModel, station: StationPass, min_elevation_deg: float
-) -> VisibilityWindow | None:
-    if min_elevation_deg > station.peak_elevation_deg:
-        return None
-    gamma_lim = central_angle_rad(min_elevation_deg, pass_model.altitude_km)
-    gamma_min = central_angle_rad(station.peak_elevation_deg, pass_model.altitude_km)
-    ratio = _clamp(math.cos(gamma_lim) / math.cos(gamma_min))
-    half = math.acos(ratio) / pass_model.angular_rate_rad_s
-    return VisibilityWindow(station.peak_time_s - half, station.peak_time_s + half)
+def _mask_interval(
+    pass_model: SatellitePassModel, min_elevation_deg: float, slack_rad: float
+) -> tuple[float, float]:
+    """Intersection of the egress and ingress intervals above the mask, each
+    widened by ``slack_rad`` of orbit phase; empty when start exceeds end.
+    A station whose peak is at or below the mask keeps only its peak time.
+    """
+    omega = pass_model.angular_rate_rad_s
+    start, end = -math.inf, math.inf
+    for station in (pass_model.egress, pass_model.ingress):
+        gamma_lim = central_angle_rad(min_elevation_deg, pass_model.altitude_km)
+        gamma_min = central_angle_rad(station.peak_elevation_deg, pass_model.altitude_km)
+        ratio = _clamp(math.cos(gamma_lim) / math.cos(gamma_min))
+        half = (math.acos(ratio) + slack_rad) / omega
+        start = max(start, station.peak_time_s - half)
+        end = min(end, station.peak_time_s + half)
+    return start, end
 
 
 def visibility_window(
@@ -184,12 +194,21 @@ def visibility_window(
     """
     if not 0.0 < min_elevation_deg <= 90.0:
         raise ValueError(f"min_elevation_deg must be in (0, 90]: {min_elevation_deg}")
-    egress = _station_window(pass_model, pass_model.egress, min_elevation_deg)
-    ingress = _station_window(pass_model, pass_model.ingress, min_elevation_deg)
-    if egress is None or ingress is None:
+    if min_elevation_deg > min(pass_model.egress.peak_elevation_deg, pass_model.ingress.peak_elevation_deg):
         return None
-    start = max(egress.start_s, ingress.start_s)
-    end = min(egress.end_s, ingress.end_s)
-    if start > end:
-        return None
-    return VisibilityWindow(start, end)
+    start, end = _mask_interval(pass_model, min_elevation_deg, 0.0)
+    return None if start > end else VisibilityWindow(start, end)
+
+
+def service_interval(
+    pass_model: SatellitePassModel, min_elevation_deg: float
+) -> tuple[float, float]:
+    """Times outside which ``elevation_profile`` is below ``min_elevation_deg``
+    at one station or the other; empty when start exceeds end.
+
+    Unlike ``visibility_window`` this bounds the computed elevation, which
+    can meet the mask where the exact one does not: ``acos`` near 1 turns
+    rounding of order eps into angles of order sqrt(eps), and at the peak
+    the computed elevation can exceed the configured one.
+    """
+    return _mask_interval(pass_model, min_elevation_deg, _MASK_SLACK_RAD)

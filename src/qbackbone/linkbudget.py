@@ -6,19 +6,20 @@ atmospheric transmittance scaled by a secant air-mass term, a fixed
 pointing loss, and a fixed system efficiency.  Service is gated at a
 minimum elevation below which the transmittance is exactly zero.
 
-``downlink`` evaluates the downlink to one station, egress or ingress,
-at one instant with the scalar ``math`` kernels; the engine's
-probability matrix and the ``linkbudget`` command both read it.
-Outputs must not depend on the host's SIMD dispatch, so no numpy
-transcendental function is used here.
+``downlink_profile`` evaluates the downlink to one station, egress or
+ingress, at many instants of one pass with the scalar ``math`` kernels;
+the engine's probability matrix and the ``linkbudget`` command both read
+it.  Outputs must not depend on the host's SIMD dispatch, so this module
+does not import numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
-from .geometry import SatellitePassModel, StationPass, elevation_at, slant_range_km
+from .geometry import SatellitePassModel, StationPass, elevation_profile, slant_range_km
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def fiber_transmittance(link: FiberLink) -> float:
 
 
 def freespace_transmittance(
-    elevation_deg: float, altitude_km: float, params: FreeSpaceLinkParams
+    elevation_deg: float, range_km: float, params: FreeSpaceLinkParams
 ) -> float:
     """Per-photon survival probability of the satellite downlink.
 
@@ -87,8 +88,9 @@ def freespace_transmittance(
     elevation_deg : float
         Satellite elevation; anything below ``params.min_elevation_deg``
         (including negative, below-horizon values) yields 0.
-    altitude_km : float
-        Orbit altitude.
+    range_km : float
+        Slant range from the station to the satellite, ``slant_range_km``
+        of the elevation and the orbit altitude.
     params : FreeSpaceLinkParams
         Model calibration.
 
@@ -96,15 +98,15 @@ def freespace_transmittance(
     -------
     float
         Transmittance in [0, 1), monotone non-decreasing in elevation
-        and non-increasing in altitude.
+        and non-increasing in range.
     """
     if not (math.isfinite(elevation_deg) and elevation_deg <= 90.0):
         raise ValueError(f"elevation_deg must be finite and <= 90: {elevation_deg}")
-    if not (math.isfinite(altitude_km) and altitude_km > 0.0):
-        raise ValueError(f"altitude_km must be > 0: {altitude_km}")
+    if not (math.isfinite(range_km) and range_km > 0.0):
+        raise ValueError(f"range_km must be > 0: {range_km}")
     if elevation_deg < params.min_elevation_deg:
         return 0.0
-    range_m = 1000.0 * slant_range_km(elevation_deg, altitude_km)
+    range_m = 1000.0 * range_km
     beam_radius_m = params.divergence_half_angle_rad * range_m
     eta_geo = 1.0 - math.exp(
         -(params.receiver_aperture_diameter_m**2) / (2.0 * beam_radius_m**2)
@@ -116,24 +118,25 @@ def freespace_transmittance(
     return params.system_efficiency * eta_point * eta_atm * eta_geo
 
 
-def downlink(
-    t_s: float,
+def downlink_profile(
+    times: Iterable[float],
     pass_model: SatellitePassModel,
     station: StationPass,
     params: FreeSpaceLinkParams,
-) -> tuple[float | None, float | None, float]:
-    """Elevation, slant range and transmittance of one station's downlink.
+) -> list[tuple[float | None, float | None, float]]:
+    """Elevation, slant range and transmittance of one station's downlink
+    at each of ``times``.
 
     ``station`` is ``pass_model.egress`` or ``pass_model.ingress``.
     Elevation and range are None while the satellite is below the
     station's horizon, and the transmittance is then 0.
     """
-    elevation = elevation_at(t_s, pass_model, station)
-    if elevation is None:
-        return None, None, 0.0
     altitude_km = pass_model.altitude_km
-    return (
-        elevation,
-        slant_range_km(elevation, altitude_km),
-        freespace_transmittance(elevation, altitude_km, params),
-    )
+    rows: list[tuple[float | None, float | None, float]] = []
+    for elevation in elevation_profile(times, pass_model, station):
+        if elevation is None:
+            rows.append((None, None, 0.0))
+        else:
+            range_km = slant_range_km(elevation, altitude_km)
+            rows.append((elevation, range_km, freespace_transmittance(elevation, range_km, params)))
+    return rows

@@ -8,25 +8,104 @@ simple and slow; fiber-backbone scenarios only.
 ``write_frames`` is the oracle for the column-wise ``frames.csv``
 writer: one row per frame, one cell at a time, through ``csv.writer``.
 
-``coincidence_probability``, ``pair_rate_hz`` and ``select_sources``
-are the per-source, per-instant oracles of the probability matrix and
-the whole-matrix policy: one scalar evaluation per source, and a dict
-and a sort per instant.
+``elevation_at``, ``freespace_transmittance`` and ``downlink`` are the
+per-instant pass and downlink kernels as first written: every constant
+of the pass recomputed at each instant, and the slant range computed
+once for the range and again inside the transmittance.
+``coincidence_matrix`` evaluates them at every time of the grid, with no
+skip outside the pass.  ``coincidence_probability``, ``pair_rate_hz``
+and ``select_sources`` are the per-source, per-instant oracles of the
+probability matrix and the whole-matrix policy: one scalar evaluation
+per source, and a dict and a sort per instant.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
 from qbackbone.cli import FRAMES_COLUMNS
 from qbackbone.engine import FrameTable
 from qbackbone.entanglement import EntanglementSource
-from qbackbone.geometry import elevation_at
+from qbackbone.geometry import (
+    EARTH_RADIUS_KM,
+    SatellitePassModel,
+    StationPass,
+    central_angle_rad,
+    slant_range_km,
+    visibility_window,
+)
 from qbackbone.interface import classical_latency_s
-from qbackbone.linkbudget import fiber_transmittance, freespace_transmittance
+from qbackbone.linkbudget import FreeSpaceLinkParams, fiber_transmittance
 from qbackbone.scenario import Policy, ScenarioConfig
+
+
+def _clamp(x: float) -> float:
+    return -1.0 if x < -1.0 else 1.0 if x > 1.0 else x
+
+
+def _elevation_deg_signed(
+    t_s: float, pass_model: SatellitePassModel, station: StationPass
+) -> float:
+    """Elevation at time ``t_s``; negative values mean below the horizon."""
+    gamma_min = central_angle_rad(station.peak_elevation_deg, pass_model.altitude_km)
+    omega = pass_model.angular_rate_rad_s
+    phase = min(omega * abs(t_s - station.peak_time_s), math.pi)
+    cos_gamma = math.cos(gamma_min) * math.cos(phase)
+    cos_gamma = _clamp(cos_gamma)
+    gamma = math.acos(cos_gamma)
+    if gamma < 1e-12:
+        return 90.0
+    rho = EARTH_RADIUS_KM / pass_model.orbit_radius_km
+    return math.degrees(math.atan((cos_gamma - rho) / math.sin(gamma)))
+
+
+def elevation_at(
+    t_s: float, pass_model: SatellitePassModel, station: StationPass
+) -> float | None:
+    """Elevation in degrees at time ``t_s``, or None when below the horizon."""
+    if not math.isfinite(t_s):
+        raise ValueError(f"t_s must be finite: {t_s}")
+    elevation = _elevation_deg_signed(t_s, pass_model, station)
+    return elevation if elevation >= 0.0 else None
+
+
+def freespace_transmittance(
+    elevation_deg: float, altitude_km: float, params: FreeSpaceLinkParams
+) -> float:
+    """Downlink transmittance at an elevation and orbit altitude."""
+    if elevation_deg < params.min_elevation_deg:
+        return 0.0
+    range_m = 1000.0 * slant_range_km(elevation_deg, altitude_km)
+    beam_radius_m = params.divergence_half_angle_rad * range_m
+    eta_geo = 1.0 - math.exp(
+        -(params.receiver_aperture_diameter_m**2) / (2.0 * beam_radius_m**2)
+    )
+    eta_atm = params.zenith_atmospheric_transmittance ** (
+        1.0 / math.sin(math.radians(elevation_deg))
+    )
+    eta_point = 10.0 ** (-params.pointing_loss_db / 10.0)
+    return params.system_efficiency * eta_point * eta_atm * eta_geo
+
+
+def downlink(
+    t_s: float,
+    pass_model: SatellitePassModel,
+    station: StationPass,
+    params: FreeSpaceLinkParams,
+) -> tuple[float | None, float | None, float]:
+    """Elevation, slant range and transmittance of one station's downlink."""
+    elevation = elevation_at(t_s, pass_model, station)
+    if elevation is None:
+        return None, None, 0.0
+    altitude_km = pass_model.altitude_km
+    return (
+        elevation,
+        slant_range_km(elevation, altitude_km),
+        freespace_transmittance(elevation, altitude_km, params),
+    )
 
 
 def transmittances(source: EntanglementSource, t_s: float) -> tuple[float, float]:
@@ -35,19 +114,38 @@ def transmittances(source: EntanglementSource, t_s: float) -> tuple[float, float
         eta = fiber_transmittance(source.arm)
         return eta, eta
     model = source.pass_model
-    etas = []
-    for station in (model.egress, model.ingress):
-        elevation = elevation_at(t_s, model, station)
-        if elevation is None:
-            etas.append(0.0)
-        else:
-            etas.append(freespace_transmittance(elevation, model.altitude_km, source.link_params))
-    return etas[0], etas[1]
+    return (
+        downlink(t_s, model, model.egress, source.link_params)[2],
+        downlink(t_s, model, model.ingress, source.link_params)[2],
+    )
 
 
 def coincidence_probability(source: EntanglementSource, t_s: float) -> float:
     eta_a, eta_b = transmittances(source, t_s)
     return eta_a * eta_b
+
+
+def coincidence_matrix(sources, times) -> np.ndarray:
+    """Every source's coincidence probability at every one of ``times``."""
+    return np.array(
+        [[coincidence_probability(s, t) for s in sources] for t in np.asarray(times).tolist()]
+    ).reshape(len(times), len(sources))
+
+
+def linkbudget_rows(source: EntanglementSource, step_s: float) -> list[tuple]:
+    """The ``linkbudget`` rows of a satellite source, one instant at a time:
+    every ``step_s`` across the visibility window, endpoints included."""
+    model, params = source.pass_model, source.link_params
+    window = visibility_window(model, params.min_elevation_deg)
+    if window is None:
+        return []
+    rows = []
+    for k in range(int(math.floor(window.duration_s / step_s + 1e-9)) + 1):
+        t = window.start_s + k * step_s
+        elev_a, range_a, eta_a = downlink(t, model, model.egress, params)
+        elev_b, range_b, eta_b = downlink(t, model, model.ingress, params)
+        rows.append((t, elev_a, elev_b, range_a, range_b, eta_a, eta_b, eta_a * eta_b))
+    return rows
 
 
 def pair_rate_hz(source: EntanglementSource, t_s: float) -> float:

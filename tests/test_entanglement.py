@@ -17,7 +17,7 @@ import _reference
 from qbackbone.engine import run
 from qbackbone.entanglement import coincidence_matrix
 from qbackbone.geometry import SatellitePassModel
-from qbackbone.linkbudget import FiberLink, downlink, fiber_transmittance
+from qbackbone.linkbudget import FiberLink, downlink_profile, fiber_transmittance
 from qbackbone.scenario import (
     ConfigError,
     Policy,
@@ -60,12 +60,12 @@ class TestCoincidenceCount:
     def test_dead_arm_always_zero(self):
         source = invisible_satellite().sources[0]
         model = source.pass_model
-        for t in (0.0, 8.0, 16.0):
-            etas = [
-                downlink(t, model, station, source.link_params)[2]
-                for station in (model.egress, model.ingress)
-            ]
-            assert 0.0 in etas
+        egress, ingress = (
+            downlink_profile((0.0, 8.0, 16.0), model, station, source.link_params)
+            for station in (model.egress, model.ingress)
+        )
+        for a, b in zip(egress, ingress):
+            assert 0.0 in (a[2], b[2])
         assert not coincidence_matrix((source,), np.arange(5) * 2.0).any()
         for seed in range(20):
             result = run(invisible_satellite(duration_s=8.0, seed=seed))

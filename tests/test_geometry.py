@@ -11,7 +11,8 @@ from qbackbone.geometry import (
     SatellitePassModel,
     StationPass,
     central_angle_rad,
-    elevation_at,
+    elevation_profile,
+    service_interval,
     slant_range_km,
     visibility_window,
 )
@@ -24,6 +25,12 @@ def twin_model(
     """A pass seen identically from the egress and the ingress station."""
     station = StationPass(peak_elevation_deg, peak_time_s)
     return SatellitePassModel(altitude_km, egress=station, ingress=station)
+
+
+def elevation_at(t_s: float, model: SatellitePassModel, station: StationPass) -> float | None:
+    """``elevation_profile`` at one instant."""
+    (elevation,) = elevation_profile([t_s], model, station)
+    return elevation
 
 
 def micius_model(altitude_km: float = 480.0, peak_time_s: float = 0.0) -> SatellitePassModel:
@@ -119,6 +126,15 @@ class TestElevationAt:
         for t in (peak + period, peak - period, peak + 2.0 * period, peak + 0.75 * period):
             assert elevation_at(t, model, model.egress) is None
 
+    def test_profile_is_pointwise(self):
+        model = micius_model(peak_time_s=100.0)
+        times = np.linspace(-300.0, 500.0, 81).tolist()
+        profile = elevation_profile(times, model, model.ingress)
+        assert profile == [elevation_at(t, model, model.ingress) for t in times]
+        assert None in profile and profile[40] == elevation_at(100.0, model, model.ingress)
+        with pytest.raises(ValueError):
+            elevation_profile([0.0, math.inf], model, model.egress)
+
     def test_zenith_pass(self):
         model = twin_model(500.0, 90.0)
         assert elevation_at(0.0, model, model.egress) == pytest.approx(90.0)
@@ -174,6 +190,17 @@ class TestVisibilityWindow:
     def test_disjoint_station_windows(self):
         model = SatellitePassModel(480.0, StationPass(83.0, 0.0), StationPass(83.0, 10000.0))
         assert visibility_window(model, 20.0) is None
+
+    def test_service_interval_covers_window(self):
+        model = SatellitePassModel(480.0, StationPass(83.0, 0.0), StationPass(75.0, 30.0))
+        window = visibility_window(model, 20.0)
+        start, end = service_interval(model, 20.0)
+        assert start < window.start_s < window.end_s < end
+        assert window.start_s - start < 1e-3 and end - window.end_s < 1e-3
+        # a mask above both peaks still keeps each station's peak instant
+        start, end = service_interval(twin_model(480.0, 30.0, 7.0), 31.0)
+        assert start < 7.0 < end
+        assert service_interval(model, 80.0)[0] > service_interval(model, 80.0)[1]
 
     def test_invalid_mask(self):
         with pytest.raises(ValueError):

@@ -73,3 +73,20 @@ def test_public_methods_are_referenced():
         and node.name not in referenced
     ]
     assert unused == [], f"public methods nothing in src/ or perfbench/ calls: {unused}"
+
+
+def test_pass_kernels_do_not_import_numpy():
+    # The satellite bytes are bit-identical on every host because the pass
+    # and downlink kernels use ``math``; numpy's transcendental ufuncs
+    # follow the host's SIMD dispatch and differ by up to 2 ulp.
+    importers = []
+    for name in ("geometry.py", "linkbudget.py"):
+        for node in ast.walk(parse(PACKAGE / name)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            importers += [name for m in modules if m.split(".")[0] == "numpy"]
+    assert importers == [], f"modules importing numpy: {importers}"

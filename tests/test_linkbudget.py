@@ -13,14 +13,14 @@ from qbackbone.entanglement import FiberSource, SatelliteSource, coincidence_mat
 from qbackbone.geometry import (
     SatellitePassModel,
     StationPass,
-    elevation_at,
+    elevation_profile,
     slant_range_km,
     visibility_window,
 )
 from qbackbone.linkbudget import (
     FiberLink,
     FreeSpaceLinkParams,
-    downlink,
+    downlink_profile,
     fiber_transmittance,
     freespace_transmittance,
 )
@@ -76,20 +76,23 @@ class TestFreespace:
         assert freespace_transmittance(90.0, 500.0, DEFAULTS) == pytest.approx(
             0.07813595162214787, abs=1e-3
         )
-        assert freespace_transmittance(76.0, 805.0, DEFAULTS) == pytest.approx(
+        assert freespace_transmittance(76.0, slant_range_km(76.0, 805.0), DEFAULTS) == pytest.approx(
             0.03249075545043249, abs=1e-3
         )
 
     def test_range_and_monotonicity_in_elevation(self):
         last = -1.0
         for el in np.linspace(0.0, 90.0, 91):
-            eta = freespace_transmittance(float(el), 551.0, DEFAULTS)
+            eta = freespace_transmittance(float(el), slant_range_km(float(el), 551.0), DEFAULTS)
             assert 0.0 <= eta < 1.0
             assert eta >= last
             last = eta
 
     def test_monotone_non_increasing_in_altitude(self):
-        etas = [freespace_transmittance(45.0, float(h), DEFAULTS) for h in range(300, 1200, 50)]
+        etas = [
+            freespace_transmittance(45.0, slant_range_km(45.0, float(h)), DEFAULTS)
+            for h in range(300, 1200, 50)
+        ]
         assert all(a >= b for a, b in zip(etas, etas[1:]))
 
     def test_domain_errors(self):
@@ -139,15 +142,17 @@ class TestCoincidence:
             assert probability(source, 0.0) <= eta + 1e-15
         micius = satellite_source("Micius")
         model = micius.pass_model
-        times = rng.uniform(-200.0, 400.0, size=100)
+        times = np.sort(rng.uniform(-200.0, 400.0, size=100))
         p = coincidence_matrix((micius,), times)[:, 0]
-        for t, p_t in zip(times.tolist(), p.tolist()):
-            etas = [
-                downlink(t, model, station, micius.link_params)[2]
-                for station in (model.egress, model.ingress)
-            ]
-            assert p_t == etas[0] * etas[1]
-            assert p_t <= min(etas) + 1e-15
+        egress, ingress = (
+            downlink_profile(times.tolist(), model, station, micius.link_params)
+            for station in (model.egress, model.ingress)
+        )
+        for p_t, a, b in zip(p.tolist(), egress, ingress):
+            assert p_t == a[2] * b[2]
+            assert p_t <= min(a[2], b[2]) + 1e-15
+        with pytest.raises(ValueError):
+            coincidence_matrix((micius,), times[::-1])
 
     def test_frozen_standard_fiber_split(self):
         assert probability(fiber_source(), 0.0) == pytest.approx(9.99e-4, abs=1e-6)
@@ -165,7 +170,7 @@ class TestCoincidence:
 
 
 class TestAttenuationProfile:
-    """The ``linkbudget`` command's satellite rows and the ``downlink`` kernel."""
+    """The ``linkbudget`` command's satellite rows and the ``downlink_profile`` kernel."""
 
     source = satellite_source("Micius")
     model = source.pass_model
@@ -187,21 +192,22 @@ class TestAttenuationProfile:
         assert peak["elev_a_deg"] == pytest.approx(83.0, abs=0.1)
 
     def test_internal_consistency(self, tmp_path, capsys):
-        rows = profile(tmp_path, capsys, self.source)
-        for r in rows[:: max(1, len(rows) // 10)]:
-            elevation = elevation_at(r["time_s"], self.model, self.model.egress)
+        rows = profile(tmp_path, capsys, self.source)[::10]
+        times = [r["time_s"] for r in rows]
+        elevations = elevation_profile(times, self.model, self.model.egress)
+        ingress = downlink_profile(times, self.model, self.model.ingress, DEFAULTS)
+        for r, elevation, downlink_b in zip(rows, elevations, ingress):
+            range_km = slant_range_km(elevation, self.model.altitude_km)
             assert r["elev_a_deg"] == elevation
-            assert r["range_a_km"] == slant_range_km(elevation, self.model.altitude_km)
-            assert r["eta_a"] == freespace_transmittance(elevation, self.model.altitude_km, DEFAULTS)
+            assert r["range_a_km"] == range_km
+            assert r["eta_a"] == freespace_transmittance(elevation, range_km, DEFAULTS)
             assert r["p_coincidence"] == r["eta_a"] * r["eta_b"]
-            assert downlink(r["time_s"], self.model, self.model.ingress, DEFAULTS) == (
-                r["elev_b_deg"], r["range_b_km"], r["eta_b"]
-            )
+            assert downlink_b == (r["elev_b_deg"], r["range_b_km"], r["eta_b"])
 
     def test_outside_visibility_is_zero(self):
-        for t in np.arange(5000.0, 5012.0, 2.0).tolist():
-            for station in (self.model.egress, self.model.ingress):
-                assert downlink(t, self.model, station, DEFAULTS) == (None, None, 0.0)
+        times = np.arange(5000.0, 5012.0, 2.0).tolist()
+        for station in (self.model.egress, self.model.ingress):
+            assert downlink_profile(times, self.model, station, DEFAULTS) == [(None, None, 0.0)] * 6
 
     def test_empty_window(self, tmp_path, capsys):
         low = SatellitePassModel(474.0, StationPass(15.0, 0.0), StationPass(15.0, 0.0))
