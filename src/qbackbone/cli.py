@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 parse/validation errors, 2 I/O errors.  All
 diagnostics go to standard error; data goes to files or standard output.
 CSV numbers use a decimal point and no grouping, so outputs for a fixed
 (config, seed) are byte-identical across runs.
+
+``linkbudget`` prints a satellite's downlinks on the channel steps where
+the engine evaluates them (``entanglement.pass_slice``), so each
+``p_coincidence`` is an entry of the probability matrix a run uses.
 """
 
 from __future__ import annotations
@@ -12,14 +16,14 @@ import argparse
 import csv
 import dataclasses
 import itertools
-import math
 import os
 import sys
 from typing import Iterable, Sequence
 
 from . import engine, scenario
+from .entanglement import pass_slice
 from .geometry import slant_range_km, visibility_window
-from .linkbudget import downlink_profile, fiber_transmittance
+from .linkbudget import fiber_transmittance
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -298,25 +302,13 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
         length = source.arm.length_km
         rows = [(0.0, None, None, length, length, eta, eta, eta * eta)]
     else:
-        model, params = source.pass_model, source.link_params
-        window = visibility_window(model, params.min_elevation_deg)
-        rows = []
-        if window is not None:
-            step = config.channel_step_s
-            n_samples = int(math.floor(window.duration_s / step + 1e-9)) + 1
-            if n_samples > scenario.MAX_RUN_CELLS:
-                raise scenario.ConfigError(
-                    f"linkbudget sample count {n_samples} exceeds the ceiling of "
-                    f"{scenario.MAX_RUN_CELLS}; lengthen channel_step_s"
-                )
-            times = [window.start_s + k * step for k in range(n_samples)]
-            egress = downlink_profile(times, model, model.egress, params)
-            ingress = downlink_profile(times, model, model.ingress, params)
-            rows = [
-                (t, elev_a, elev_b, range_a, range_b, eta_a, eta_b, eta_a * eta_b)
-                for t, (elev_a, range_a, eta_a), (elev_b, range_b, eta_b)
-                in zip(times, egress, ingress)
-            ]
+        times = config.step_grid[:-1]
+        lo, hi, egress, ingress = pass_slice(source, times)
+        rows = [
+            (t, elev_a, elev_b, range_a, range_b, eta_a, eta_b, eta_a * eta_b)
+            for t, (elev_a, range_a, eta_a), (elev_b, range_b, eta_b)
+            in zip(times[lo:hi].tolist(), egress, ingress)
+        ]
     _write_rows(sys.stdout, LINKBUDGET_COLUMNS, rows)
     return EXIT_OK
 

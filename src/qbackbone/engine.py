@@ -172,7 +172,6 @@ def run(config: ScenarioConfig) -> RunResult:
     cfg = config
     streams = RandomStreams(cfg.seed)
     duration = cfg.duration_s
-    step = cfg.channel_step_s
     steps_per_bin = cfg.steps_per_bin
     n_steps = cfg.n_steps
     payload = cfg.payload_qubits
@@ -192,7 +191,7 @@ def run(config: ScenarioConfig) -> RunResult:
     egress_times = created + delay_in
 
     # Stage 2: pair rates of the sources the policy keeps active at each step.
-    step_grid = np.arange(n_steps + 1) * step
+    step_grid = cfg.step_grid
     p = coincidence_matrix(sources, step_grid[:-1])
     emission = np.array([source.emission_rate_hz for source in sources])
     rate_table = np.where(active_sources(cfg.policy, sources, p), emission * p, 0.0)

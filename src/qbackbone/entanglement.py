@@ -6,10 +6,11 @@ only if both photons arrive, so its coincidence probability is the
 product of the two arm transmittances: two equal fiber arms for a
 ground source, the egress and ingress downlinks for a satellite.
 ``coincidence_matrix`` evaluates it for every source at every channel
-step, a satellite's only inside its pass; ``engine.run`` thins the
-emission rates by it and draws Poisson pair counts.  The egress and
-ingress memories that hold the two halves mirror each other, so the
-engine tracks both as one occupancy count.
+step, a satellite's only on its ``pass_slice`` of the steps, which the
+``linkbudget`` command prints; ``engine.run`` thins the emission rates
+by it and draws Poisson pair counts.  The egress and ingress memories
+that hold the two halves mirror each other, so the engine tracks both as
+one occupancy count.
 """
 
 from __future__ import annotations
@@ -60,17 +61,29 @@ class SatelliteSource:
 EntanglementSource = Union[FiberSource, SatelliteSource]
 
 
+def pass_slice(source: SatelliteSource, times: np.ndarray) -> tuple[int, int, list, list]:
+    """``(lo, hi, egress_rows, ingress_rows)``: a satellite's two
+    ``downlink_profile`` row lists on ``times[lo:hi]``, which are finite and
+    ascending.  The slice is its ``service_interval`` and one time more on
+    each side; at every other time the coincidence probability is 0."""
+    model, params = source.pass_model, source.link_params
+    start, end = service_interval(model, params.min_elevation_deg)
+    lo = max(int(np.searchsorted(times, start)) - 1, 0)
+    hi = min(int(np.searchsorted(times, end, side="right")) + 1, len(times))
+    t_list = times[lo:hi].tolist()
+    egress = downlink_profile(t_list, model, model.egress, params)
+    ingress = downlink_profile(t_list, model, model.ingress, params)
+    return lo, hi, egress, ingress
+
+
 def coincidence_matrix(
     sources: Sequence[EntanglementSource], times: np.ndarray
 ) -> np.ndarray:
     """Coincidence probability of every source at every time, shape (times, sources).
 
     ``times`` must be finite and ascending.  A fiber source's probability
-    is constant.  A satellite's is the product of its two
-    ``downlink_profile`` transmittances, evaluated on Python floats so the
-    values do not depend on numpy's SIMD dispatch, and only on the times
-    inside its ``service_interval`` plus one more on each side; every
-    other entry is exactly 0.
+    is constant.  A satellite's is the product of its two downlink
+    transmittances on its ``pass_slice``, and exactly 0 elsewhere.
     """
     if not (np.isfinite(times).all() and (np.diff(times) >= 0.0).all()):
         raise ValueError("times must be finite and ascending")
@@ -80,12 +93,6 @@ def coincidence_matrix(
             eta = fiber_transmittance(source.arm)
             p[:, j] = eta * eta
             continue
-        model, params = source.pass_model, source.link_params
-        start, end = service_interval(model, params.min_elevation_deg)
-        lo = max(int(np.searchsorted(times, start)) - 1, 0)
-        hi = min(int(np.searchsorted(times, end, side="right")) + 1, len(times))
-        t_list = times[lo:hi].tolist()
-        egress = downlink_profile(t_list, model, model.egress, params)
-        ingress = downlink_profile(t_list, model, model.ingress, params)
+        lo, hi, egress, ingress = pass_slice(source, times)
         p[lo:hi, j] = [a[2] * b[2] for a, b in zip(egress, ingress)]
     return p

@@ -55,8 +55,10 @@ class SatellitePassModel:
     ingress: StationPass
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.altitude_km) and self.altitude_km > 0.0):
-            raise ValueError(f"altitude_km must be > 0: {self.altitude_km}")
+        # Low Earth orbit to past the Moon: far outside, the orbit rate
+        # overflows or the beam radius at zenith underflows.
+        if not 100.0 <= self.altitude_km <= 1e6:
+            raise ValueError(f"altitude_km must be in [100, 1e6]: {self.altitude_km}")
         for role in ("egress", "ingress"):
             if not isinstance(getattr(self, role), StationPass):
                 raise ValueError(f"{role} must be a StationPass: {getattr(self, role)!r}")

@@ -8,9 +8,10 @@ minimum elevation below which the transmittance is exactly zero.
 
 ``downlink_profile`` evaluates the downlink to one station, egress or
 ingress, at many instants of one pass with the scalar ``math`` kernels;
-the engine's probability matrix and the ``linkbudget`` command both read
-it.  Outputs must not depend on the host's SIMD dispatch, so this module
-does not import numpy.
+``entanglement.pass_slice`` runs it on the channel steps of a pass for
+both the engine's probability matrix and the ``linkbudget`` command.
+Outputs must not depend on the host's SIMD dispatch, so this module does
+not import numpy.
 """
 
 from __future__ import annotations
@@ -57,10 +58,13 @@ class FreeSpaceLinkParams:
     min_elevation_deg: float = 20.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.divergence_half_angle_rad) and self.divergence_half_angle_rad > 0.0):
-            raise ValueError("divergence_half_angle_rad must be > 0")
-        if not (math.isfinite(self.receiver_aperture_diameter_m) and self.receiver_aperture_diameter_m > 0.0):
-            raise ValueError("receiver_aperture_diameter_m must be > 0")
+        # Physical ranges, so that over a pass model's altitudes neither
+        # the aperture nor the beam radius squared underflows or overflows.
+        divergence, aperture = self.divergence_half_angle_rad, self.receiver_aperture_diameter_m
+        if not 1e-9 <= divergence <= 0.1:
+            raise ValueError(f"divergence_half_angle_rad must be in [1e-9, 0.1]: {divergence}")
+        if not 0.0 < aperture <= 100.0:
+            raise ValueError(f"receiver_aperture_diameter_m must be in (0, 100]: {aperture}")
         if not 0.0 < self.zenith_atmospheric_transmittance <= 1.0:
             raise ValueError("zenith_atmospheric_transmittance must be in (0, 1]")
         if not (math.isfinite(self.pointing_loss_db) and self.pointing_loss_db >= 0.0):
@@ -81,29 +85,13 @@ def fiber_transmittance(link: FiberLink) -> float:
 def freespace_transmittance(
     elevation_deg: float, range_km: float, params: FreeSpaceLinkParams
 ) -> float:
-    """Per-photon survival probability of the satellite downlink.
+    """Per-photon survival probability of the satellite downlink, in [0, 1).
 
-    Parameters
-    ----------
-    elevation_deg : float
-        Satellite elevation; anything below ``params.min_elevation_deg``
-        (including negative, below-horizon values) yields 0.
-    range_km : float
-        Slant range from the station to the satellite, ``slant_range_km``
-        of the elevation and the orbit altitude.
-    params : FreeSpaceLinkParams
-        Model calibration.
-
-    Returns
-    -------
-    float
-        Transmittance in [0, 1), monotone non-decreasing in elevation
-        and non-increasing in range.
+    Zero below ``params.min_elevation_deg``, and monotone non-decreasing
+    in elevation and non-increasing in range.  The arguments are not
+    checked: ``elevation_deg`` must be in [0, 90] and ``range_km`` its
+    ``slant_range_km``, which checks the elevation.
     """
-    if not (math.isfinite(elevation_deg) and elevation_deg <= 90.0):
-        raise ValueError(f"elevation_deg must be finite and <= 90: {elevation_deg}")
-    if not (math.isfinite(range_km) and range_km > 0.0):
-        raise ValueError(f"range_km must be > 0: {range_km}")
     if elevation_deg < params.min_elevation_deg:
         return 0.0
     range_m = 1000.0 * range_km

@@ -197,6 +197,11 @@ class ScenarioConfig:
         return max(1, int(math.ceil(self.duration_s / self.channel_step_s - 1e-9)))
 
     @property
+    def step_grid(self) -> np.ndarray:
+        """Step edges ``k * channel_step_s``, ``k <= n_steps``: each step's start, then the end."""
+        return np.arange(self.n_steps + 1) * self.channel_step_s
+
+    @property
     def steps_per_bin(self) -> int:
         return round(self.bin_width_s / self.channel_step_s)
 

@@ -35,7 +35,6 @@ from qbackbone.geometry import (
     StationPass,
     central_angle_rad,
     slant_range_km,
-    visibility_window,
 )
 from qbackbone.interface import classical_latency_s
 from qbackbone.linkbudget import FreeSpaceLinkParams, fiber_transmittance
@@ -132,16 +131,14 @@ def coincidence_matrix(sources, times) -> np.ndarray:
     ).reshape(len(times), len(sources))
 
 
-def linkbudget_rows(source: EntanglementSource, step_s: float) -> list[tuple]:
-    """The ``linkbudget`` rows of a satellite source, one instant at a time:
-    every ``step_s`` across the visibility window, endpoints included."""
+def linkbudget_rows(source: EntanglementSource, config: ScenarioConfig) -> list[tuple]:
+    """A satellite source's ``linkbudget`` rows at every channel step
+    ``k * channel_step_s`` of ``config``, one instant at a time; the
+    command prints those of the steps its probability is evaluated on."""
     model, params = source.pass_model, source.link_params
-    window = visibility_window(model, params.min_elevation_deg)
-    if window is None:
-        return []
     rows = []
-    for k in range(int(math.floor(window.duration_s / step_s + 1e-9)) + 1):
-        t = window.start_s + k * step_s
+    for k in range(config.n_steps):
+        t = k * config.channel_step_s
         elev_a, range_a, eta_a = downlink(t, model, model.egress, params)
         elev_b, range_b, eta_b = downlink(t, model, model.ingress, params)
         rows.append((t, elev_a, elev_b, range_a, range_b, eta_a, eta_b, eta_a * eta_b))

@@ -4,8 +4,10 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,9 @@ from qbackbone.scenario import (
     builtin_sources,
     satellite_source,
 )
+
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, config: ScenarioConfig, name: str = "scenario.json") -> str:
@@ -495,7 +500,10 @@ class TestLinkbudget:
         assert float(row["range_a_km"]) == 75.0
 
     def test_micius_profile_peaks_at_peak_elevation(self, tmp_path, capsys):
-        config = write_config(tmp_path, short_config(sources=(satellite_source("Micius"),)))
+        # The horizon must cover the pass: rows are the steps of the run.
+        config = write_config(
+            tmp_path, short_config(sources=(satellite_source("Micius"),), duration_s=300.0)
+        )
         assert main(["linkbudget", "--config", config, "--source", "Micius"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) > 100
@@ -509,7 +517,7 @@ class TestLinkbudget:
         assert main(["linkbudget", "--config", config, "--source", "nope"]) == 1
         assert "unknown source" in capsys.readouterr().err
 
-    def test_never_visible_satellite_gives_header_only(self, tmp_path, capsys):
+    def test_never_visible_satellite_prints_zero_probability(self, tmp_path, capsys):
         doc = {
             "sources": [
                 {
@@ -526,24 +534,21 @@ class TestLinkbudget:
         path = tmp_path / "low.json"
         path.write_text(json.dumps(doc))
         assert main(["linkbudget", "--config", str(path), "--source", "low-pass"]) == 0
-        out = capsys.readouterr().out
-        lines = [line for line in out.splitlines() if line]
-        assert len(lines) == 1
-        assert lines[0].startswith("time_s,")
+        # The steps evaluated around the peak, which stays under the mask.
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["time_s"] for row in rows] == ["98.0", "100.0", "102.0"]
+        assert all(row["p_coincidence"] == "0.0" for row in rows)
 
     def test_huge_window_exits_1_before_allocating(self, tmp_path, capsys):
-        # 100,000 channel steps pass the run ceiling, but Micius's 280 s
-        # window at 1e-5 s steps would be about 2.8e7 rows.
-        config = ScenarioConfig(
-            sources=(satellite_source("Micius"),),
-            duration_s=1.0,
-            channel_step_s=1.0e-5,
-            bin_width_s=0.5,
-        )
-        path = write_config(tmp_path, config)
+        # 2**23 channel steps of 2**-23 s exceed the run ceiling; the
+        # table would allocate one time per step.
+        doc = config_to_dict(short_config(sources=(satellite_source("Micius"),)))
+        doc.update(duration_s=1.0, channel_step_s=2.0**-23, bin_width_s=0.5)
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(doc))
         tracemalloc.start()
         try:
-            code = main(["linkbudget", "--config", path, "--source", "Micius"])
+            code = main(["linkbudget", "--config", str(path), "--source", "Micius"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -569,3 +574,39 @@ def test_zero_elevation_mask_exits_1(tmp_path, monkeypatch, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert re.search(r"link_params\W+min_elevation_deg", err), err
+
+
+# Pass and downlink fields whose values would overflow or underflow the
+# orbit rate or the beam formula: the four values that once crashed with
+# a traceback, then the first value past each bound.
+OUT_OF_RANGE_FIELDS = [
+    ("pass_model", "altitude_km", 1e120),
+    ("link_params", "divergence_half_angle_rad", 1e-300),
+    ("link_params", "divergence_half_angle_rad", 1e300),
+    ("link_params", "receiver_aperture_diameter_m", 1e200),
+    ("pass_model", "altitude_km", math.nextafter(100.0, 0.0)),
+    ("pass_model", "altitude_km", math.nextafter(1e6, math.inf)),
+    ("link_params", "divergence_half_angle_rad", math.nextafter(1e-9, 0.0)),
+    ("link_params", "divergence_half_angle_rad", math.nextafter(0.1, 1.0)),
+    ("link_params", "receiver_aperture_diameter_m", math.nextafter(100.0, math.inf)),
+]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--out", "out"], ["passes"], ["linkbudget", "--source", "Micius"]],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("group,field,value", OUT_OF_RANGE_FIELDS)
+def test_out_of_range_pass_fields_exit_1(tmp_path, monkeypatch, capsys, command, group, field, value):
+    doc = json.loads((CONFIGS_DIR / "micius.json").read_text())
+    doc["sources"][0][group][field] = value
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert re.search(rf"{group}\W+{field}", captured.err), captured.err
+    assert "Traceback" not in captured.err

@@ -1,9 +1,10 @@
 """The skipping pass kernels against the per-instant oracles, bit for bit.
 
-``coincidence_matrix`` evaluates a satellite only inside its
-``service_interval`` and ``linkbudget`` reads ``downlink_profile``; both
-must give exactly the values of the per-instant kernels in
-``tests/_reference.py`` evaluated at every instant.  The drawn masks sit
+``coincidence_matrix`` evaluates a satellite only on its ``pass_slice``
+of the steps and ``linkbudget`` prints that slice; both must give
+exactly the values of the per-instant kernels in ``tests/_reference.py``
+evaluated at every instant, and ``linkbudget`` must print the matrix
+the engine runs.  The drawn masks sit
 on the computed elevation at a grid instant or at the peak, one ulp
 either side included, so the edges of the skip are where the test looks.
 """
@@ -15,9 +16,11 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +29,16 @@ from qbackbone.cli import LINKBUDGET_COLUMNS, main
 from qbackbone.entanglement import SatelliteSource, coincidence_matrix
 from qbackbone.geometry import SatellitePassModel, StationPass
 from qbackbone.linkbudget import FreeSpaceLinkParams
-from qbackbone.scenario import Policy, ScenarioConfig, builtin_sources, config_to_dict, satellite_source
+from qbackbone.scenario import (
+    Policy,
+    ScenarioConfig,
+    builtin_sources,
+    config_to_dict,
+    load_config_file,
+    satellite_source,
+)
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 class Case(NamedTuple):
@@ -137,13 +149,24 @@ def reference_stdout(rows) -> str:
     return out.getvalue()
 
 
+def assert_prints_a_run_of(stdout: str, rows: list[tuple]) -> None:
+    """``stdout`` is the table of consecutive ``rows``, byte for byte, and
+    every row it leaves out has coincidence probability 0."""
+    lines = stdout.splitlines()[1:]
+    lo = [row[0] for row in rows].index(float(lines[0].split(",")[0])) if lines else 0
+    hi = lo + len(lines)
+    assert stdout == reference_stdout(rows[lo:hi])
+    assert all(row[-1] == 0.0 for row in rows[:lo] + rows[hi:])
+
+
 class TestLinkbudgetRows:
-    """Five built-in sources on 0.25 s steps with drawn peak times: each
-    satellite's ``linkbudget`` table equals the per-instant oracle's rows."""
+    """``linkbudget`` prints a satellite's rows on the steps the engine
+    evaluates, and each is the per-instant oracle's row."""
 
     @settings(max_examples=4, deadline=None, derandomize=True)
     @given(peaks=st.lists(st.floats(400.0, 2000.0), min_size=3, max_size=3))
     def test_rows_equal_per_instant_oracle(self, peaks, tmp_path_factory):
+        # Five built-in sources on 0.25 s steps with drawn peak times.
         directory = tmp_path_factory.mktemp("linkbudget")
         names = [s.source_id for s in builtin_sources() if s.kind == "satellite-pass"]
         peak_of = dict(zip(names, peaks))
@@ -155,13 +178,21 @@ class TestLinkbudgetRows:
             sources=sources, policy=Policy("best-source"), duration_s=2400.0, channel_step_s=0.25
         )
         for source in sources[2:]:
-            expected = reference_stdout(_reference.linkbudget_rows(source, config.channel_step_s))
-            assert linkbudget_stdout(config, source.source_id, directory) == expected
+            stdout = linkbudget_stdout(config, source.source_id, directory)
+            assert_prints_a_run_of(stdout, _reference.linkbudget_rows(source, config))
 
-    def test_micius_first_row_is_under_the_mask(self, tmp_path):
-        source = satellite_source("Micius")
-        config = ScenarioConfig(sources=(source,))
-        stdout = linkbudget_stdout(config, "Micius", tmp_path)
-        assert stdout == reference_stdout(_reference.linkbudget_rows(source, config.channel_step_s))
-        first = next(csv.DictReader(io.StringIO(stdout)))
-        assert first["elev_b_deg"] == "19.99999999999999" and first["p_coincidence"] == "0.0"
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+    def test_table_is_the_rate_table(self, path, capsys):
+        config = load_config_file(str(path))
+        grid = np.arange(config.n_steps) * config.channel_step_s
+        p = coincidence_matrix(config.sources, grid)
+        for j, source in enumerate(config.sources):
+            assert main(["linkbudget", "--config", str(path), "--source", source.source_id]) == 0
+            rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            times = [float(row["time_s"]) for row in rows]
+            steps = np.searchsorted(grid, times)
+            assert grid[steps].tolist() == times
+            assert p[steps, j].tolist() == [float(row["p_coincidence"]) for row in rows]
+            if source.kind == "satellite-pass":
+                assert rows
+                assert not np.delete(p[:, j], steps).any()

@@ -66,7 +66,8 @@ class TestSlantRange:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize(
-        "elevation,altitude", [(-1.0, 500.0), (91.0, 500.0), (45.0, 0.0), (45.0, -10.0)]
+        "elevation,altitude",
+        [(-1.0, 500.0), (91.0, 500.0), (math.nan, 500.0), (45.0, 0.0), (45.0, -10.0)],
     )
     def test_domain_errors(self, elevation, altitude):
         with pytest.raises(ValueError):
