@@ -1,8 +1,8 @@
 """Deterministic simulator of quantum dataframe transmission over an
 entanglement-based backbone joining two packetized quantum subnetworks."""
 
-from .engine import MetricsBin, RandomStreams, RunResult, run
-from .geometry import SatellitePassModel, VisibilityWindow
+from .engine import MetricsBin, RunResult, run
+from .geometry import SatellitePassModel
 from .linkbudget import FiberLink, FreeSpaceLinkParams
 from .scenario import (
     ConfigError,
@@ -21,11 +21,9 @@ __all__ = [
     "FreeSpaceLinkParams",
     "MetricsBin",
     "Policy",
-    "RandomStreams",
     "RunResult",
     "SatellitePassModel",
     "ScenarioConfig",
-    "VisibilityWindow",
     "config_to_dict",
     "load_config",
     "load_config_file",

@@ -272,6 +272,7 @@ def _cmd_passes(args: argparse.Namespace) -> int:
             continue
         model = source.pass_model
         window = visibility_window(model, args.min_elevation)
+        start, end = (None, None) if window is None else window
         rows.append(
             (
                 source.source_id,
@@ -280,9 +281,9 @@ def _cmd_passes(args: argparse.Namespace) -> int:
                 model.ingress.peak_elevation_deg,
                 slant_range_km(model.egress.peak_elevation_deg, model.altitude_km),
                 slant_range_km(model.ingress.peak_elevation_deg, model.altitude_km),
-                None if window is None else window.start_s,
-                None if window is None else window.end_s,
-                None if window is None else window.duration_s,
+                start,
+                end,
+                None if window is None else end - start,
             )
         )
     if not rows:

@@ -1,8 +1,9 @@
-"""Named random streams and the simulation run.
+"""Keyed random streams and the simulation run.
 
-Randomness comes from named substreams derived from the master seed, so
-adding a stream never perturbs the others.  For a fixed (config, seed)
-the run is fully deterministic.
+Randomness comes from substreams ``stream(seed, name)``, each keyed by
+the master seed and a hash of its name, so adding a stream never
+perturbs the others.  Each stage draws from its own stream, obtained
+once per run.  For a fixed (config, seed) the run is fully deterministic.
 
 Every time in a run is known once the frame creation times are drawn:
 egress, classical and delivery times are creation times plus constant
@@ -46,44 +47,10 @@ from .linkbudget import fiber_transmittance
 from .scenario import ScenarioConfig, active_sources
 
 
-class RandomStreams:
-    """Named random substreams, each a deterministic function of (seed, name)."""
-
-    def __init__(self, master_seed: int) -> None:
-        if master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0: {master_seed}")
-        self.master_seed = master_seed
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        generator = self._streams.get(name)
-        if generator is None:
-            key = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "big")
-            generator = np.random.default_rng(
-                np.random.SeedSequence(entropy=(self.master_seed, key))
-            )
-            self._streams[name] = generator
-        return generator
-
-    @property
-    def traffic(self) -> np.random.Generator:
-        return self.stream("traffic")
-
-    @property
-    def coincidence(self) -> np.random.Generator:
-        return self.stream("coincidence")
-
-    @property
-    def ingress_access(self) -> np.random.Generator:
-        return self.stream("ingress_access")
-
-    @property
-    def teleport(self) -> np.random.Generator:
-        return self.stream("teleport")
-
-    @property
-    def egress_access(self) -> np.random.Generator:
-        return self.stream("egress_access")
+def stream(seed: int, name: str) -> np.random.Generator:
+    """Random substream ``name``, a deterministic function of (seed, name)."""
+    key = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "big")
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, key)))
 
 
 @dataclass(frozen=True)
@@ -145,7 +112,6 @@ class RunTotals:
 class RunResult:
     """All outputs of one simulation run."""
 
-    config: ScenarioConfig
     bins: tuple[MetricsBin, ...]
     frames: FrameTable
     totals: RunTotals
@@ -170,11 +136,11 @@ def _traffic_times(
 def run(config: ScenarioConfig) -> RunResult:
     """Simulate one scenario to completion; deterministic for a fixed config."""
     cfg = config
-    streams = RandomStreams(cfg.seed)
     duration = cfg.duration_s
-    steps_per_bin = cfg.steps_per_bin
     n_steps = cfg.n_steps
-    payload = cfg.payload_qubits
+    # A bin as wide as the horizon is one bin, and wider ones overflow int64 below.
+    steps_per_bin = min(cfg.steps_per_bin, max(n_steps, 1))
+    payload = cfg.traffic.payload_qubits
     eta_in = fiber_transmittance(cfg.ingress_access)
     eta_out = fiber_transmittance(cfg.egress_access)
     delay_in = classical_latency_s(cfg.ingress_access.length_km)
@@ -184,7 +150,9 @@ def run(config: ScenarioConfig) -> RunResult:
 
     # Stage 1: traffic stream fixes every frame time.
     if duration > 0.0:
-        created = _traffic_times(streams.traffic, cfg.traffic.mean_interarrival_s, duration)
+        created = _traffic_times(
+            stream(cfg.seed, "traffic"), cfg.traffic.mean_interarrival_s, duration
+        )
     else:
         created = np.empty(0)
     n_frames = len(created)
@@ -214,11 +182,11 @@ def run(config: ScenarioConfig) -> RunResult:
     seg_step = np.searchsorted(step_grid[:-1], seg_start, side="right") - 1
     seg_bin = seg_step // steps_per_bin
     lam = rate_table[seg_step, :] * seg_len[:, None]
-    pairs_by_source = streams.coincidence.poisson(lam)
+    pairs_by_source = stream(cfg.seed, "coincidence").poisson(lam)
     pairs_per_segment = pairs_by_source.sum(axis=1)
 
     # Stage 4: access-link survivors for every generated frame.
-    survivors = streams.ingress_access.binomial(payload, eta_in, size=n_frames)
+    survivors = stream(cfg.seed, "ingress_access").binomial(payload, eta_in, size=n_frames)
 
     # Stage 5: the memory walk over frames served before the horizon.
     # Egress and delivery times are non-decreasing in the frame index, so
@@ -252,10 +220,10 @@ def run(config: ScenarioConfig) -> RunResult:
 
     # Stage 6: teleport and far-side access thinning; a frame completes
     # when its corrections and the rebuilt frame arrive before the horizon.
-    successes = streams.teleport.binomial(attempts, cfg.p_teleport_success)
+    successes = stream(cfg.seed, "teleport").binomial(attempts, cfg.p_teleport_success)
     delivered_at = egress_times[:n_processed] + latency + delay_out
     n_completed = int(np.count_nonzero(delivered_at < duration))
-    delivered = streams.egress_access.binomial(successes[:n_completed], eta_out)
+    delivered = stream(cfg.seed, "egress_access").binomial(successes[:n_completed], eta_out)
     delivered_bin = np.searchsorted(bin_starts, delivered_at[:n_completed], side="right") - 1
 
     def per_bin(index: np.ndarray, counts: np.ndarray) -> list[int]:
@@ -309,7 +277,6 @@ def run(config: ScenarioConfig) -> RunResult:
     )
 
     return RunResult(
-        config=cfg,
         bins=bins,
         frames=frames,
         totals=totals,

@@ -7,6 +7,8 @@ time of closest approach.  Earth rotation and orbital eccentricity are
 ignored.  The model describes a single pass around each configured peak
 time: from half an orbital period before the peak to half a period after
 it, and the satellite is below the horizon outside that interval.
+``visibility_window`` and ``service_interval`` give intervals of a pass
+as ``(start_s, end_s)`` tuples.
 
 ``elevation_profile`` evaluates one station's pass at many instants with
 scalar ``math`` kernels, so outputs do not depend on the host's SIMD
@@ -76,22 +78,6 @@ class SatellitePassModel:
     def angular_rate_rad_s(self) -> float:
         """Orbital angular rate of the circular orbit."""
         return math.sqrt(EARTH_MU_KM3_S2 / self.orbit_radius_km**3)
-
-
-@dataclass(frozen=True)
-class VisibilityWindow:
-    """Closed time interval during which a pass satisfies an elevation mask."""
-
-    start_s: float
-    end_s: float
-
-    def __post_init__(self) -> None:
-        if self.start_s > self.end_s:
-            raise ValueError(f"window start {self.start_s} after end {self.end_s}")
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
 
 
 def _check_elevation_altitude(elevation_deg: float, altitude_km: float) -> None:
@@ -188,8 +174,9 @@ def _mask_interval(
 
 def visibility_window(
     pass_model: SatellitePassModel, min_elevation_deg: float
-) -> VisibilityWindow | None:
-    """Interval where the pass is above ``min_elevation_deg`` at both stations.
+) -> tuple[float, float] | None:
+    """``(start_s, end_s)``, the closed interval where the pass is above
+    ``min_elevation_deg`` at both stations.
 
     Returns None when the egress and ingress windows do not intersect or
     the mask exceeds either station's peak elevation.
@@ -199,7 +186,7 @@ def visibility_window(
     if min_elevation_deg > min(pass_model.egress.peak_elevation_deg, pass_model.ingress.peak_elevation_deg):
         return None
     start, end = _mask_interval(pass_model, min_elevation_deg, 0.0)
-    return None if start > end else VisibilityWindow(start, end)
+    return None if start > end else (start, end)
 
 
 def service_interval(

@@ -41,10 +41,6 @@ class FiberLink:
                 f"attenuation_db_per_km must be >= 0: {self.attenuation_db_per_km}"
             )
 
-    @property
-    def loss_db(self) -> float:
-        return self.length_km * self.attenuation_db_per_km
-
 
 @dataclass(frozen=True)
 class FreeSpaceLinkParams:
@@ -79,7 +75,7 @@ class FreeSpaceLinkParams:
 
 def fiber_transmittance(link: FiberLink) -> float:
     """Per-photon survival probability of a fiber span."""
-    return 10.0 ** (-link.loss_db / 10.0)
+    return 10.0 ** (-(link.length_km * link.attenuation_db_per_km) / 10.0)
 
 
 def freespace_transmittance(

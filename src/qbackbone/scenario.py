@@ -155,7 +155,7 @@ class ScenarioConfig:
             ),
             (
                 "expected qubit count",
-                self.payload_qubits * max(1.0, frames),
+                self.traffic.payload_qubits * max(1.0, frames),
                 MAX_RUN_COUNT,
                 "lower traffic.qubit_rate_hz x traffic.frame_duration_s or shorten duration_s",
             ),
@@ -180,10 +180,6 @@ class ScenarioConfig:
                     f"policy satellite-only requires a satellite source, "
                     f"got {match[0].kind!r} for {self.policy.source_id!r}"
                 )
-
-    @property
-    def payload_qubits(self) -> int:
-        return self.traffic.payload_qubits
 
     @property
     def n_steps(self) -> int:
@@ -229,25 +225,20 @@ def active_sources(
     return available & best
 
 
-def satellite_pass(name: str, peak_time_s: float | None = None) -> SatellitePassModel:
-    """Pass model of one of the built-in satellites over the two stations."""
-    altitude_km, peak_egress, peak_ingress, default_peak_time = _SATELLITES[name]
-    t_peak = default_peak_time if peak_time_s is None else peak_time_s
-    return SatellitePassModel(
-        altitude_km, StationPass(peak_egress, t_peak), StationPass(peak_ingress, t_peak)
-    )
-
-
 def satellite_source(
     name: str,
     link_params: FreeSpaceLinkParams = FreeSpaceLinkParams(),
     emission_rate_hz: float = DEFAULT_EMISSION_RATE_HZ,
     peak_time_s: float | None = None,
 ) -> SatelliteSource:
-    """Backbone source backed by a built-in satellite pass."""
+    """Backbone source backed by a built-in satellite's pass over the two stations."""
+    altitude_km, peak_egress, peak_ingress, default_peak_time = _SATELLITES[name]
+    t_peak = default_peak_time if peak_time_s is None else peak_time_s
     return SatelliteSource(
         source_id=name,
-        pass_model=satellite_pass(name, peak_time_s),
+        pass_model=SatellitePassModel(
+            altitude_km, StationPass(peak_egress, t_peak), StationPass(peak_ingress, t_peak)
+        ),
         link_params=link_params,
         emission_rate_hz=emission_rate_hz,
     )

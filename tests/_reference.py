@@ -186,7 +186,7 @@ def simulate_per_qubit(config: ScenarioConfig, seed: int) -> int:
     assert all(s.kind == "ground-fiber" for s in config.sources)
     rng = np.random.default_rng(seed)
     duration = config.duration_s
-    payload = config.payload_qubits
+    payload = config.traffic.payload_qubits
     capacity = config.memory_capacity
     eta_in = fiber_transmittance(config.ingress_access)
     eta_out = fiber_transmittance(config.egress_access)

@@ -1,25 +1,33 @@
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
 import dataclasses
 import io
 import json
 import math
+import os
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
 from qbackbone import engine
 from qbackbone.cli import FRAMES_CHUNK, FRAMES_COLUMNS, _write_frames, main
+from qbackbone.entanglement import FiberSource, SatelliteSource
+from qbackbone.geometry import SatellitePassModel, StationPass
+from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
 from qbackbone.scenario import (
     Policy,
     ScenarioConfig,
+    TrafficConfig,
     config_to_dict,
     dark_fiber_source,
     fiber_source,
@@ -610,3 +618,117 @@ def test_out_of_range_pass_fields_exit_1(tmp_path, monkeypatch, capsys, command,
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert re.search(rf"{group}\W+{field}", captured.err), captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("bin_width_s", [1e200, 2.0**63 * 2.0], ids=["1e200", "2**63-steps"])
+def test_bin_wider_than_horizon_is_one_bin(tmp_path, bin_width_s):
+    # 5 channel steps of 2 s; a wider bin is the same single bin.
+    horizon = ScenarioConfig(duration_s=10.0)
+    outputs = []
+    for width in (bin_width_s, horizon.n_steps * horizon.channel_step_s):
+        path = tmp_path / f"{width}.json"
+        path.write_text(json.dumps({"bin_width_s": width, "duration_s": 10.0}))
+        out = tmp_path / f"{width}-out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        sweep = ["sweep", "--config", str(path), "--out", str(out / "sweep.csv")]
+        assert main([*sweep, "--memory", "1,unlimited"]) == 0
+        names = ("timeseries.csv", "frames.csv", "summary.csv", "sweep.csv")
+        outputs.append({name: (out / name).read_bytes() for name in names})
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["timeseries.csv"].count(b"\n") == 2
+
+
+def _number_paths(node, prefix=()):
+    """Paths (keys and list indexes) of the numeric leaves of a document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        if isinstance(child, (dict, list)):
+            yield from _number_paths(child, prefix + (key,))
+        elif isinstance(child, (int, float)) and not isinstance(child, bool):
+            yield prefix + (key,)
+
+
+FUZZ_BASE = config_to_dict(
+    ScenarioConfig(sources=builtin_sources(), duration_s=20.0, memory_capacity=50)
+)
+FUZZ_PATHS = [
+    path for path in _number_paths(FUZZ_BASE) if path not in {("duration_s",), ("channel_step_s",)}
+]
+# Every key a diagnostic can cite.
+FUZZ_FIELDS = {"schema_version", "kind"} | {
+    f.name
+    for cls in (
+        ScenarioConfig, TrafficConfig, FiberLink, Policy, FreeSpaceLinkParams,
+        SatellitePassModel, StationPass, FiberSource, SatelliteSource,
+    )
+    for f in dataclasses.fields(cls)
+}
+EXTREME_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, -1.0, -1e308, 1e308]
+fuzz_floats = st.one_of(
+    st.sampled_from(EXTREME_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def fuzz_documents(draw):
+    """A full document with a few numeric leaves anywhere in the float range;
+    the horizon is at most 20 s of steps of at least 0.05 s."""
+    doc = copy.deepcopy(FUZZ_BASE)
+    doc["duration_s"] = draw(st.one_of(st.floats(0.0, 20.0), st.sampled_from(EXTREME_FLOATS[:6])))
+    doc["channel_step_s"] = draw(
+        st.one_of(st.floats(0.05, 20.0), st.sampled_from(EXTREME_FLOATS[1:5] + [1e308]))
+    )
+    doc["bin_width_s"] = doc["channel_step_s"] * draw(st.sampled_from([1, 3, 2**70]))
+    doc["policy"] = draw(
+        st.sampled_from(
+            [{"kind": kind} for kind in ("fiber-only", "best-source", "all-sources")]
+            + [{"kind": "satellite-only", "source_id": "Micius"}]
+        )
+    )
+    for path in draw(st.lists(st.sampled_from(FUZZ_PATHS), max_size=3, unique=True)):
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        if last in ("seed", "memory_capacity"):
+            node[last] = draw(st.one_of(st.integers(-(2**64), 2**70), st.sampled_from([0, -1, 1])))
+        else:
+            scaled = st.sampled_from([1e-3, 0.5, 2.0, 1e3]).map(lambda k, x=node[last]: k * x)
+            node[last] = draw(st.one_of(fuzz_floats, scaled))
+    return doc
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCliFuzz:
+    """Every command on any document: outputs in range, or one named error."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(doc=fuzz_documents(), source=st.sampled_from([s.source_id for s in builtin_sources()]))
+    @example(doc={"bin_width_s": 1e200, "duration_s": 10.0}, source="fiber-standard")
+    def test_exits_0_in_range_or_1_naming_a_field(self, doc, source):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            for argv in (
+                ["simulate", "--out", os.path.join(tmp, "out")],
+                ["passes"],
+                ["linkbudget", "--source", source],
+            ):
+                code, out, err = run_cli([*argv, "--config", path])
+                assert "Traceback" not in err
+                if code == 1:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+                    assert any(name in err for name in FUZZ_FIELDS), err
+                    continue
+                assert code == 0, err
+                if argv[0] == "linkbudget":
+                    for row in csv.DictReader(io.StringIO(out)):
+                        for column in ("eta_a", "eta_b", "p_coincidence"):
+                            assert 0.0 <= float(row[column]) <= 1.0, row

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import _reference
 from qbackbone import engine
-from qbackbone.engine import FrameTable, RandomStreams, _traffic_times, run
+from qbackbone.engine import FrameTable, _traffic_times, run, stream
 from qbackbone.interface import classical_latency_s
 from qbackbone.scenario import (
     Policy,
@@ -26,37 +26,34 @@ from qbackbone.scenario import (
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+ENGINE_STREAMS = ("traffic", "coincidence", "ingress_access", "teleport", "egress_access")
+
+
 class TestRandomStreams:
     def test_deterministic_per_name(self):
-        a = RandomStreams(42).traffic.random(8)
-        b = RandomStreams(42).traffic.random(8)
+        a = stream(42, "traffic").random(8)
+        b = stream(42, "traffic").random(8)
         assert np.array_equal(a, b)
 
     def test_distinct_names_never_share_state(self):
-        streams = RandomStreams(42)
-        names = [n for n, v in vars(RandomStreams).items() if isinstance(v, property)]
-        assert len(names) == 5
-        draws = {name: getattr(streams, name).random(8) for name in names}
+        draws = {name: stream(42, name).random(8) for name in ENGINE_STREAMS}
         names = list(draws)
         for i, m in enumerate(names):
             for n in names[i + 1:]:
                 assert not np.array_equal(draws[m], draws[n])
 
     def test_adding_a_stream_never_perturbs_others(self):
-        plain = RandomStreams(7)
-        baseline = plain.teleport.random(16)
-        mixed = RandomStreams(7)
-        mixed.stream("some_future_stream").random(1000)
-        assert np.array_equal(mixed.teleport.random(16), baseline)
+        baseline = {name: stream(7, name).random(16) for name in ENGINE_STREAMS}
+        stream(7, "some_future_stream").random(1000)
+        for name in ENGINE_STREAMS:
+            assert np.array_equal(stream(7, name).random(16), baseline[name])
 
     def test_distinct_seeds_differ(self):
-        assert not np.array_equal(
-            RandomStreams(1).traffic.random(8), RandomStreams(2).traffic.random(8)
-        )
+        assert not np.array_equal(stream(1, "traffic").random(8), stream(2, "traffic").random(8))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
-            RandomStreams(-1)
+            stream(-1, "traffic")
 
 
 class TestRun:
@@ -174,12 +171,6 @@ class TestRun:
         assert result.totals.qubits_delivered == 0
         assert result.totals.pairs_arrived == 0
 
-    def test_config_echo_and_seed(self):
-        config = self.short(seed=17)
-        result = run(config)
-        assert result.config == config
-        assert result.config.seed == 17
-
     def test_mean_delivered_matches_pair_supply(self):
         # fiber bottleneck: nearly every stored pair is teleported, so
         # delivered ~= stored * p_success * eta_out
@@ -245,19 +236,19 @@ class TestTimeGrid:
     def test_segments_are_the_step_grid_cut_at_egress_times(self, monkeypatch, config):
         shapes = []
 
-        class RecordingStreams(RandomStreams):
-            @property
-            def coincidence(self):
-                stream = super().coincidence
+        def recording_stream(seed, name):
+            generator = stream(seed, name)
+            if name != "coincidence":
+                return generator
 
-                class Recorder:
-                    def poisson(self, lam):
-                        shapes.append(lam.shape)
-                        return stream.poisson(lam)
+            class Recorder:
+                def poisson(self, lam):
+                    shapes.append(lam.shape)
+                    return generator.poisson(lam)
 
-                return Recorder()
+            return Recorder()
 
-        monkeypatch.setattr(engine, "RandomStreams", RecordingStreams)
+        monkeypatch.setattr(engine, "stream", recording_stream)
         result = run(config)
 
         duration = config.duration_s
@@ -382,7 +373,7 @@ class TestWalkProperties:
         assert (int(stops[-1]) if len(stops) else 0) <= result.totals.pairs_stored
 
         if duration > 0.0:
-            created = _traffic_times(RandomStreams(seed).traffic, mean_gap, duration)
+            created = _traffic_times(stream(seed, "traffic"), mean_gap, duration)
         else:
             created = np.empty(0)
         egress = created + classical_latency_s(config.ingress_access.length_km)
@@ -434,7 +425,7 @@ class TestWalkProperties:
                 mean_interarrival_s=mean_gap,
             ),
         )
-        assert base.payload_qubits == payload
+        assert base.traffic.payload_qubits == payload
         results = [
             run(dataclasses.replace(base, memory_capacity=memory))
             for memory in (1, 2, 5, 20, None)

@@ -193,7 +193,7 @@ class TestAccountingIdentity:
                     base.traffic, frame_duration_s=payload / base.traffic.qubit_rate_hz
                 ),
             )
-            assert cfg.payload_qubits == payload
+            assert cfg.traffic.payload_qubits == payload
             frames = run(cfg).frames
             n = len(frames.delivered)
             assert n > 0

@@ -75,7 +75,7 @@ class TestDefaults:
     def test_empty_document_loads_defaults(self):
         config = load_config({})
         assert config == ScenarioConfig()
-        assert config.payload_qubits == 100_000
+        assert config.traffic.payload_qubits == 100_000
         assert config.memory_capacity is None
         assert config.duration_s == 600.0
         assert config.bin_width_s == 8.0
