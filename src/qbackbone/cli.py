@@ -262,16 +262,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_passes(args: argparse.Namespace) -> int:
     config = _load(args)
-    if not 0.0 < args.min_elevation <= 90.0:
-        raise scenario.ConfigError(
-            f"--min-elevation must be in (0, 90]: {args.min_elevation}"
-        )
     rows = []
     for source in config.sources:
         if source.kind != "satellite-pass":
             continue
         model = source.pass_model
-        window = visibility_window(model, args.min_elevation)
+        window = visibility_window(model, source.link_params.min_elevation_deg)
         start, end = (None, None) if window is None else window
         rows.append(
             (
@@ -347,9 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     passes = sub.add_parser("passes", help="Print the satellite pass table as CSV.")
     passes.add_argument("--config", help="Scenario JSON (defaults when omitted).")
-    passes.add_argument(
-        "--min-elevation", type=float, default=20.0, help="Elevation mask in degrees."
-    )
     passes.set_defaults(func=_cmd_passes)
 
     linkbudget = sub.add_parser(

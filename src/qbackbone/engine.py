@@ -15,12 +15,12 @@ binomial counts over disjoint intervals are independent, so the staged
 draws are identical in distribution to drawing at each instant; the
 per-qubit reference oracle in the test suite checks exactly this.
 
-The only sequential part is the memory walk.  Frames are served at the
-egress in index order; before a frame consumes pairs, every segment
-ending at or before its egress time is stored, and after the last frame
-the remaining segments are stored.  Nothing at or after the horizon
-happens: a frame whose egress or delivery time equals ``duration_s`` is
-not served or not delivered.
+The only sequential part is the memory walk, one loop over a list of
+memory operations in time order: each segment stores its arrived pairs
+up to the capacity, and each frame served at the egress takes pairs
+after every segment ending at or before its egress time.  Nothing at or
+after the horizon happens: a frame whose egress or delivery time equals
+``duration_s`` is not served or not delivered.
 
 Time has one grid, the channel steps.  Segments are the step grid cut
 at the served egress times and the horizon, nothing else: a rate is held
@@ -122,7 +122,7 @@ def _traffic_times(
     rng: np.random.Generator, mean_s: float, duration_s: float
 ) -> np.ndarray:
     """Frame creation times in [0, duration) drawn in blocks from one stream."""
-    times: list[np.ndarray] = []
+    times: list[np.ndarray] = [np.empty(0)]
     last = 0.0
     while last < duration_s:
         gaps = rng.exponential(mean_s, size=4096)
@@ -131,6 +131,30 @@ def _traffic_times(
         last = float(block[-1])
     all_times = np.concatenate(times)
     return all_times[all_times < duration_s]
+
+
+def _walk(
+    arrived: np.ndarray, seg_stop: np.ndarray, survivors: np.ndarray, capacity: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Pairs stored per segment, pairs taken per frame, and the final occupancy.
+
+    Segment ``k`` stores up to ``arrived[k]`` pairs, as many as fit under
+    ``capacity``; frame ``i`` takes up to ``survivors[i]`` stored pairs
+    after the first ``seg_stop[i]`` segments are stored.
+    """
+    # One list of store (+) and take (-) operations in time order, so frame
+    # i sits at seg_stop[i] + i.  The loop runs on Python ints: indexing
+    # ndarrays element-wise is much slower.
+    ops = np.insert(arrived, seg_stop, -survivors)
+    moves = []
+    occupancy = 0
+    for x in ops.tolist():
+        x = min(x, capacity - occupancy) if x > 0 else -min(-x, occupancy)
+        moves.append(x)
+        occupancy += x
+    at_frame = seg_stop + np.arange(len(seg_stop))
+    moved = np.array(moves, dtype=np.int64)
+    return np.delete(moved, at_frame), -moved[at_frame], occupancy
 
 
 def run(config: ScenarioConfig) -> RunResult:
@@ -149,14 +173,14 @@ def run(config: ScenarioConfig) -> RunResult:
     sources = cfg.sources
 
     # Stage 1: traffic stream fixes every frame time.
-    if duration > 0.0:
-        created = _traffic_times(
-            stream(cfg.seed, "traffic"), cfg.traffic.mean_interarrival_s, duration
-        )
-    else:
-        created = np.empty(0)
+    created = _traffic_times(
+        stream(cfg.seed, "traffic"), cfg.traffic.mean_interarrival_s, duration
+    )
     n_frames = len(created)
     egress_times = created + delay_in
+    # Egress and delivery times are non-decreasing in the frame index, so
+    # served and completed frames are both prefixes of the frame list.
+    n_processed = int(np.count_nonzero(egress_times < duration))
 
     # Stage 2: pair rates of the sources the policy keeps active at each step.
     step_grid = cfg.step_grid
@@ -173,12 +197,11 @@ def run(config: ScenarioConfig) -> RunResult:
     n_bins = len(bin_starts)
     boundaries = np.unique(
         np.concatenate(
-            [np.clip(step_grid, 0.0, duration), egress_times[egress_times < duration], [duration]]
+            [np.clip(step_grid, 0.0, duration), egress_times[:n_processed], [duration]]
         )
     )
     seg_start = boundaries[:-1]
     seg_len = np.diff(boundaries)
-    n_segments = len(seg_start)
     seg_step = np.searchsorted(step_grid[:-1], seg_start, side="right") - 1
     seg_bin = seg_step // steps_per_bin
     lam = rate_table[seg_step, :] * seg_len[:, None]
@@ -189,34 +212,12 @@ def run(config: ScenarioConfig) -> RunResult:
     survivors = stream(cfg.seed, "ingress_access").binomial(payload, eta_in, size=n_frames)
 
     # Stage 5: the memory walk over frames served before the horizon.
-    # Egress and delivery times are non-decreasing in the frame index, so
-    # served and completed frames are both prefixes of the frame list.
-    # Scalar state lives in plain lists; indexing ndarrays element-wise
-    # is much slower.
-    n_processed = int(np.count_nonzero(egress_times < duration))
     seg_stop = np.searchsorted(boundaries[1:], egress_times[:n_processed], side="right")
     capacity = math.inf if cfg.memory_capacity is None else cfg.memory_capacity
-    arrived_list = pairs_per_segment.tolist()
-    survivors_list = survivors.tolist()
-    stored_list = [0] * n_segments
-    attempts_list = [0] * n_processed
-    occupancy = 0
-    seg = 0
-    for i, stop in enumerate(seg_stop.tolist() + [n_segments]):
-        for k in range(seg, stop):
-            arrived = arrived_list[k]
-            if arrived:
-                stored = min(arrived, capacity - occupancy)
-                stored_list[k] = stored
-                occupancy += stored
-        seg = stop
-        if i < n_processed:
-            a = min(survivors_list[i], occupancy)
-            attempts_list[i] = a
-            occupancy -= a
-    attempts = np.asarray(attempts_list, dtype=np.int64)
+    stored_per_segment, attempts, occupancy = _walk(
+        pairs_per_segment, seg_stop, survivors[:n_processed], capacity
+    )
     consumed_start = np.cumsum(attempts) - attempts
-    stored_per_segment = np.asarray(stored_list, dtype=np.int64)
 
     # Stage 6: teleport and far-side access thinning; a frame completes
     # when its corrections and the rebuilt frame arrive before the horizon.

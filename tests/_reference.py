@@ -5,6 +5,10 @@ engine: every pair arrival is an explicit entry in a chronological walk
 and every qubit is thinned with its own uniform draw.  Deliberately
 simple and slow; fiber-backbone scenarios only.
 
+``memory_walk`` is the oracle for ``engine._walk``: the walk as first
+written, two nested loops kept in step by a segment pointer, storing
+the segments before each frame and then the frame's take.
+
 ``write_frames`` is the oracle for the column-wise ``frames.csv``
 writer: one row per frame, one cell at a time, through ``csv.writer``.
 
@@ -222,6 +226,37 @@ def simulate_per_qubit(config: ScenarioConfig, seed: int) -> int:
         if egress_t + latency + delay_out < duration:
             delivered_total += int((rng.random(successes) < eta_out).sum())
     return delivered_total
+
+
+def memory_walk(
+    arrived: np.ndarray, seg_stop: np.ndarray, survivors: np.ndarray, capacity: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(stored per segment, attempts per frame, final occupancy)``."""
+    n_segments = len(arrived)
+    n_processed = len(seg_stop)
+    arrived_list = arrived.tolist()
+    survivors_list = survivors.tolist()
+    stored_list = [0] * n_segments
+    attempts_list = [0] * n_processed
+    occupancy = 0
+    seg = 0
+    for i, stop in enumerate(seg_stop.tolist() + [n_segments]):
+        for k in range(seg, stop):
+            arrived = arrived_list[k]
+            if arrived:
+                stored = min(arrived, capacity - occupancy)
+                stored_list[k] = stored
+                occupancy += stored
+        seg = stop
+        if i < n_processed:
+            a = min(survivors_list[i], occupancy)
+            attempts_list[i] = a
+            occupancy -= a
+    return (
+        np.asarray(stored_list, dtype=np.int64),
+        np.asarray(attempts_list, dtype=np.int64),
+        occupancy,
+    )
 
 
 def _fmt(value: object) -> str:

@@ -468,16 +468,14 @@ class TestPasses:
             expected = reference[row["satellite"]]
             assert abs(float(row["window_duration_s"]) - expected) <= 0.2 * expected
 
-    def test_mask_90_gives_empty_windows(self, tmp_path, capsys):
-        code = main(
-            [
-                "passes",
-                "--config",
-                self.config_with_satellites(tmp_path),
-                "--min-elevation",
-                "90",
-            ]
+    def test_mask_89_gives_empty_windows(self, tmp_path, capsys):
+        # 89° is above every built-in peak elevation.
+        masked = tuple(
+            dataclasses.replace(s, link_params=FreeSpaceLinkParams(min_elevation_deg=89.0))
+            for s in builtin_sources()
+            if s.kind == "satellite-pass"
         )
+        code = main(["passes", "--config", write_config(tmp_path, short_config(sources=masked))])
         assert code == 0
         rows = self.parse_stdout(capsys)
         assert rows

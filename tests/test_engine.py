@@ -436,3 +436,35 @@ class TestWalkProperties:
             assert np.all(large.frames.attempts >= small.frames.attempts)
             assert large.totals.pairs_stored >= small.totals.pairs_stored
             assert large.totals.pairs_dropped <= small.totals.pairs_dropped
+
+
+# Zero, small, and large enough that a few sum past 2**60 but never past int64.
+walk_counts = st.one_of(st.just(0), st.integers(1, 6), st.just(2**56))
+
+
+@st.composite
+def walk_inputs(draw):
+    arrived = draw(st.lists(walk_counts, max_size=40))
+    survivors = draw(st.lists(walk_counts, max_size=40))
+    # Gaps of 0 put several frames after one segment with no store between them.
+    gaps = draw(st.lists(st.integers(0, 3), min_size=len(survivors), max_size=len(survivors)))
+    seg_stop = np.minimum(np.cumsum(gaps, dtype=np.intp), len(arrived))
+    capacity = draw(st.sampled_from([1, 2, 5, 20, 2**60, math.inf]))
+    return (
+        np.array(arrived, dtype=np.int64),
+        seg_stop,
+        np.array(survivors, dtype=np.int64),
+        capacity,
+    )
+
+
+class TestWalkOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(inputs=walk_inputs())
+    def test_matches_nested_loop(self, inputs):
+        stored, attempts, occupancy = engine._walk(*inputs)
+        ref_stored, ref_attempts, ref_occupancy = _reference.memory_walk(*inputs)
+        assert stored.dtype == attempts.dtype == np.int64
+        assert np.array_equal(stored, ref_stored)
+        assert np.array_equal(attempts, ref_attempts)
+        assert occupancy == ref_occupancy

@@ -1,6 +1,7 @@
 """Golden output bytes of the ``passes`` and ``linkbudget`` tables.
 
-Every shipped config runs under ``passes`` at elevation masks 20° and
+Every shipped config runs under ``passes`` as shipped, with each
+satellite's elevation mask at 20°, and on a copy with each mask set to
 10°, and under ``linkbudget`` for each of its sources; the sha256 of
 each command's stdout is pinned.  Neither table draws random numbers,
 so the hashes depend only on the pass geometry, the link budget and the
@@ -11,6 +12,7 @@ that keeps these hashes leaves both tables byte for byte.
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,8 @@ from qbackbone.cli import main
 from qbackbone.scenario import load_config_file
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
-MASKS_DEG = ("20", "10")
+SHIPPED_MASK_DEG = "20"
+MASKS_DEG = (SHIPPED_MASK_DEG, "10")
 
 # (config stem, command, mask in degrees or source id) -> sha256 of stdout.
 GOLDEN_TABLES = {
@@ -55,17 +58,28 @@ GOLDEN_TABLES = {
 }
 
 
-def table_digest(capsys, stem: str, command: str, arg: str) -> str:
-    config = str(CONFIGS_DIR / f"{stem}.json")
-    flag = "--min-elevation" if command == "passes" else "--source"
+def table_digest(capsys, tmp_path, stem: str, command: str, arg: str) -> str:
+    config = CONFIGS_DIR / f"{stem}.json"
+    if command == "linkbudget":
+        argv = ["linkbudget", "--config", str(config), "--source", arg]
+    else:
+        if arg != SHIPPED_MASK_DEG:
+            doc = json.loads(config.read_text(encoding="utf-8"))
+            for source in doc["sources"]:
+                if source["kind"] == "satellite-pass":
+                    source["link_params"]["min_elevation_deg"] = float(arg)
+            config = tmp_path / f"{stem}-mask-{arg}.json"
+            config.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["passes", "--config", str(config)]
     capsys.readouterr()
-    assert main([command, "--config", config, flag, arg]) == 0
+    assert main(argv) == 0
     return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("stem,command,arg", sorted(GOLDEN_TABLES))
-def test_table_bytes(capsys, stem, command, arg):
-    assert table_digest(capsys, stem, command, arg) == GOLDEN_TABLES[(stem, command, arg)]
+def test_table_bytes(capsys, tmp_path, stem, command, arg):
+    digest = table_digest(capsys, tmp_path, stem, command, arg)
+    assert digest == GOLDEN_TABLES[(stem, command, arg)]
 
 
 def test_golden_tables_cover_every_shipped_config_and_source():
@@ -80,7 +94,8 @@ def test_golden_tables_cover_every_shipped_config_and_source():
 
 
 @pytest.mark.parametrize("command,arg", [("passes", "20"), ("linkbudget", "Micius")])
-def test_tables_ignore_the_seed_environment(monkeypatch, capsys, command, arg):
+def test_tables_ignore_the_seed_environment(monkeypatch, capsys, tmp_path, command, arg):
     # Neither table depends on the seed, so an unusable seed cannot stop them.
     monkeypatch.setenv("QBACKBONE_SEED", "abc")
-    assert table_digest(capsys, "micius", command, arg) == GOLDEN_TABLES[("micius", command, arg)]
+    digest = table_digest(capsys, tmp_path, "micius", command, arg)
+    assert digest == GOLDEN_TABLES[("micius", command, arg)]
