@@ -234,21 +234,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if not labeled:
                 raise scenario.ConfigError(f"unknown source {args.source!r}")
 
+    memory_sizes.sort(key=lambda m: (m is None, m))
+    seeds = [config.seed + k for k in range(args.seeds_per_point)]
     rows = []
     for label, base in sorted(labeled, key=lambda item: item[0]):
-        for memory in sorted(memory_sizes, key=lambda m: (m is None, m)):
-            for k in range(args.seeds_per_point):
-                cfg = dataclasses.replace(
-                    base, memory_capacity=memory, seed=config.seed + k
-                )
-                result = engine.run(cfg)
+        # One batch per seed walks every memory size over the same draws.
+        delivered = [
+            [
+                result.totals.qubits_delivered
+                for result in engine.run_many(dataclasses.replace(base, seed=seed), memory_sizes)
+            ]
+            for seed in seeds
+        ]
+        for j, memory in enumerate(memory_sizes):
+            for k, seed in enumerate(seeds):
                 rows.append(
-                    (
-                        label,
-                        "unlimited" if memory is None else memory,
-                        cfg.seed,
-                        result.totals.qubits_delivered,
-                    )
+                    (label, "unlimited" if memory is None else memory, seed, delivered[k][j])
                 )
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -15,12 +15,24 @@ binomial counts over disjoint intervals are independent, so the staged
 draws are identical in distribution to drawing at each instant; the
 per-qubit reference oracle in the test suite checks exactly this.
 
-The only sequential part is the memory walk, one loop over a list of
-memory operations in time order: each segment stores its arrived pairs
-up to the capacity, and each frame served at the egress takes pairs
-after every segment ending at or before its egress time.  Nothing at or
-after the horizon happens: a frame whose egress or delivery time equals
-``duration_s`` is not served or not delivered.
+The memory walk is the one step whose every value depends on the one
+before: each segment stores its arrived pairs up to the capacity M, and
+each frame served at the egress takes pairs after every segment ending
+at or before its egress time.  Both are clamped shifts of the occupancy,
+``o -> min(max(o + a, lo), hi)``: a store is ``(A, -inf, M)`` and a take
+``(-s, 0, inf)``.  Shift ``(a1, lo1, hi1)`` followed by ``(a2, lo2, hi2)``
+is ``(a1 + a2, clamp(lo1 + a2, lo2, hi2), clamp(hi1 + a2, lo2, hi2))``, so
+an inclusive prefix scan of the shifts gives every occupancy (Blelloch
+1990; the two-sided Lindley recursion).  The stores before a frame and
+its take compose to one shift ``(A_i - s_i, 0, max(M - s_i, 0))``, so the
+scan runs over the frames alone, in int64, with one code path for every
+capacity including unlimited.  Nothing at or after the horizon happens:
+a frame whose egress or delivery time equals ``duration_s`` is not
+served or not delivered.
+
+Stages 1-4 (traffic, rate table, segments and coincidence draws,
+survivors) do not depend on M.  ``run_many`` draws them once and walks
+every capacity over them; ``run`` is its one-capacity case.
 
 Time has one grid, the channel steps.  Segments are the step grid cut
 at the served egress times and the horizon, nothing else: a rate is held
@@ -35,9 +47,11 @@ rather than one object per frame.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +59,11 @@ from .entanglement import coincidence_matrix
 from .interface import classical_latency_s
 from .linkbudget import fiber_transmittance
 from .scenario import ScenarioConfig, active_sources
+
+# The walk's stand-in for unlimited memory.  Occupancy never exceeds the
+# pairs arrived, a few MAX_RUN_COUNT (2**56) at most, so any larger
+# capacity walks the same, and a capacity plus such a count fits int64.
+UNLIMITED_CAPACITY = 2**62
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
@@ -133,6 +152,29 @@ def _traffic_times(
     return all_times[all_times < duration_s]
 
 
+def _occupancy(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Values after each clamped shift ``o -> min(max(o + a[i], lo[i]), hi[i])``
+    applied in order to ``o = 0``, with ``lo <= hi``; int64 throughout.
+
+    Two shifts compose to one, ``(a1 + a2, clamp(lo1 + a2, lo2, hi2),
+    clamp(hi1 + a2, lo2, hi2))``.  So the values after the odd positions
+    are the same scan over the composed pairs, half as long, and each even
+    position then applies its own shift to the value before it: an
+    inclusive prefix scan (Blelloch 1990) in about 2n work.
+    """
+    n = len(a)
+    if n <= 1:
+        return np.minimum(np.maximum(a, lo), hi)
+    a1, lo1, hi1 = a[: n - 1 : 2], lo[: n - 1 : 2], hi[: n - 1 : 2]
+    a2, lo2, hi2 = a[1::2], lo[1::2], hi[1::2]
+    odd = _occupancy(a1 + a2, np.clip(lo1 + a2, lo2, hi2), np.clip(hi1 + a2, lo2, hi2))
+    before_even = np.concatenate(([0], odd))[: (n + 1) // 2]
+    values = np.empty(n, dtype=np.int64)
+    values[1::2] = odd
+    values[::2] = np.minimum(np.maximum(before_even + a[::2], lo[::2]), hi[::2])
+    return values
+
+
 def _walk(
     arrived: np.ndarray, seg_stop: np.ndarray, survivors: np.ndarray, capacity: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -142,34 +184,55 @@ def _walk(
     ``capacity``; frame ``i`` takes up to ``survivors[i]`` stored pairs
     after the first ``seg_stop[i]`` segments are stored.
     """
-    # One list of store (+) and take (-) operations in time order, so frame
-    # i sits at seg_stop[i] + i.  The loop runs on Python ints: indexing
-    # ndarrays element-wise is much slower.
-    ops = np.insert(arrived, seg_stop, -survivors)
-    moves = []
-    occupancy = 0
-    for x in ops.tolist():
-        x = min(x, capacity - occupancy) if x > 0 else -min(-x, occupancy)
-        moves.append(x)
-        occupancy += x
-    at_frame = seg_stop + np.arange(len(seg_stop))
-    moved = np.array(moves, dtype=np.int64)
-    return np.delete(moved, at_frame), -moved[at_frame], occupancy
+    # Occupancy never exceeds the pairs arrived, so a larger capacity walks
+    # like UNLIMITED_CAPACITY, which keeps every sum below in int64.
+    capacity = int(min(capacity, UNLIMITED_CAPACITY))
+    # Frame i's shift: the A_i pairs arrived since the previous frame, then
+    # its take of s_i, is (A_i - s_i, 0, max(M - s_i, 0)).
+    arrived_before = np.concatenate(([0], np.cumsum(arrived)))
+    run_start = np.concatenate(([0], seg_stop))
+    run_arrived = np.diff(arrived_before[run_start])
+    after = _occupancy(
+        run_arrived - survivors,
+        np.zeros(len(survivors), dtype=np.int64),
+        np.maximum(capacity - survivors, 0),
+    )
+    before = np.concatenate(([0], after))
+    attempts = np.minimum(before[:-1] + run_arrived, capacity) - after
+    # Inside the run of segments before frame i (or after the last frame),
+    # the occupancy after segment k is min(before[i] + pairs arrived in the
+    # run up to k, M); a segment stores the step of that level.
+    run_length = np.diff(np.concatenate((run_start, [len(arrived)])))
+    level = np.repeat(before - arrived_before[run_start], run_length) + arrived_before[1:]
+    stored = np.minimum(level, capacity) - np.minimum(level - arrived, capacity)
+    occupancy = min(int(before[-1] + arrived_before[-1] - arrived_before[run_start[-1]]), capacity)
+    return stored, attempts, occupancy
 
 
-def run(config: ScenarioConfig) -> RunResult:
-    """Simulate one scenario to completion; deterministic for a fixed config."""
-    cfg = config
+@dataclass(frozen=True)
+class _Draws:
+    """Stages 1-4 of a run: every draw before the memory walk.  None of
+    them depends on the memory capacity."""
+
+    n_frames: int
+    # Frames served before the horizon, in frame order.
+    created: np.ndarray
+    egress_times: np.ndarray
+    survivors: np.ndarray
+    # Per-segment arrivals, the segments stored before each served frame,
+    # and the grid of reporting bins.
+    pairs_by_source: np.ndarray
+    pairs_per_segment: np.ndarray
+    seg_stop: np.ndarray
+    seg_bin: np.ndarray
+    bin_starts: np.ndarray
+
+
+def _draw(cfg: ScenarioConfig) -> _Draws:
     duration = cfg.duration_s
     n_steps = cfg.n_steps
     # A bin as wide as the horizon is one bin, and wider ones overflow int64 below.
     steps_per_bin = min(cfg.steps_per_bin, max(n_steps, 1))
-    payload = cfg.traffic.payload_qubits
-    eta_in = fiber_transmittance(cfg.ingress_access)
-    eta_out = fiber_transmittance(cfg.egress_access)
-    delay_in = classical_latency_s(cfg.ingress_access.length_km)
-    delay_out = classical_latency_s(cfg.egress_access.length_km)
-    latency = classical_latency_s(cfg.classical_distance_km)
     sources = cfg.sources
 
     # Stage 1: traffic stream fixes every frame time.
@@ -177,10 +240,11 @@ def run(config: ScenarioConfig) -> RunResult:
         stream(cfg.seed, "traffic"), cfg.traffic.mean_interarrival_s, duration
     )
     n_frames = len(created)
-    egress_times = created + delay_in
+    egress_times = created + classical_latency_s(cfg.ingress_access.length_km)
     # Egress and delivery times are non-decreasing in the frame index, so
     # served and completed frames are both prefixes of the frame list.
     n_processed = int(np.count_nonzero(egress_times < duration))
+    egress_times = egress_times[:n_processed]
 
     # Stage 2: pair rates of the sources the policy keeps active at each step.
     step_grid = cfg.step_grid
@@ -193,38 +257,59 @@ def run(config: ScenarioConfig) -> RunResult:
     # from; ``start // step`` misplaces grid points that are not exact
     # multiples in floating point (steps that are not powers of two).
     # Bins are whole steps, so a segment's bin is its step's.
-    bin_starts = step_grid[:n_steps:steps_per_bin]
-    n_bins = len(bin_starts)
     boundaries = np.unique(
-        np.concatenate(
-            [np.clip(step_grid, 0.0, duration), egress_times[:n_processed], [duration]]
-        )
+        np.concatenate([np.clip(step_grid, 0.0, duration), egress_times, [duration]])
     )
     seg_start = boundaries[:-1]
     seg_len = np.diff(boundaries)
     seg_step = np.searchsorted(step_grid[:-1], seg_start, side="right") - 1
-    seg_bin = seg_step // steps_per_bin
     lam = rate_table[seg_step, :] * seg_len[:, None]
     pairs_by_source = stream(cfg.seed, "coincidence").poisson(lam)
-    pairs_per_segment = pairs_by_source.sum(axis=1)
 
     # Stage 4: access-link survivors for every generated frame.
-    survivors = stream(cfg.seed, "ingress_access").binomial(payload, eta_in, size=n_frames)
+    survivors = stream(cfg.seed, "ingress_access").binomial(
+        cfg.traffic.payload_qubits, fiber_transmittance(cfg.ingress_access), size=n_frames
+    )
+
+    return _Draws(
+        n_frames=n_frames,
+        created=created[:n_processed],
+        egress_times=egress_times,
+        survivors=survivors[:n_processed],
+        pairs_by_source=pairs_by_source,
+        pairs_per_segment=pairs_by_source.sum(axis=1),
+        seg_stop=np.searchsorted(boundaries[1:], egress_times, side="right"),
+        seg_bin=seg_step // steps_per_bin,
+        bin_starts=step_grid[:n_steps:steps_per_bin],
+    )
+
+
+def _walk_and_finish(cfg: ScenarioConfig, draws: _Draws) -> RunResult:
+    duration = cfg.duration_s
+    egress_times = draws.egress_times
+    pairs_per_segment = draws.pairs_per_segment
+    bin_starts = draws.bin_starts
+    n_bins = len(bin_starts)
 
     # Stage 5: the memory walk over frames served before the horizon.
-    seg_stop = np.searchsorted(boundaries[1:], egress_times[:n_processed], side="right")
     capacity = math.inf if cfg.memory_capacity is None else cfg.memory_capacity
     stored_per_segment, attempts, occupancy = _walk(
-        pairs_per_segment, seg_stop, survivors[:n_processed], capacity
+        pairs_per_segment, draws.seg_stop, draws.survivors, capacity
     )
     consumed_start = np.cumsum(attempts) - attempts
 
     # Stage 6: teleport and far-side access thinning; a frame completes
     # when its corrections and the rebuilt frame arrive before the horizon.
     successes = stream(cfg.seed, "teleport").binomial(attempts, cfg.p_teleport_success)
-    delivered_at = egress_times[:n_processed] + latency + delay_out
+    delivered_at = (
+        egress_times
+        + classical_latency_s(cfg.classical_distance_km)
+        + classical_latency_s(cfg.egress_access.length_km)
+    )
     n_completed = int(np.count_nonzero(delivered_at < duration))
-    delivered = stream(cfg.seed, "egress_access").binomial(successes[:n_completed], eta_out)
+    delivered = stream(cfg.seed, "egress_access").binomial(
+        successes[:n_completed], fiber_transmittance(cfg.egress_access)
+    )
     delivered_bin = np.searchsorted(bin_starts, delivered_at[:n_completed], side="right") - 1
 
     def per_bin(index: np.ndarray, counts: np.ndarray) -> list[int]:
@@ -233,6 +318,7 @@ def run(config: ScenarioConfig) -> RunResult:
         np.add.at(total, index, counts)
         return total.tolist()
 
+    seg_bin = draws.seg_bin
     arrived_per_bin = per_bin(seg_bin, pairs_per_segment)
     stored_per_bin = per_bin(seg_bin, stored_per_segment)
     dropped_per_bin = per_bin(seg_bin, pairs_per_segment - stored_per_segment)
@@ -256,8 +342,8 @@ def run(config: ScenarioConfig) -> RunResult:
         for k, bin_start in enumerate(bin_starts.tolist())
     )
     totals = RunTotals(
-        frames_generated=n_frames,
-        frames_processed=n_processed,
+        frames_generated=draws.n_frames,
+        frames_processed=len(egress_times),
         frames_completed=n_completed,
         pairs_arrived=sum(arrived_per_bin),
         pairs_stored=sum(stored_per_bin),
@@ -266,10 +352,10 @@ def run(config: ScenarioConfig) -> RunResult:
     )
 
     frames = FrameTable(
-        payload_qubits=payload,
-        created_at_s=created[:n_processed],
-        egress_at_s=egress_times[:n_processed],
-        survivors_at_egress=survivors[:n_processed],
+        payload_qubits=cfg.traffic.payload_qubits,
+        created_at_s=draws.created,
+        egress_at_s=egress_times,
+        survivors_at_egress=draws.survivors,
         attempts=attempts,
         successes=successes,
         consumed_start=consumed_start,
@@ -282,7 +368,26 @@ def run(config: ScenarioConfig) -> RunResult:
         frames=frames,
         totals=totals,
         pairs_by_source={
-            source.source_id: int(pairs_by_source[:, j].sum())
-            for j, source in enumerate(sources)
+            source.source_id: int(draws.pairs_by_source[:, j].sum())
+            for j, source in enumerate(cfg.sources)
         },
     )
+
+
+def run_many(config: ScenarioConfig, capacities: Sequence[int | None]) -> list[RunResult]:
+    """``run(replace(config, memory_capacity=m))`` for each ``m`` in ``capacities``.
+
+    Stages 1-4 are drawn once and every capacity walks the same draws;
+    each obtains the teleport and egress streams afresh, so each result is
+    the run of its capacity.
+    """
+    draws = _draw(config)
+    return [
+        _walk_and_finish(dataclasses.replace(config, memory_capacity=m), draws)
+        for m in capacities
+    ]
+
+
+def run(config: ScenarioConfig) -> RunResult:
+    """Simulate one scenario to completion; deterministic for a fixed config."""
+    return run_many(config, [config.memory_capacity])[0]

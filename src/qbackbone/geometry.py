@@ -181,8 +181,6 @@ def visibility_window(
     Returns None when the egress and ingress windows do not intersect or
     the mask exceeds either station's peak elevation.
     """
-    if not 0.0 < min_elevation_deg <= 90.0:
-        raise ValueError(f"min_elevation_deg must be in (0, 90]: {min_elevation_deg}")
     if min_elevation_deg > min(pass_model.egress.peak_elevation_deg, pass_model.ingress.peak_elevation_deg):
         return None
     start, end = _mask_interval(pass_model, min_elevation_deg, 0.0)

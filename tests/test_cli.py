@@ -419,6 +419,17 @@ class TestSweep:
         rows = read_csv(out)
         assert [r["label"] for r in rows] == ["all-sources"]
 
+    def test_capacity_past_int64_walks_as_unlimited(self, tmp_path):
+        config = write_config(tmp_path, short_config(duration_s=20.0))
+        out = tmp_path / "sweep.csv"
+        memory = "100000000000000000000000,unlimited"
+        assert main(["sweep", "--config", config, "--out", str(out), "--memory", memory]) == 0
+        huge, unlimited = read_csv(out)
+        assert huge["memory_capacity"] == "100000000000000000000000"
+        assert unlimited["memory_capacity"] == "unlimited"
+        assert int(huge["total_qubits_delivered"]) > 0
+        assert huge["total_qubits_delivered"] == unlimited["total_qubits_delivered"]
+
     def test_empty_memory_list_exits_1(self, tmp_path, capsys):
         config = write_config(tmp_path, short_config(duration_s=0.0))
         code = main(

@@ -449,7 +449,8 @@ def walk_inputs(draw):
     # Gaps of 0 put several frames after one segment with no store between them.
     gaps = draw(st.lists(st.integers(0, 3), min_size=len(survivors), max_size=len(survivors)))
     seg_stop = np.minimum(np.cumsum(gaps, dtype=np.intp), len(arrived))
-    capacity = draw(st.sampled_from([1, 2, 5, 20, 2**60, math.inf]))
+    # Capacities past int64 walk as unlimited.
+    capacity = draw(st.sampled_from([1, 2, 5, 20, 2**60, 2**62, 2**63, 10**30, math.inf]))
     return (
         np.array(arrived, dtype=np.int64),
         seg_stop,
@@ -468,3 +469,32 @@ class TestWalkOracle:
         assert np.array_equal(stored, ref_stored)
         assert np.array_equal(attempts, ref_attempts)
         assert occupancy == ref_occupancy
+
+
+SHIPPED_CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
+capacity_lists = st.lists(
+    st.one_of(st.none(), st.integers(1, 40), st.just(10**30)), min_size=1, max_size=4
+)
+
+
+class TestRunMany:
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    @settings(max_examples=2, deadline=None, derandomize=True)
+    @given(capacities=capacity_lists)
+    @example(capacities=[20, None, 1, 20])
+    def test_each_result_is_the_run_of_its_capacity(self, path, capacities):
+        config = load_config_file(str(path))
+        results = engine.run_many(config, capacities)
+        assert len(results) == len(capacities)
+        for capacity, result in zip(capacities, results):
+            expected = run(dataclasses.replace(config, memory_capacity=capacity))
+            assert result.bins == expected.bins
+            assert result.totals == expected.totals
+            assert result.pairs_by_source == expected.pairs_by_source
+            for field in dataclasses.fields(FrameTable):
+                column = getattr(result.frames, field.name)
+                expected_column = getattr(expected.frames, field.name)
+                if isinstance(column, np.ndarray):
+                    assert np.array_equal(column, expected_column), field.name
+                else:
+                    assert column == expected_column, field.name

@@ -204,10 +204,6 @@ class TestVisibilityWindow:
         assert start < 7.0 < end
         assert service_interval(model, 80.0)[0] > service_interval(model, 80.0)[1]
 
-    def test_invalid_mask(self):
-        with pytest.raises(ValueError):
-            visibility_window(micius_model(), 0.0)
-
 
 class TestValidation:
     def test_pass_model_invariants(self):

@@ -102,6 +102,10 @@ class TestFreespace:
             FreeSpaceLinkParams(zenith_atmospheric_transmittance=1.5)
         with pytest.raises(ValueError):
             FreeSpaceLinkParams(system_efficiency=0.0)
+        # The one check of the mask range; visibility_window trusts it.
+        for mask in (0.0, 90.0):
+            with pytest.raises(ValueError):
+                FreeSpaceLinkParams(min_elevation_deg=mask)
 
 
 def probability(source, t_s: float) -> float:
