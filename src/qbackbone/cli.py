@@ -16,9 +16,12 @@ import argparse
 import csv
 import dataclasses
 import itertools
+import operator
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from . import engine, scenario
 from .entanglement import pass_slice
@@ -77,19 +80,22 @@ LINKBUDGET_COLUMNS = (
 )
 
 
-def _fmt(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # shortest round-trip form, also for numpy scalars
-    return str(value)
+def _cells(row: Iterable[object]) -> list[str]:
+    """The one cell rule of every table: ``repr`` of floats (the shortest
+    round-trip form, also for numpy scalars), empty for None, else ``str``."""
+    return ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row]
 
 
 def _write_rows(fh, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
+    """Write a table whose cells are all numeric or empty, so none needs CSV quoting."""
+    fh.write(",".join(columns) + "\n")
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(_cells(row)) + "\n")
+
+
+def _write_quoted(fh, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write a table through ``csv.writer``, which quotes text cells such as source ids."""
+    csv.writer(fh, lineterminator="\n").writerows([columns, *map(_cells, rows)])
 
 
 def _load(args: argparse.Namespace) -> scenario.ScenarioConfig:
@@ -115,48 +121,50 @@ def _load(args: argparse.Namespace) -> scenario.ScenarioConfig:
 def _write_frames(fh, frames: engine.FrameTable) -> None:
     """Write frames.csv from the frame columns, ``FRAMES_CHUNK`` rows per write.
 
-    Cells match ``_fmt``: ``repr`` of floats, ``str`` of ints, and empty
+    Cells match ``_cells``: ``repr`` of floats, ``str`` of ints, and empty
     cells for frames still in flight.  Every cell is numeric or empty, so
     no cell needs CSV quoting.
     """
     fh.write(",".join(FRAMES_COLUMNS) + "\n")
-    payload = frames.payload_qubits
-    n_completed = len(frames.delivered)
+    payload, start, delivered = frames.payload_qubits, frames.consumed_start, frames.delivered
+    survivors, attempts, successes = frames.survivors_at_egress, frames.attempts, frames.successes
+    counts = [
+        _int_cells(c)
+        for c in (survivors, payload - survivors, attempts, survivors - attempts, successes, attempts - successes)
+    ]
+    # Frame i consumes the pairs [start[i], start[i + 1]); the last one, start + attempts.
+    bounds = _int_cells(np.append(start, start[-1:] + attempts[-1:]))
+    done, lost_out = _int_cells(delivered), _int_cells(successes[: len(delivered)] - delivered)
     for lo in range(0, len(frames), FRAMES_CHUNK):
         hi = min(lo + FRAMES_CHUNK, len(frames))
-        survivors = frames.survivors_at_egress[lo:hi]
-        attempts = frames.attempts[lo:hi]
-        successes = frames.successes[lo:hi]
-        start = frames.consumed_start[lo:hi]
-        delivered = frames.delivered[lo:hi]
-        in_flight = [""] * (hi - lo - len(delivered))
+        kept, lost_in, tried, no_pair, succeeded, failed = (cells(lo, hi) for cells in counts)
+        bound_cells, done_cells = bounds(lo, hi + 1), done(lo, hi)
+        in_flight = [""] * (hi - lo - len(done_cells))
         columns = (
             map(str, range(lo, hi)),
-            _floats(frames.created_at_s[lo:hi]),
-            _floats(frames.egress_at_s[lo:hi]),
+            map(repr, frames.created_at_s[lo:hi].tolist()),
+            map(repr, frames.egress_at_s[lo:hi].tolist()),
             itertools.repeat(str(payload), hi - lo),
-            _ints(survivors),
-            _ints(payload - survivors),
-            _ints(attempts),
-            _ints(survivors - attempts),
-            _ints(successes),
-            _ints(attempts - successes),
-            _ints(attempts),
-            _ints(start),
-            _ints(start + attempts),
-            itertools.chain(_ints(delivered), in_flight),
-            itertools.chain(_ints(successes[: len(delivered)] - delivered), in_flight),
-            itertools.chain(_floats(frames.delivered_at_s[lo:hi]), in_flight),
+            *(kept, lost_in, tried, no_pair, succeeded, failed, tried),  # through pairs_consumed
+            bound_cells[:-1],
+            bound_cells[1:],
+            done_cells + in_flight,
+            lost_out(lo, hi) + in_flight,
+            itertools.chain(map(repr, frames.delivered_at_s[lo:hi].tolist()), in_flight),
         )
         fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
 
 
-def _ints(column) -> Iterable[str]:
-    return map(str, column.tolist())
-
-
-def _floats(column) -> Iterable[str]:
-    return map(repr, column.tolist())
+def _int_cells(column: np.ndarray) -> Callable[[int, int], list[str]]:
+    """``cells(lo, hi)``, the ``str`` cells of ``column[lo:hi]``.  A column
+    spanning no more values than it has entries formats each value once,
+    into a table indexed by value; any other is formatted entry by entry."""
+    if len(column):
+        low, high = int(column.min()), int(column.max())
+        if high - low < len(column):
+            table = np.array([str(v) for v in range(low, high + 1)], dtype=object)
+            return lambda lo, hi: table[column[lo:hi] - low].tolist()
+    return lambda lo, hi: list(map(str, column[lo:hi].tolist()))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -165,7 +173,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "timeseries.csv"), "w", encoding="utf-8", newline="") as fh:
-            _write_rows(fh, TIMESERIES_COLUMNS, map(dataclasses.astuple, result.bins))
+            bin_row = operator.attrgetter(*TIMESERIES_COLUMNS)
+            _write_rows(fh, TIMESERIES_COLUMNS, map(bin_row, result.bins))
         with open(os.path.join(args.out, "frames.csv"), "w", encoding="utf-8", newline="") as fh:
             _write_frames(fh, result.frames)
         with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -253,7 +262,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 )
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_rows(fh, SWEEP_COLUMNS, rows)
+            _write_quoted(fh, SWEEP_COLUMNS, rows)
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -285,7 +294,7 @@ def _cmd_passes(args: argparse.Namespace) -> int:
         )
     if not rows:
         print("note: no satellite sources in configuration", file=sys.stderr)
-    _write_rows(sys.stdout, PASSES_COLUMNS, rows)
+    _write_quoted(sys.stdout, PASSES_COLUMNS, rows)
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .geometry import SatellitePassModel, StationPass, elevation_profile, slant_range_km
+from .geometry import EARTH_RADIUS_KM, SatellitePassModel, StationPass, elevation_profile
 
 
 @dataclass(frozen=True)
@@ -78,30 +78,6 @@ def fiber_transmittance(link: FiberLink) -> float:
     return 10.0 ** (-(link.length_km * link.attenuation_db_per_km) / 10.0)
 
 
-def freespace_transmittance(
-    elevation_deg: float, range_km: float, params: FreeSpaceLinkParams
-) -> float:
-    """Per-photon survival probability of the satellite downlink, in [0, 1).
-
-    Zero below ``params.min_elevation_deg``, and monotone non-decreasing
-    in elevation and non-increasing in range.  The arguments are not
-    checked: ``elevation_deg`` must be in [0, 90] and ``range_km`` its
-    ``slant_range_km``, which checks the elevation.
-    """
-    if elevation_deg < params.min_elevation_deg:
-        return 0.0
-    range_m = 1000.0 * range_km
-    beam_radius_m = params.divergence_half_angle_rad * range_m
-    eta_geo = 1.0 - math.exp(
-        -(params.receiver_aperture_diameter_m**2) / (2.0 * beam_radius_m**2)
-    )
-    eta_atm = params.zenith_atmospheric_transmittance ** (
-        1.0 / math.sin(math.radians(elevation_deg))
-    )
-    eta_point = 10.0 ** (-params.pointing_loss_db / 10.0)
-    return params.system_efficiency * eta_point * eta_atm * eta_geo
-
-
 def downlink_profile(
     times: Iterable[float],
     pass_model: SatellitePassModel,
@@ -113,14 +89,29 @@ def downlink_profile(
 
     ``station`` is ``pass_model.egress`` or ``pass_model.ingress``.
     Elevation and range are None while the satellite is below the
-    station's horizon, and the transmittance is then 0.
+    station's horizon.  The transmittance, in [0, 1), is 0 there and
+    below ``params.min_elevation_deg``, non-decreasing in elevation and
+    non-increasing in range.  Each range is ``geometry.slant_range_km``
+    of its elevation, bit for bit.
     """
-    altitude_km = pass_model.altitude_km
+    re, r = EARTH_RADIUS_KM, pass_model.orbit_radius_km
+    r2 = r * r
+    mask, divergence = params.min_elevation_deg, params.divergence_half_angle_rad
+    neg_aperture2 = -(params.receiver_aperture_diameter_m**2)
+    zenith = params.zenith_atmospheric_transmittance
+    gain = params.system_efficiency * 10.0 ** (-params.pointing_loss_db / 10.0)
     rows: list[tuple[float | None, float | None, float]] = []
     for elevation in elevation_profile(times, pass_model, station):
         if elevation is None:
             rows.append((None, None, 0.0))
-        else:
-            range_km = slant_range_km(elevation, altitude_km)
-            rows.append((elevation, range_km, freespace_transmittance(elevation, range_km, params)))
+            continue
+        el = math.radians(elevation)
+        sin_el = math.sin(el)
+        range_km = math.sqrt(r2 - (re * math.cos(el)) ** 2) - re * sin_el
+        eta = 0.0
+        if elevation >= mask:
+            beam_radius_m = divergence * (1000.0 * range_km)
+            eta_geo = 1.0 - math.exp(neg_aperture2 / (2.0 * beam_radius_m**2))
+            eta = gain * zenith ** (1.0 / sin_el) * eta_geo
+        rows.append((elevation, range_km, eta))
     return rows

