@@ -8,6 +8,7 @@ CSV numbers use a decimal point and no grouping, so outputs for a fixed
 ``linkbudget`` prints a satellite's downlinks on the channel steps where
 the engine evaluates them (``entanglement.pass_slice``), so each
 ``p_coincidence`` is an entry of the probability matrix a run uses.
+``sweep`` bounds its rows before building any list and holds one run.
 """
 
 from __future__ import annotations
@@ -95,7 +96,9 @@ def _write_rows(fh, columns: Sequence[str], rows: Iterable[Sequence[object]]) ->
 
 def _write_quoted(fh, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     """Write a table through ``csv.writer``, which quotes text cells such as source ids."""
-    csv.writer(fh, lineterminator="\n").writerows([columns, *map(_cells, rows)])
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(map(_cells, rows))
 
 
 def _load(args: argparse.Namespace) -> scenario.ScenarioConfig:
@@ -229,7 +232,6 @@ def _isolated_source_runs(
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load(args)
-    memory_sizes = _parse_memory_list(args.memory)
     if args.seeds_per_point < 1:
         raise scenario.ConfigError("--seeds-per-point must be >= 1")
 
@@ -243,23 +245,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if not labeled:
                 raise scenario.ConfigError(f"unknown source {args.source!r}")
 
-    memory_sizes.sort(key=lambda m: (m is None, m))
-    seeds = [config.seed + k for k in range(args.seeds_per_point)]
+    # Bound the rows, one per label, size and seed, before any list is
+    # built; the commas bound the number of sizes --memory lists.
+    n_sizes = args.memory.count(",") + 1
+    if len(labeled) * n_sizes * args.seeds_per_point > scenario.MAX_RUN_CELLS:
+        raise scenario.ConfigError(
+            f"sweep rows ({len(labeled)} labels x {n_sizes} --memory sizes x {args.seeds_per_point} "
+            f"--seeds-per-point) exceed the ceiling of {scenario.MAX_RUN_CELLS}"
+        )
+    memory_sizes = sorted(_parse_memory_list(args.memory), key=lambda m: (m is None, m))
+    # Equal sizes give equal results, so each distinct size is walked once.
+    distinct = list(dict.fromkeys(memory_sizes))
+    seeds = range(config.seed, config.seed + args.seeds_per_point)
+    qubits_delivered = operator.attrgetter("totals.qubits_delivered")
     rows = []
     for label, base in sorted(labeled, key=lambda item: item[0]):
-        # One batch per seed walks every memory size over the same draws.
-        delivered = [
-            [
-                result.totals.qubits_delivered
-                for result in engine.run_many(dataclasses.replace(base, seed=seed), memory_sizes)
-            ]
-            for seed in seeds
-        ]
-        for j, memory in enumerate(memory_sizes):
-            for k, seed in enumerate(seeds):
-                rows.append(
-                    (label, "unlimited" if memory is None else memory, seed, delivered[k][j])
-                )
+        # One batch per seed walks every size over the same draws, and
+        # each result is reduced to its count before the next is walked.
+        delivered = []
+        for seed in seeds:
+            results = engine.run_many(dataclasses.replace(base, seed=seed), distinct)
+            delivered.append(dict(zip(distinct, map(qubits_delivered, results))))
+        for memory in memory_sizes:
+            cell = "unlimited" if memory is None else memory
+            rows += [(label, cell, seed, counts[memory]) for seed, counts in zip(seeds, delivered)]
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             _write_quoted(fh, SWEEP_COLUMNS, rows)
@@ -307,16 +316,17 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
     if source.kind == "ground-fiber":
         eta = fiber_transmittance(source.arm)
         length = source.arm.length_km
-        rows = [(0.0, None, None, length, length, eta, eta, eta * eta)]
+        rows = [_cells((0.0, None, None, length, length, eta, eta, eta * eta))]
     else:
         times = config.step_grid[:-1]
-        lo, hi, egress, ingress = pass_slice(source, times)
-        rows = [
-            (t, elev_a, elev_b, range_a, range_b, eta_a, eta_b, eta_a * eta_b)
-            for t, (elev_a, range_a, eta_a), (elev_b, range_b, eta_b)
-            in zip(times[lo:hi].tolist(), egress, ingress)
-        ]
-    _write_rows(sys.stdout, LINKBUDGET_COLUMNS, rows)
+        lo, hi, (elev_a, range_a, eta_a), (elev_b, range_b, eta_b) = pass_slice(source, times)
+        # ``_cells`` column by column: every value is a float, or None below the horizon.
+        rows = zip(
+            map(repr, times[lo:hi].tolist()),
+            *(["" if v is None else repr(v) for v in c] for c in (elev_a, elev_b, range_a, range_b)),
+            *(map(repr, c) for c in (eta_a, eta_b, np.multiply(eta_a, eta_b).tolist())),
+        )
+    sys.stdout.write("".join([",".join(row) + "\n" for row in (LINKBUDGET_COLUMNS, *rows)]))
     return EXIT_OK
 
 

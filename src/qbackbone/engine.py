@@ -51,7 +51,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -374,20 +374,21 @@ def _walk_and_finish(cfg: ScenarioConfig, draws: _Draws) -> RunResult:
     )
 
 
-def run_many(config: ScenarioConfig, capacities: Sequence[int | None]) -> list[RunResult]:
+def run_many(config: ScenarioConfig, capacities: Sequence[int | None]) -> Iterator[RunResult]:
     """``run(replace(config, memory_capacity=m))`` for each ``m`` in ``capacities``.
 
     Stages 1-4 are drawn once and every capacity walks the same draws;
     each obtains the teleport and egress streams afresh, so each result is
-    the run of its capacity.
+    the run of its capacity.  Results are yielded one at a time and not
+    kept, so a caller that reduces each one holds a single result.
     """
     draws = _draw(config)
-    return [
+    return (
         _walk_and_finish(dataclasses.replace(config, memory_capacity=m), draws)
         for m in capacities
-    ]
+    )
 
 
 def run(config: ScenarioConfig) -> RunResult:
     """Simulate one scenario to completion; deterministic for a fixed config."""
-    return run_many(config, [config.memory_capacity])[0]
+    return next(run_many(config, [config.memory_capacity]))

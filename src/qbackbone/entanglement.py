@@ -61,11 +61,11 @@ class SatelliteSource:
 EntanglementSource = Union[FiberSource, SatelliteSource]
 
 
-def pass_slice(source: SatelliteSource, times: np.ndarray) -> tuple[int, int, list, list]:
-    """``(lo, hi, egress_rows, ingress_rows)``: a satellite's two
-    ``downlink_profile`` row lists on ``times[lo:hi]``, which are finite and
-    ascending.  The slice is its ``service_interval`` and one time more on
-    each side; at every other time the coincidence probability is 0."""
+def pass_slice(source: SatelliteSource, times: np.ndarray) -> tuple[int, int, tuple, tuple]:
+    """``(lo, hi, egress_columns, ingress_columns)``: a satellite's two
+    ``downlink_profile`` column triples on ``times[lo:hi]``, which are finite
+    and ascending.  The slice is its ``service_interval`` and one time more
+    on each side; at every other time the coincidence probability is 0."""
     model, params = source.pass_model, source.link_params
     start, end = service_interval(model, params.min_elevation_deg)
     lo = max(int(np.searchsorted(times, start)) - 1, 0)
@@ -94,5 +94,6 @@ def coincidence_matrix(
             p[:, j] = eta * eta
             continue
         lo, hi, egress, ingress = pass_slice(source, times)
-        p[lo:hi, j] = [a[2] * b[2] for a, b in zip(egress, ingress)]
+        # An IEEE product, the same bits as Python's ``a * b`` on any SIMD dispatch.
+        p[lo:hi, j] = np.multiply(egress[2], ingress[2])
     return p

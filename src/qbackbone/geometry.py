@@ -8,18 +8,17 @@ ignored.  The model describes a single pass around each configured peak
 time: from half an orbital period before the peak to half a period after
 it, and the satellite is below the horizon outside that interval.
 ``visibility_window`` and ``service_interval`` give intervals of a pass
-as ``(start_s, end_s)`` tuples.
+as ``(start_s, end_s)`` tuples.  ``linkbudget.downlink_profile`` computes
+the elevation along a pass in the same loop as the downlink.
 
-``elevation_profile`` evaluates one station's pass at many instants with
-scalar ``math`` kernels, so outputs do not depend on the host's SIMD
-dispatch; this module does not import numpy.
+Outputs must not depend on the host's SIMD dispatch, so the kernels here
+use scalar ``math`` and this module does not import numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 EARTH_RADIUS_KM = 6371.0
 EARTH_MU_KM3_S2 = 398600.4418
@@ -122,37 +121,6 @@ def central_angle_rad(elevation_deg: float, altitude_km: float) -> float:
     return math.acos(_clamp(rho * math.cos(el))) - el
 
 
-def elevation_profile(
-    times: Iterable[float], pass_model: SatellitePassModel, station: StationPass
-) -> list[float | None]:
-    """Elevation in degrees at each of ``times``, None while below the horizon.
-
-    ``station`` is ``pass_model.egress`` or ``pass_model.ingress``.  The
-    profile peaks at that station's peak elevation and time and is
-    symmetric about the peak.  The model covers one pass: half an orbital
-    period or more from the peak, the satellite stays at its farthest
-    point, below the horizon, instead of rising again one period later.
-    What does not depend on the time is computed once per call.
-    """
-    cos_gamma_min = math.cos(central_angle_rad(station.peak_elevation_deg, pass_model.altitude_km))
-    omega = pass_model.angular_rate_rad_s
-    rho = EARTH_RADIUS_KM / pass_model.orbit_radius_km
-    peak_s = station.peak_time_s
-    elevations: list[float | None] = []
-    for t_s in times:
-        if not math.isfinite(t_s):
-            raise ValueError(f"t_s must be finite: {t_s}")
-        phase = min(omega * abs(t_s - peak_s), math.pi)
-        cos_gamma = _clamp(cos_gamma_min * math.cos(phase))
-        gamma = math.acos(cos_gamma)
-        if gamma < 1e-12:
-            elevations.append(90.0)
-            continue
-        elevation = math.degrees(math.atan((cos_gamma - rho) / math.sin(gamma)))
-        elevations.append(elevation if elevation >= 0.0 else None)
-    return elevations
-
-
 def _mask_interval(
     pass_model: SatellitePassModel, min_elevation_deg: float, slack_rad: float
 ) -> tuple[float, float]:
@@ -190,8 +158,9 @@ def visibility_window(
 def service_interval(
     pass_model: SatellitePassModel, min_elevation_deg: float
 ) -> tuple[float, float]:
-    """Times outside which ``elevation_profile`` is below ``min_elevation_deg``
-    at one station or the other; empty when start exceeds end.
+    """Times outside which the elevation ``linkbudget.downlink_profile``
+    computes is below ``min_elevation_deg`` at one station or the other;
+    empty when start exceeds end.
 
     Unlike ``visibility_window`` this bounds the computed elevation, which
     can meet the mask where the exact one does not: ``acos`` near 1 turns

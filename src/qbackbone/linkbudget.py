@@ -7,11 +7,12 @@ pointing loss, and a fixed system efficiency.  Service is gated at a
 minimum elevation below which the transmittance is exactly zero.
 
 ``downlink_profile`` evaluates the downlink to one station, egress or
-ingress, at many instants of one pass with the scalar ``math`` kernels;
+ingress, at many instants of one pass: one loop computes the elevation,
+slant range and transmittance of each instant and returns three columns.
 ``entanglement.pass_slice`` runs it on the channel steps of a pass for
 both the engine's probability matrix and the ``linkbudget`` command.
-Outputs must not depend on the host's SIMD dispatch, so this module does
-not import numpy.
+Outputs must not depend on the host's SIMD dispatch, so the kernels use
+scalar ``math`` and this module does not import numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .geometry import EARTH_RADIUS_KM, SatellitePassModel, StationPass, elevation_profile
+from .geometry import EARTH_RADIUS_KM, SatellitePassModel, StationPass, central_angle_rad
 
 
 @dataclass(frozen=True)
@@ -83,35 +84,51 @@ def downlink_profile(
     pass_model: SatellitePassModel,
     station: StationPass,
     params: FreeSpaceLinkParams,
-) -> list[tuple[float | None, float | None, float]]:
-    """Elevation, slant range and transmittance of one station's downlink
-    at each of ``times``.
+) -> tuple[list[float | None], list[float | None], list[float]]:
+    """``(elevations, ranges_km, etas)``: elevation in degrees, slant range
+    and transmittance of one station's downlink at each of ``times``.
 
-    ``station`` is ``pass_model.egress`` or ``pass_model.ingress``.
+    ``station`` is ``pass_model.egress`` or ``pass_model.ingress``.  The
+    elevation peaks at that station's peak elevation and time and is
+    symmetric about the peak.  The model covers one pass: half an orbital
+    period or more from the peak, the satellite stays at its farthest
+    point, below the horizon, instead of rising again one period later.
     Elevation and range are None while the satellite is below the
     station's horizon.  The transmittance, in [0, 1), is 0 there and
     below ``params.min_elevation_deg``, non-decreasing in elevation and
     non-increasing in range.  Each range is ``geometry.slant_range_km``
     of its elevation, bit for bit.
     """
+    cos, sin, radians = math.cos, math.sin, math.radians
     re, r = EARTH_RADIUS_KM, pass_model.orbit_radius_km
     r2 = r * r
+    cos_gamma_min = cos(central_angle_rad(station.peak_elevation_deg, pass_model.altitude_km))
+    omega, rho, peak_s = pass_model.angular_rate_rad_s, re / r, station.peak_time_s
     mask, divergence = params.min_elevation_deg, params.divergence_half_angle_rad
     neg_aperture2 = -(params.receiver_aperture_diameter_m**2)
     zenith = params.zenith_atmospheric_transmittance
     gain = params.system_efficiency * 10.0 ** (-params.pointing_loss_db / 10.0)
-    rows: list[tuple[float | None, float | None, float]] = []
-    for elevation in elevation_profile(times, pass_model, station):
-        if elevation is None:
-            rows.append((None, None, 0.0))
-            continue
-        el = math.radians(elevation)
-        sin_el = math.sin(el)
-        range_km = math.sqrt(r2 - (re * math.cos(el)) ** 2) - re * sin_el
-        eta = 0.0
-        if elevation >= mask:
-            beam_radius_m = divergence * (1000.0 * range_km)
-            eta_geo = 1.0 - math.exp(neg_aperture2 / (2.0 * beam_radius_m**2))
-            eta = gain * zenith ** (1.0 / sin_el) * eta_geo
-        rows.append((elevation, range_km, eta))
-    return rows
+    elevations, ranges_km, etas = [], [], []
+    for t_s in times:
+        if not math.isfinite(t_s):
+            raise ValueError(f"t_s must be finite: {t_s}")
+        phase = omega * abs(t_s - peak_s)
+        cos_gamma = cos_gamma_min * cos(phase if phase < math.pi else math.pi)
+        cos_gamma = -1.0 if cos_gamma < -1.0 else 1.0 if cos_gamma > 1.0 else cos_gamma
+        gamma = math.acos(cos_gamma)
+        elevation = 90.0 if gamma < 1e-12 else math.degrees(math.atan((cos_gamma - rho) / sin(gamma)))
+        range_km, eta = None, 0.0
+        if elevation >= 0.0:
+            el = radians(elevation)
+            sin_el = sin(el)
+            range_km = math.sqrt(r2 - (re * cos(el)) ** 2) - re * sin_el
+            if elevation >= mask:
+                beam_radius_m = divergence * (1000.0 * range_km)
+                eta_geo = 1.0 - math.exp(neg_aperture2 / (2.0 * beam_radius_m**2))
+                eta = gain * zenith ** (1.0 / sin_el) * eta_geo
+        else:
+            elevation = None
+        elevations.append(elevation)
+        ranges_km.append(range_km)
+        etas.append(eta)
+    return elevations, ranges_km, etas

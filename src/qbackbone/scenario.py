@@ -47,9 +47,10 @@ _SATELLITES = {
 POLICY_KINDS = ("fiber-only", "satellite-only", "best-source", "all-sources")
 
 # Ceiling on the expected frame count and on the channel steps of one run
-# (a bin spans whole steps, so bins are never more than steps).  A run
-# holds about 220 bytes per frame, so the ceiling keeps a run near 1 GB;
-# at the default traffic it allows a 27 h horizon.
+# (a bin spans whole steps, so bins are never more than steps).  The
+# tracemalloc peak of ``simulate`` grows by about 145 bytes per frame
+# (dark_fiber, 30k to 240k frames), so the ceiling keeps a run under
+# 1 GB; at the default traffic it allows a 27 h horizon.
 MAX_RUN_CELLS = 5_000_000
 
 # Ceiling on the expected pair count and the expected qubit count of one

@@ -12,15 +12,18 @@ the segments before each frame and then the frame's take.
 ``write_frames`` is the oracle for the column-wise ``frames.csv``
 writer: one row per frame, one cell at a time, through ``csv.writer``
 and ``_fmt``.  ``_fmt`` is also the per-cell oracle of the direct
-writer of the other numeric tables.
+writer of the other numeric tables and of the column-wise ``linkbudget``
+table.
 
 ``elevation_at``, ``freespace_transmittance`` and ``downlink`` are the
 per-instant pass and downlink kernels as first written: every constant
 of the pass recomputed at each instant, and the slant range computed
-once for the range and again inside the transmittance.
-``freespace_transmittance`` takes the altitude, and is the only
-standalone form of the transmittance formula that
-``linkbudget.downlink_profile`` runs inline.
+once for the range and again inside the transmittance.  ``downlink`` is
+the oracle of the three columns (elevation, slant range, transmittance)
+that ``linkbudget.downlink_profile`` computes in one loop per station.
+``elevation_at`` and ``freespace_transmittance``, which takes the
+altitude, are the only standalone forms of the elevation and the
+transmittance formulas that the kernel runs inline.
 ``coincidence_matrix`` evaluates them at every time of the grid, with no
 skip outside the pass.  ``coincidence_probability``, ``pair_rate_hz``
 and ``select_sources`` are the per-source, per-instant oracles of the

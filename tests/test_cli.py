@@ -25,6 +25,7 @@ from qbackbone.entanglement import FiberSource, SatelliteSource
 from qbackbone.geometry import SatellitePassModel, StationPass
 from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
 from qbackbone.scenario import (
+    MAX_RUN_CELLS,
     Policy,
     ScenarioConfig,
     TrafficConfig,
@@ -471,6 +472,54 @@ class TestSweep:
         assert unlimited["memory_capacity"] == "unlimited"
         assert int(huge["total_qubits_delivered"]) > 0
         assert huge["total_qubits_delivered"] == unlimited["total_qubits_delivered"]
+
+    @pytest.mark.parametrize("flag", ["--seeds-per-point", "--memory"])
+    def test_rows_past_the_ceiling_exit_1_before_allocating(self, tmp_path, capsys, flag):
+        # One label, so MAX_RUN_CELLS + 1 seeds or sizes is one row too many.
+        config = write_config(tmp_path, short_config(duration_s=10.0))
+        out = tmp_path / "sweep.csv"
+        over = {"--seeds-per-point": str(MAX_RUN_CELLS + 1), "--memory": "1," * MAX_RUN_CELLS + "1"}
+        argv = {"--memory": "1", "--seeds-per-point": "1", flag: over[flag]}
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--config", config, "--out", str(out), *sum(argv.items(), ())])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag in err and "ceiling" in err
+        assert peak < 1_000_000
+        assert not out.exists()
+
+    def test_peak_memory_does_not_grow_with_memory_sizes(self, tmp_path):
+        # 30,000 frames: each result a sweep held would add about 1.2 MB.
+        config = write_config(tmp_path, ScenarioConfig(sources=(dark_fiber_source(),)))
+        out = str(tmp_path / "sweep.csv")
+
+        def peak(memory: str) -> int:
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--config", config, "--out", out, "--memory", memory]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("1")  # first-call allocations
+        one, many = peak("1"), peak("1,2,3,4,5,6,7,8,8,8")
+        assert many < one + 300_000, (one, many)
+
+    def test_duplicate_sizes_give_identical_rows(self, tmp_path):
+        config = write_config(tmp_path, short_config(duration_s=20.0))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", config, "--out", str(out), "--seeds-per-point", "2"]
+        assert main([*argv, "--memory", "3,unlimited,3,1,unlimited"]) == 0
+        rows = read_csv(out)
+        assert [r["memory_capacity"] for r in rows] == ["1"] * 2 + ["3"] * 4 + ["unlimited"] * 4
+        assert rows[2:4] == rows[4:6] and rows[6:8] == rows[8:10]
+        assert main([*argv, "--memory", "3"]) == 0
+        assert read_csv(out) == rows[2:4]
 
     def test_empty_memory_list_exits_1(self, tmp_path, capsys):
         config = write_config(tmp_path, short_config(duration_s=0.0))

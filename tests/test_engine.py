@@ -484,7 +484,7 @@ class TestRunMany:
     @example(capacities=[20, None, 1, 20])
     def test_each_result_is_the_run_of_its_capacity(self, path, capacities):
         config = load_config_file(str(path))
-        results = engine.run_many(config, capacities)
+        results = list(engine.run_many(config, capacities))
         assert len(results) == len(capacities)
         for capacity, result in zip(capacities, results):
             expected = run(dataclasses.replace(config, memory_capacity=capacity))

@@ -60,12 +60,12 @@ class TestCoincidenceCount:
     def test_dead_arm_always_zero(self):
         source = invisible_satellite().sources[0]
         model = source.pass_model
-        egress, ingress = (
+        (_, _, etas_a), (_, _, etas_b) = (
             downlink_profile((0.0, 8.0, 16.0), model, station, source.link_params)
             for station in (model.egress, model.ingress)
         )
-        for a, b in zip(egress, ingress):
-            assert 0.0 in (a[2], b[2])
+        for a, b in zip(etas_a, etas_b):
+            assert 0.0 in (a, b)
         assert not coincidence_matrix((source,), np.arange(5) * 2.0).any()
         for seed in range(20):
             result = run(invisible_satellite(duration_s=8.0, seed=seed))

@@ -6,16 +6,17 @@ import math
 import numpy as np
 import pytest
 
+import _reference
 from qbackbone.geometry import (
     EARTH_RADIUS_KM,
     SatellitePassModel,
     StationPass,
     central_angle_rad,
-    elevation_profile,
     service_interval,
     slant_range_km,
     visibility_window,
 )
+from qbackbone.linkbudget import FreeSpaceLinkParams, downlink_profile
 from qbackbone.scenario import satellite_source
 
 
@@ -27,9 +28,17 @@ def twin_model(
     return SatellitePassModel(altitude_km, egress=station, ingress=station)
 
 
+def elevation_column(
+    times: list[float], model: SatellitePassModel, station: StationPass
+) -> list[float | None]:
+    """The elevation column of the engine's ``downlink_profile``."""
+    elevations, _, _ = downlink_profile(times, model, station, FreeSpaceLinkParams())
+    return elevations
+
+
 def elevation_at(t_s: float, model: SatellitePassModel, station: StationPass) -> float | None:
-    """``elevation_profile`` at one instant."""
-    (elevation,) = elevation_profile([t_s], model, station)
+    """``elevation_column`` at one instant."""
+    (elevation,) = elevation_column([t_s], model, station)
     return elevation
 
 
@@ -130,11 +139,12 @@ class TestElevationAt:
     def test_profile_is_pointwise(self):
         model = micius_model(peak_time_s=100.0)
         times = np.linspace(-300.0, 500.0, 81).tolist()
-        profile = elevation_profile(times, model, model.ingress)
+        profile = elevation_column(times, model, model.ingress)
         assert profile == [elevation_at(t, model, model.ingress) for t in times]
+        assert profile == [_reference.elevation_at(t, model, model.ingress) for t in times]
         assert None in profile and profile[40] == elevation_at(100.0, model, model.ingress)
         with pytest.raises(ValueError):
-            elevation_profile([0.0, math.inf], model, model.egress)
+            elevation_column([0.0, math.inf], model, model.egress)
 
     def test_zenith_pass(self):
         model = twin_model(500.0, 90.0)

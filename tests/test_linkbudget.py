@@ -3,9 +3,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _reference
 from qbackbone.cli import main
@@ -13,7 +16,6 @@ from qbackbone.entanglement import FiberSource, SatelliteSource, coincidence_mat
 from qbackbone.geometry import (
     SatellitePassModel,
     StationPass,
-    elevation_profile,
     service_interval,
     slant_range_km,
     visibility_window,
@@ -140,13 +142,13 @@ class TestCoincidence:
         model = micius.pass_model
         times = np.sort(rng.uniform(-200.0, 400.0, size=100))
         p = coincidence_matrix((micius,), times)[:, 0]
-        egress, ingress = (
+        (_, _, etas_a), (_, _, etas_b) = (
             downlink_profile(times.tolist(), model, station, micius.link_params)
             for station in (model.egress, model.ingress)
         )
-        for p_t, a, b in zip(p.tolist(), egress, ingress):
-            assert p_t == a[2] * b[2]
-            assert p_t <= min(a[2], b[2]) + 1e-15
+        for p_t, a, b in zip(p.tolist(), etas_a, etas_b):
+            assert p_t == a * b
+            assert p_t <= min(a, b) + 1e-15
         with pytest.raises(ValueError):
             coincidence_matrix((micius,), times[::-1])
 
@@ -194,8 +196,8 @@ class TestAttenuationProfile:
     def test_internal_consistency(self, tmp_path, capsys):
         rows = profile(tmp_path, capsys, self.source)[::10]
         times = [r["time_s"] for r in rows]
-        elevations = elevation_profile(times, self.model, self.model.egress)
-        ingress = downlink_profile(times, self.model, self.model.ingress, DEFAULTS)
+        elevations, _, _ = downlink_profile(times, self.model, self.model.egress, DEFAULTS)
+        ingress = zip(*downlink_profile(times, self.model, self.model.ingress, DEFAULTS))
         for r, elevation, downlink_b in zip(rows, elevations, ingress):
             range_km = slant_range_km(elevation, self.model.altitude_km)
             assert r["elev_a_deg"] == elevation
@@ -208,7 +210,8 @@ class TestAttenuationProfile:
     def test_outside_visibility_is_zero(self):
         times = np.arange(5000.0, 5012.0, 2.0).tolist()
         for station in (self.model.egress, self.model.ingress):
-            assert downlink_profile(times, self.model, station, DEFAULTS) == [(None, None, 0.0)] * 6
+            columns = downlink_profile(times, self.model, station, DEFAULTS)
+            assert columns == ([None] * 6, [None] * 6, [0.0] * 6)
 
     def test_empty_window(self, tmp_path, capsys):
         low = SatellitePassModel(474.0, StationPass(15.0, 0.0), StationPass(15.0, 0.0))
@@ -224,3 +227,72 @@ class TestAttenuationProfile:
         assert window_start < 0.0 and rows[0]["time_s"] == 0.0
         for r in rows:
             assert r["eta_a"] > 0.0 or r["elev_a_deg"] < DEFAULTS.min_elevation_deg + 1e-9
+
+
+@st.composite
+def passes(draw) -> tuple[SatellitePassModel, FreeSpaceLinkParams, list[float]]:
+    """A pass over the validator's altitudes, link params inside their
+    bounds, and times spread over one and a half orbital periods each side
+    of the peaks, the peaks themselves included.  A peak may be 90 degrees,
+    or equal to or under the mask."""
+    params = FreeSpaceLinkParams(
+        divergence_half_angle_rad=draw(st.floats(1e-9, 0.1)),
+        receiver_aperture_diameter_m=draw(st.floats(0.0, 100.0, exclude_min=True)),
+        zenith_atmospheric_transmittance=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        pointing_loss_db=draw(st.floats(0.0, 60.0)),
+        system_efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        min_elevation_deg=draw(st.floats(0.0, 90.0, exclude_min=True, exclude_max=True)),
+    )
+    mask = params.min_elevation_deg
+    peaks = st.one_of(
+        st.just(90.0),
+        st.just(mask),
+        st.floats(0.0, mask, exclude_min=True),
+        st.floats(0.0, 90.0, exclude_min=True),
+    )
+    peak_times = st.floats(-1e4, 1e4)
+    egress = StationPass(draw(peaks), draw(peak_times))
+    ingress = StationPass(draw(peaks), draw(st.one_of(st.just(egress.peak_time_s), peak_times)))
+    model = SatellitePassModel(draw(st.floats(100.0, 1e6)), egress, ingress)
+    period = 2.0 * math.pi / model.angular_rate_rad_s
+    offsets = draw(st.lists(st.floats(-1.5, 1.5), max_size=30))
+    times = [egress.peak_time_s, ingress.peak_time_s, *(egress.peak_time_s + u * period for u in offsets)]
+    return model, params, times
+
+
+class TestDownlinkProfile:
+    """The engine's one-loop kernel against the per-instant oracle."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=passes())
+    @example(case=(satellite_source("Micius").pass_model, DEFAULTS, [128.0, 5000.0, -3000.0]))
+    @example(
+        case=(
+            SatellitePassModel(500.0, StationPass(90.0, 0.0), StationPass(20.0, 0.0)),
+            DEFAULTS,
+            [0.0, 1.0, -1.0],
+        )
+    )
+    def test_columns_equal_the_oracle_at_every_instant(self, case):
+        model, params, times = case
+        for station in (model.egress, model.ingress):
+            columns = downlink_profile(times, model, station, params)
+            rows = [_reference.downlink(t, model, station, params) for t in times]
+            assert columns == tuple(map(list, zip(*rows)))
+            if station.peak_elevation_deg == 90.0:
+                # The zenith branch, at the peak.
+                assert columns[0][times.index(station.peak_time_s)] == 90.0
+        times = sorted(times)
+        (_, _, etas_a), (_, _, etas_b) = (
+            downlink_profile(times, model, station, params) for station in (model.egress, model.ingress)
+        )
+        source = SatelliteSource("sat", model, params)
+        p = coincidence_matrix((source,), np.array(times))[:, 0]
+        assert p.tolist() == [a * b for a, b in zip(etas_a, etas_b)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_raises(self, bad):
+        model = satellite_source("Micius").pass_model
+        for station in (model.egress, model.ingress):
+            with pytest.raises(ValueError, match="finite"):
+                downlink_profile([0.0, bad], model, station, DEFAULTS)
