@@ -87,15 +87,9 @@ def _cells(row: Iterable[object]) -> list[str]:
     return ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row]
 
 
-def _write_rows(fh, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """Write a table whose cells are all numeric or empty, so none needs CSV quoting."""
-    fh.write(",".join(columns) + "\n")
-    for row in rows:
-        fh.write(",".join(_cells(row)) + "\n")
-
-
 def _write_quoted(fh, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """Write a table through ``csv.writer``, which quotes text cells such as source ids."""
+    """Write a small table through ``csv.writer`` over ``_cells``; it quotes
+    text cells such as source ids and leaves numeric and empty cells bare."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(map(_cells, rows))
@@ -177,12 +171,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "timeseries.csv"), "w", encoding="utf-8", newline="") as fh:
             bin_row = operator.attrgetter(*TIMESERIES_COLUMNS)
-            _write_rows(fh, TIMESERIES_COLUMNS, map(bin_row, result.bins))
+            _write_quoted(fh, TIMESERIES_COLUMNS, map(bin_row, result.bins))
         with open(os.path.join(args.out, "frames.csv"), "w", encoding="utf-8", newline="") as fh:
             _write_frames(fh, result.frames)
         with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
             totals = dataclasses.astuple(result.totals)
-            _write_rows(fh, SUMMARY_COLUMNS, [(config.seed, config.duration_s, *totals)])
+            _write_quoted(fh, SUMMARY_COLUMNS, [(config.seed, config.duration_s, *totals)])
     except OSError as exc:
         print(f"error: cannot write outputs under {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_IO

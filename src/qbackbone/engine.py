@@ -56,8 +56,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .entanglement import coincidence_matrix
-from .interface import classical_latency_s
-from .linkbudget import fiber_transmittance
+from .linkbudget import classical_latency_s, fiber_transmittance
 from .scenario import ScenarioConfig, active_sources
 
 # The walk's stand-in for unlimited memory.  Occupancy never exceeds the
@@ -219,8 +218,8 @@ class _Draws:
     created: np.ndarray
     egress_times: np.ndarray
     survivors: np.ndarray
-    # Per-segment arrivals, the segments stored before each served frame,
-    # and the grid of reporting bins.
+    # Pairs arrived from each source, per-segment arrivals, the segments
+    # stored before each served frame, and the grid of reporting bins.
     pairs_by_source: np.ndarray
     pairs_per_segment: np.ndarray
     seg_stop: np.ndarray
@@ -276,7 +275,7 @@ def _draw(cfg: ScenarioConfig) -> _Draws:
         created=created[:n_processed],
         egress_times=egress_times,
         survivors=survivors[:n_processed],
-        pairs_by_source=pairs_by_source,
+        pairs_by_source=pairs_by_source.sum(axis=0),
         pairs_per_segment=pairs_by_source.sum(axis=1),
         seg_stop=np.searchsorted(boundaries[1:], egress_times, side="right"),
         seg_bin=seg_step // steps_per_bin,
@@ -368,8 +367,8 @@ def _walk_and_finish(cfg: ScenarioConfig, draws: _Draws) -> RunResult:
         frames=frames,
         totals=totals,
         pairs_by_source={
-            source.source_id: int(draws.pairs_by_source[:, j].sum())
-            for j, source in enumerate(cfg.sources)
+            source.source_id: count
+            for source, count in zip(cfg.sources, draws.pairs_by_source.tolist())
         },
     )
 

@@ -22,7 +22,13 @@ from typing import ClassVar, Sequence, Union
 import numpy as np
 
 from .geometry import SatellitePassModel, service_interval
-from .linkbudget import FiberLink, FreeSpaceLinkParams, downlink_profile, fiber_transmittance
+from .linkbudget import (
+    STANDARD_FIBER_DB_PER_KM,
+    FiberLink,
+    FreeSpaceLinkParams,
+    downlink_profile,
+    fiber_transmittance,
+)
 
 DEFAULT_EMISSION_RATE_HZ = 2.0e5
 
@@ -32,7 +38,7 @@ class FiberSource:
     """Ground pair source feeding both stations through two equal fiber arms."""
 
     source_id: str
-    arm: FiberLink = FiberLink(75.0, 0.2)
+    arm: FiberLink = FiberLink(75.0, STANDARD_FIBER_DB_PER_KM)
     emission_rate_hz: float = DEFAULT_EMISSION_RATE_HZ
 
     kind: ClassVar[str] = "ground-fiber"

@@ -1,4 +1,8 @@
-"""Per-photon transmittance of fiber links and satellite downlinks.
+"""Fiber links and satellite downlinks: transmittance and latency.
+
+A fiber attenuates at a constant rate per km, standard or dark fiber,
+and delays light by its length over the speed of light in glass; every
+classical hop at the subnetwork edges costs that latency.
 
 The free-space model combines four factors: geometric collection of a
 diffraction-limited Gaussian beam by the receiver aperture, zenith
@@ -22,6 +26,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .geometry import EARTH_RADIUS_KM, SatellitePassModel, StationPass, central_angle_rad
+
+STANDARD_FIBER_DB_PER_KM = 0.2
+DARK_FIBER_DB_PER_KM = 0.16
+SPEED_OF_LIGHT_KM_S = 299792.458
+FIBER_REFRACTIVE_INDEX = 1.468
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,13 @@ class FreeSpaceLinkParams:
 def fiber_transmittance(link: FiberLink) -> float:
     """Per-photon survival probability of a fiber span."""
     return 10.0 ** (-(link.length_km * link.attenuation_db_per_km) / 10.0)
+
+
+def classical_latency_s(distance_km: float) -> float:
+    """One-way propagation delay of light in fiber over ``distance_km``."""
+    if not (math.isfinite(distance_km) and distance_km >= 0.0):
+        raise ValueError(f"distance_km must be >= 0: {distance_km}")
+    return distance_km / (SPEED_OF_LIGHT_KM_S / FIBER_REFRACTIVE_INDEX)
 
 
 def downlink_profile(

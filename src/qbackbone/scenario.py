@@ -29,13 +29,10 @@ from .entanglement import (
     SatelliteSource,
 )
 from .geometry import SatellitePassModel, StationPass
-from .linkbudget import FiberLink, FreeSpaceLinkParams
+from .linkbudget import DARK_FIBER_DB_PER_KM, STANDARD_FIBER_DB_PER_KM, FiberLink
 
 SCHEMA_VERSION = 4
 SEED_ENV_VAR = "QBACKBONE_SEED"
-
-STANDARD_FIBER_DB_PER_KM = 0.2
-DARK_FIBER_DB_PER_KM = 0.16
 
 # name -> (altitude_km, peak elevation egress/ingress, default peak time)
 _SATELLITES = {
@@ -226,12 +223,7 @@ def active_sources(
     return available & best
 
 
-def satellite_source(
-    name: str,
-    link_params: FreeSpaceLinkParams = FreeSpaceLinkParams(),
-    emission_rate_hz: float = DEFAULT_EMISSION_RATE_HZ,
-    peak_time_s: float | None = None,
-) -> SatelliteSource:
+def satellite_source(name: str, peak_time_s: float | None = None) -> SatelliteSource:
     """Backbone source backed by a built-in satellite's pass over the two stations."""
     altitude_km, peak_egress, peak_ingress, default_peak_time = _SATELLITES[name]
     t_peak = default_peak_time if peak_time_s is None else peak_time_s
@@ -240,8 +232,6 @@ def satellite_source(
         pass_model=SatellitePassModel(
             altitude_km, StationPass(peak_egress, t_peak), StationPass(peak_ingress, t_peak)
         ),
-        link_params=link_params,
-        emission_rate_hz=emission_rate_hz,
     )
 
 

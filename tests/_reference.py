@@ -8,11 +8,14 @@ simple and slow; fiber-backbone scenarios only.
 ``memory_walk`` is the oracle for ``engine._walk``: the walk as first
 written, two nested loops kept in step by a segment pointer, storing
 the segments before each frame and then the frame's take.
+``check_run`` asserts the accounting every run must satisfy, on fuzzed
+and hand-picked runs alike; its final occupancy comes from
+``memory_walk`` over the run's own draws.
 
 ``write_frames`` is the oracle for the column-wise ``frames.csv``
 writer: one row per frame, one cell at a time, through ``csv.writer``
-and ``_fmt``.  ``_fmt`` is also the per-cell oracle of the direct
-writer of the other numeric tables and of the column-wise ``linkbudget``
+and ``_fmt``.  ``_fmt`` is also the per-cell oracle of ``cli._cells``,
+the cell rule of the small tables, and of the column-wise ``linkbudget``
 table.
 
 ``elevation_at``, ``freespace_transmittance`` and ``downlink`` are the
@@ -38,8 +41,9 @@ import math
 
 import numpy as np
 
+from qbackbone import engine
 from qbackbone.cli import FRAMES_COLUMNS
-from qbackbone.engine import FrameTable
+from qbackbone.engine import FrameTable, RunResult
 from qbackbone.entanglement import EntanglementSource
 from qbackbone.geometry import (
     EARTH_RADIUS_KM,
@@ -48,8 +52,7 @@ from qbackbone.geometry import (
     central_angle_rad,
     slant_range_km,
 )
-from qbackbone.interface import classical_latency_s
-from qbackbone.linkbudget import FreeSpaceLinkParams, fiber_transmittance
+from qbackbone.linkbudget import FreeSpaceLinkParams, classical_latency_s, fiber_transmittance
 from qbackbone.scenario import Policy, ScenarioConfig
 
 
@@ -265,6 +268,51 @@ def memory_walk(
         np.asarray(attempts_list, dtype=np.int64),
         occupancy,
     )
+
+
+def check_run(result: RunResult, config: ScenarioConfig) -> None:
+    """Assert the run invariants of ``result``, the run of ``config``:
+    stored + dropped = arrived in every bin, the totals are the bin sums,
+    every qubit of each frame is accounted for, and the consumed ranges
+    tile the stored pairs, with the final occupancy left in memory."""
+    bins, totals, frames = result.bins, result.totals, result.frames
+    for b in bins:
+        assert min(b.pairs_stored, b.pairs_dropped, b.qubits_delivered, b.frames_completed) >= 0, b
+        assert b.pairs_stored + b.pairs_dropped == b.pairs_arrived, b
+
+    for name in (
+        "pairs_arrived", "pairs_stored", "pairs_dropped", "qubits_delivered", "frames_completed"
+    ):
+        assert getattr(totals, name) == sum(getattr(b, name) for b in bins), name
+    assert list(result.pairs_by_source) == [s.source_id for s in config.sources]
+    assert totals.pairs_arrived == sum(result.pairs_by_source.values())
+    assert totals.qubits_delivered == int(frames.delivered.sum())
+
+    n, n_completed = len(frames), len(frames.delivered)
+    assert totals.frames_generated >= totals.frames_processed == n
+    assert n >= totals.frames_completed == n_completed == len(frames.delivered_at_s)
+    for name in ("egress_at_s", "survivors_at_egress", "attempts", "successes", "consumed_start"):
+        assert len(getattr(frames, name)) == n, name
+    # payload = lost_in + no_pair + failures + lost_out + delivered telescopes;
+    # what makes it an accounting is that no term is negative.
+    survivors, attempts, successes = frames.survivors_at_egress, frames.attempts, frames.successes
+    terms = (
+        frames.payload_qubits - survivors,
+        survivors - attempts,
+        attempts - successes,
+        successes[:n_completed] - frames.delivered,
+        frames.delivered,
+    )
+    assert all(np.all(term >= 0) for term in terms)
+
+    assert np.array_equal(frames.consumed_start, np.cumsum(attempts) - attempts)
+    draws = engine._draw(config)
+    capacity = math.inf if config.memory_capacity is None else config.memory_capacity
+    _, ref_attempts, occupancy = memory_walk(
+        draws.pairs_per_segment, draws.seg_stop, draws.survivors, capacity
+    )
+    assert np.array_equal(attempts, ref_attempts)
+    assert int(attempts.sum()) + occupancy == totals.pairs_stored
 
 
 def _fmt(value: object) -> str:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import _reference
 from qbackbone import engine
-from qbackbone.cli import FRAMES_CHUNK, FRAMES_COLUMNS, _write_frames, _write_rows, main
+from qbackbone.cli import FRAMES_CHUNK, FRAMES_COLUMNS, _write_frames, _write_quoted, main
 from qbackbone.entanglement import FiberSource, SatelliteSource
 from qbackbone.geometry import SatellitePassModel, StationPass
 from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
@@ -33,6 +33,8 @@ from qbackbone.scenario import (
     dark_fiber_source,
     fiber_source,
     builtin_sources,
+    load_config,
+    load_config_file,
     satellite_source,
 )
 
@@ -146,6 +148,27 @@ class TestSimulate:
         assert peak < 1_000_000
         assert not out.exists()
 
+    def test_peak_memory_per_frame(self):
+        # MAX_RUN_CELLS keeps a run under 1 GB at 200 bytes per frame.
+        base = load_config_file(str(CONFIGS_DIR / "dark_fiber.json"))
+
+        class Discard:
+            def write(self, text: str) -> None:
+                pass
+
+        def peak(duration_s: float) -> tuple[int, int]:
+            tracemalloc.start()
+            try:
+                frames = engine.run(dataclasses.replace(base, duration_s=duration_s)).frames
+                _write_frames(Discard(), frames)
+                return len(frames), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20.0)  # first-call allocations
+        (n_short, short), (n_long, long) = peak(150.0), peak(600.0)
+        assert n_long > 3 * n_short
+        assert (long - short) / (n_long - n_short) <= 200, (short, long)
 
     def test_schema_v1_document_exits_1(self, tmp_path, capsys):
         for version in (1, 2):
@@ -364,14 +387,14 @@ def numeric_tables(draw) -> tuple[tuple[str, ...], list[list[object]]]:
 
 
 class TestTableWriter:
-    """The direct writer's bytes equal ``csv.writer``'s with the reference cell rule."""
+    """The small-table writer's bytes equal ``csv.writer``'s with the reference cell rule."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(table=numeric_tables())
     def test_matches_csv_writer(self, table):
         columns, rows = table
         got = io.StringIO(newline="")
-        _write_rows(got, columns, rows)
+        _write_quoted(got, columns, rows)
         want = io.StringIO(newline="")
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(columns)
@@ -828,6 +851,9 @@ class TestCliFuzz:
                     assert any(name in err for name in FUZZ_FIELDS), err
                     continue
                 assert code == 0, err
+                if argv[0] == "simulate":
+                    config = load_config(doc)
+                    _reference.check_run(engine.run(config), config)
                 if argv[0] == "linkbudget":
                     for row in csv.DictReader(io.StringIO(out)):
                         for column in ("eta_a", "eta_b", "p_coincidence"):

@@ -109,7 +109,7 @@ class TestCoincidenceCount:
             with pytest.raises(ValueError):
                 fiber_source(emission_rate_hz=rate)
             with pytest.raises(ValueError):
-                satellite_source("Micius", emission_rate_hz=rate)
+                dataclasses.replace(satellite_source("Micius"), emission_rate_hz=rate)
         with pytest.raises(ValueError):
             fiber_source(arm_length_km=-1.0)
 

@@ -19,8 +19,7 @@ import pytest
 
 from qbackbone.cli import main
 from qbackbone.engine import run
-from qbackbone.interface import classical_latency_s
-from qbackbone.linkbudget import FiberLink
+from qbackbone.linkbudget import FiberLink, classical_latency_s
 from qbackbone.scenario import (
     Policy,
     ScenarioConfig,

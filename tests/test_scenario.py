@@ -110,6 +110,21 @@ class TestDefaults:
         ids = [s.source_id for s in builtin_sources()]
         assert ids == ["fiber-standard", "fiber-dark", "Micius", "Starlink-2007", "Iridium-126"]
 
+    def test_presets_match_the_shipped_configs(self):
+        # The presets and configs/ hold the same sources twice; they must agree.
+        presets = builtin_sources()
+        assert load_config_file(str(ROOT / "configs" / "all_sources.json")).sources == presets
+        by_id = {source.source_id: source for source in presets}
+        for name, source_id in (
+            ("default", "fiber-standard"),
+            ("dark_fiber", "fiber-dark"),
+            ("micius", "Micius"),
+            ("starlink", "Starlink-2007"),
+            ("iridium", "Iridium-126"),
+        ):
+            sources = load_config_file(str(ROOT / "configs" / f"{name}.json")).sources
+            assert sources == (by_id[source_id],), name
+
     def test_builtin_satellite_parameters(self):
         micius = satellite_source("Micius")
         assert micius.pass_model.altitude_km == 474.0
@@ -374,14 +389,12 @@ def scenario_configs(draw) -> ScenarioConfig:
     ]
     names = draw(st.lists(st.sampled_from(["Micius", "Starlink-2007", "Iridium-126"]), unique=True))
     for name in names:
+        link_params = FreeSpaceLinkParams(
+            min_elevation_deg=draw(st.floats(0.0, 89.0, exclude_min=True, **finite))
+        )
+        peak_time_s = draw(st.floats(-1.0e4, 1.0e4, **finite))
         sources.append(
-            satellite_source(
-                name,
-                FreeSpaceLinkParams(
-                    min_elevation_deg=draw(st.floats(0.0, 89.0, exclude_min=True, **finite))
-                ),
-                peak_time_s=draw(st.floats(-1.0e4, 1.0e4, **finite)),
-            )
+            dataclasses.replace(satellite_source(name, peak_time_s), link_params=link_params)
         )
     policy = draw(
         st.sampled_from(
