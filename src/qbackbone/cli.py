@@ -16,15 +16,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import itertools
 import operator
 import os
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import engine, scenario
+from . import engine, ryu, scenario
 from .entanglement import pass_slice
 from .geometry import slant_range_km, visibility_window
 from .linkbudget import fiber_transmittance
@@ -53,9 +52,9 @@ FRAMES_COLUMNS = (
     "delivered_at_s",
 )
 # Rows of frames.csv formatted and written at a time: large enough to
-# amortise the per-chunk numpy calls, small enough that the formatted
-# strings of a chunk stay a small share of the run's memory.
-FRAMES_CHUNK = 1024
+# amortise the per-chunk numpy calls, small enough that the byte matrices
+# of a chunk (a few MB) stay a small share of the run's memory.
+FRAMES_CHUNK = 4096
 SUMMARY_COLUMNS = ("seed", "duration_s", *(f.name for f in dataclasses.fields(engine.RunTotals)))
 SWEEP_COLUMNS = ("label", "memory_capacity", "seed", "total_qubits_delivered")
 PASSES_COLUMNS = (
@@ -116,52 +115,74 @@ def _load(args: argparse.Namespace) -> scenario.ScenarioConfig:
 
 
 def _write_frames(fh, frames: engine.FrameTable) -> None:
-    """Write frames.csv from the frame columns, ``FRAMES_CHUNK`` rows per write.
+    """Write frames.csv to a binary file, ``FRAMES_CHUNK`` rows per write.
 
-    Cells match ``_cells``: ``repr`` of floats, ``str`` of ints, and empty
-    cells for frames still in flight.  Every cell is numeric or empty, so
-    no cell needs CSV quoting.
+    Cells match ``_cells``: ``repr`` of floats (``ryu.float_cells``), ``str``
+    of ints, and empty cells for frames still in flight.  Every cell is
+    numeric or empty, so no cell needs CSV quoting.  A chunk is laid out as
+    one ``uint8`` matrix, a column per frame and a row per byte place, with
+    the cells' places and a comma or newline place after each; one mask
+    keeps the bytes of each cell.
     """
-    fh.write(",".join(FRAMES_COLUMNS) + "\n")
-    payload, start, delivered = frames.payload_qubits, frames.consumed_start, frames.delivered
-    survivors, attempts, successes = frames.survivors_at_egress, frames.attempts, frames.successes
-    counts = [
-        _int_cells(c)
-        for c in (survivors, payload - survivors, attempts, survivors - attempts, successes, attempts - successes)
-    ]
-    # Frame i consumes the pairs [start[i], start[i + 1]); the last one, start + attempts.
-    bounds = _int_cells(np.append(start, start[-1:] + attempts[-1:]))
-    done, lost_out = _int_cells(delivered), _int_cells(successes[: len(delivered)] - delivered)
+    fh.write((",".join(FRAMES_COLUMNS) + "\n").encode())
+    payload = np.frombuffer(str(frames.payload_qubits).encode(), np.uint8)[:, None]
     for lo in range(0, len(frames), FRAMES_CHUNK):
         hi = min(lo + FRAMES_CHUNK, len(frames))
-        kept, lost_in, tried, no_pair, succeeded, failed = (cells(lo, hi) for cells in counts)
-        bound_cells, done_cells = bounds(lo, hi + 1), done(lo, hi)
-        in_flight = [""] * (hi - lo - len(done_cells))
-        columns = (
-            map(str, range(lo, hi)),
-            map(repr, frames.created_at_s[lo:hi].tolist()),
-            map(repr, frames.egress_at_s[lo:hi].tolist()),
-            itertools.repeat(str(payload), hi - lo),
-            *(kept, lost_in, tried, no_pair, succeeded, failed, tried),  # through pairs_consumed
-            bound_cells[:-1],
-            bound_cells[1:],
-            done_cells + in_flight,
-            lost_out(lo, hi) + in_flight,
-            itertools.chain(map(repr, frames.delivered_at_s[lo:hi].tolist()), in_flight),
+        n = hi - lo
+        survivors, attempts, successes, start = (
+            c[lo:hi] for c in (frames.survivors_at_egress, frames.attempts, frames.successes, frames.consumed_start)
         )
-        fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+        delivered = frames.delivered[lo:hi]  # the chunk's completed frames only
+        chars, keep = ryu.float_cells(
+            np.concatenate([frames.created_at_s[lo:hi], frames.egress_at_s[lo:hi], frames.delivered_at_s[lo:hi]])
+        )
+        created, egress, delivered_at = ((chars[:, at : at + n], keep[:, at : at + n]) for at in (0, n, 2 * n))
+        tried = _count_cells(attempts)
+        cells = (
+            _count_cells(np.arange(lo, hi)),
+            created,
+            egress,
+            (np.broadcast_to(payload, (len(payload), n)), True),
+            _count_cells(survivors),
+            _count_cells(frames.payload_qubits - survivors),
+            tried,
+            _count_cells(survivors - attempts),
+            _count_cells(successes),
+            _count_cells(attempts - successes),
+            tried,  # pairs_consumed
+            _count_cells(start),
+            _count_cells(start + attempts),
+            _count_cells(delivered),
+            _count_cells(successes[: len(delivered)] - delivered),
+            delivered_at,
+        )
+        chars = np.empty((sum(len(c) for c, _ in cells) + len(cells), n), np.uint8)
+        keep = np.zeros(chars.shape, bool)
+        at = 0
+        for cell_chars, cell_keep in cells:
+            rows, cols = slice(at, at + len(cell_chars)), cell_chars.shape[1]
+            chars[rows, :cols], keep[rows, :cols] = cell_chars, cell_keep
+            at = rows.stop
+            chars[at], keep[at] = ord(","), True
+            at += 1
+        chars[-1] = ord("\n")
+        fh.write(chars.T[keep.T])
 
 
-def _int_cells(column: np.ndarray) -> Callable[[int, int], list[str]]:
-    """``cells(lo, hi)``, the ``str`` cells of ``column[lo:hi]``.  A column
-    spanning no more values than it has entries formats each value once,
-    into a table indexed by value; any other is formatted entry by entry."""
-    if len(column):
-        low, high = int(column.min()), int(column.max())
-        if high - low < len(column):
-            table = np.array([str(v) for v in range(low, high + 1)], dtype=object)
-            return lambda lo, hi: table[column[lo:hi] - low].tolist()
-    return lambda lo, hi: list(map(str, column[lo:hi].tolist()))
+def _count_cells(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``str`` of each non-negative integer as right-aligned ASCII digits,
+    laid out as ``ryu.float_cells`` lays out its cells."""
+    value = counts.astype(np.uint64)
+    width = len(str(value.max(initial=0)))
+    chars = np.empty((width, len(value)), np.uint8)
+    keep = np.empty(chars.shape, bool)
+    for place in range(width - 1, -1, -1):
+        keep[place] = value != 0
+        quotient = value // 10
+        chars[place] = value - quotient * 10 + ord("0")
+        value = quotient
+    keep[-1] = True  # the units digit, also of 0
+    return chars, keep
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -172,7 +193,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         with open(os.path.join(args.out, "timeseries.csv"), "w", encoding="utf-8", newline="") as fh:
             bin_row = operator.attrgetter(*TIMESERIES_COLUMNS)
             _write_quoted(fh, TIMESERIES_COLUMNS, map(bin_row, result.bins))
-        with open(os.path.join(args.out, "frames.csv"), "w", encoding="utf-8", newline="") as fh:
+        with open(os.path.join(args.out, "frames.csv"), "wb") as fh:
             _write_frames(fh, result.frames)
         with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
             totals = dataclasses.astuple(result.totals)

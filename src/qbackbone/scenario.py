@@ -22,12 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .entanglement import (
-    DEFAULT_EMISSION_RATE_HZ,
-    EntanglementSource,
-    FiberSource,
-    SatelliteSource,
-)
+from .entanglement import EntanglementSource, FiberSource, SatelliteSource
 from .geometry import SatellitePassModel, StationPass
 from .linkbudget import DARK_FIBER_DB_PER_KM, STANDARD_FIBER_DB_PER_KM, FiberLink
 
@@ -45,9 +40,9 @@ POLICY_KINDS = ("fiber-only", "satellite-only", "best-source", "all-sources")
 
 # Ceiling on the expected frame count and on the channel steps of one run
 # (a bin spans whole steps, so bins are never more than steps).  The
-# tracemalloc peak of ``simulate`` grows by about 145 bytes per frame
-# (dark_fiber, 30k to 240k frames), so the ceiling keeps a run under
-# 1 GB; at the default traffic it allows a 27 h horizon.
+# tracemalloc peak of a run and its frames.csv write grows by about 121
+# bytes per frame (dark_fiber, 30k to 240k frames), so the ceiling keeps
+# a run under 1 GB; at the default traffic it allows a 27 h horizon.
 MAX_RUN_CELLS = 5_000_000
 
 # Ceiling on the expected pair count and the expected qubit count of one
@@ -238,8 +233,8 @@ def satellite_source(name: str, peak_time_s: float | None = None) -> SatelliteSo
 def fiber_source(
     source_id: str = "fiber-standard",
     attenuation_db_per_km: float = STANDARD_FIBER_DB_PER_KM,
-    arm_length_km: float = 75.0,
-    emission_rate_hz: float = DEFAULT_EMISSION_RATE_HZ,
+    arm_length_km: float = FiberSource.arm.length_km,
+    emission_rate_hz: float = FiberSource.emission_rate_hz,
 ) -> FiberSource:
     """Ground source placed equidistantly between egress and ingress."""
     return FiberSource(source_id, FiberLink(arm_length_km, attenuation_db_per_km), emission_rate_hz)

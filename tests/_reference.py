@@ -12,11 +12,11 @@ the segments before each frame and then the frame's take.
 and hand-picked runs alike; its final occupancy comes from
 ``memory_walk`` over the run's own draws.
 
-``write_frames`` is the oracle for the column-wise ``frames.csv``
-writer: one row per frame, one cell at a time, through ``csv.writer``
-and ``_fmt``.  ``_fmt`` is also the per-cell oracle of ``cli._cells``,
-the cell rule of the small tables, and of the column-wise ``linkbudget``
-table.
+``write_frames`` is the oracle for the ``frames.csv`` byte writer,
+``cli._write_frames``: one row per frame, one cell at a time, through
+``csv.writer`` and ``_fmt``.  ``_fmt`` stays the per-cell oracle of
+``cli._cells``, the cell rule of the small tables, and of the
+column-wise ``linkbudget`` table, which keep ``repr``.
 
 ``elevation_at``, ``freespace_transmittance`` and ``downlink`` are the
 per-instant pass and downlink kernels as first written: every constant

@@ -1,0 +1,77 @@
+"""The float cells of ``qbackbone.ryu`` equal ``repr``, value by value."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from qbackbone.ryu import float_cells
+
+
+def assert_repr(values: np.ndarray) -> None:
+    """Every cell of ``float_cells(values)`` is the ``repr`` of its value."""
+    chars, keep = float_cells(values)
+    # One newline place after every cell, then the cells in value order.
+    chars = np.vstack([chars, np.full((1, len(values)), ord("\n"), np.uint8)])
+    keep = np.vstack([keep, np.ones((1, len(values)), bool)])
+    got = chars.T[keep.T].tobytes().decode("ascii").split("\n")[:-1]
+    want = [repr(v) for v in values.tolist()]
+    wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+def neighbours(values: np.ndarray, steps: int = 1) -> np.ndarray:
+    """``values`` and the ``steps`` doubles on each side of each."""
+    out = [values]
+    up = down = values
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_random_bit_patterns():
+    # Negatives, ±0, subnormals, ±inf and nan take repr; the rest the kernel.
+    bits = np.random.default_rng(18).integers(0, 2**64, 200_000, dtype=np.uint64)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 2.2250738585072014e-308])
+    assert_repr(np.concatenate([bits.view(np.float64), special]))
+
+
+def test_powers_of_two_and_their_neighbours():
+    # Every value with a zero mantissa: the only ones whose lower neighbour
+    # is half as far as the upper (Ryu's mmShift = 0).
+    assert_repr(neighbours(np.ldexp(1.0, np.arange(-1074, 1024))))
+
+
+def test_powers_of_ten():
+    assert_repr(np.array([float(f"1e{k}") for k in range(-323, 309)]))
+
+
+def test_integers():
+    rng = np.random.default_rng(5)
+    exact = np.concatenate(
+        [
+            np.arange(1, 100_001),
+            rng.integers(0, 2**53, 50_000, endpoint=True),
+            2**53 - np.arange(1000),
+        ]
+    )
+    assert_repr(exact.astype(np.float64))
+
+
+def test_three_decimal_values():
+    assert_repr(np.arange(100_000) / 1000)
+
+
+def test_notation_switches():
+    # repr turns to exponent form below 1e-4 and from 1e16 on.
+    switches = np.array([1e-5, 1e-4, 1e15, 1e16, 1e17, 9.999999999999999e-05, 9999999999999998.0])
+    assert_repr(neighbours(switches, steps=20))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=hnp.arrays(np.float64, st.integers(0, 64), elements=st.floats()))
+def test_any_float64_array(values):
+    assert_repr(values)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import _reference
 from qbackbone.engine import run
-from qbackbone.entanglement import coincidence_matrix
+from qbackbone.entanglement import FiberSource, coincidence_matrix
 from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
 from qbackbone.scenario import (
     MAX_RUN_CELLS,
@@ -90,6 +90,7 @@ class TestDefaults:
         assert source.arm.attenuation_db_per_km == 0.2
         assert config.ingress_access.length_km == 5.0
         assert config.policy == Policy("fiber-only")
+        assert fiber_source() == FiberSource("fiber-standard")
 
     def test_partial_documents_load_dataclass_defaults(self):
         defaults = ScenarioConfig()
