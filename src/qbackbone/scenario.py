@@ -40,7 +40,7 @@ POLICY_KINDS = ("fiber-only", "satellite-only", "best-source", "all-sources")
 
 # Ceiling on the expected frame count and on the channel steps of one run
 # (a bin spans whole steps, so bins are never more than steps).  The
-# tracemalloc peak of a run and its frames.csv write grows by about 121
+# tracemalloc peak of a run and its frames.csv write grows by about 125
 # bytes per frame (dark_fiber, 30k to 240k frames), so the ceiling keeps
 # a run under 1 GB; at the default traffic it allows a 27 h horizon.
 MAX_RUN_CELLS = 5_000_000
@@ -370,7 +370,7 @@ def load_config_file(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -380,6 +380,8 @@ def load_config_file(path: str) -> ScenarioConfig:
         ) from exc
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ConfigError(f"invalid JSON in {path!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"invalid JSON in {path!r}: nested too deeply") from exc
     return load_config(doc)
 
 

@@ -118,11 +118,17 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "unlimited" in capsys.readouterr().err
 
-    def test_malformed_json_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [(b"{nope}", "line 1"), (b"\xff\xfe{}", "codec can't decode"), (b"[" * 200_000, "nested too deeply")],
+        ids=["syntax", "not-utf8", "deep-nesting"],
+    )
+    def test_malformed_json_exits_1(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
-        bad.write_text("{nope}")
+        bad.write_bytes(text)
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
-        assert "line 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1 and err.startswith("error:")
 
     @pytest.mark.parametrize("digits, message", [(400, "duration_s"), (5000, "invalid JSON")])
     def test_oversized_integer_exits_1(self, tmp_path, capsys, digits, message):

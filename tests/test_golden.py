@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from qbackbone import ryu
 from qbackbone.cli import main
 from qbackbone.scenario import config_to_dict, load_config_file
 
@@ -118,7 +119,13 @@ def sweep_digest(tmp_path: Path) -> str:
     "stem,seed,memory",
     sorted(GOLDEN_SIMULATE, key=lambda key: (key[0], key[1], key[2] is None, key[2] or 0)),
 )
-def test_simulate_bytes(tmp_path, stem, seed, memory):
+def test_simulate_bytes(tmp_path, monkeypatch, stem, seed, memory):
+    # Every time cell of the shipped configs is in the Ryu kernel's range:
+    # a value that took ryu's repr fallback would raise here.
+    def no_repr(value):
+        raise AssertionError(f"frames.csv time {value!r} is outside the Ryu kernel's range")
+
+    monkeypatch.setattr(ryu, "repr", no_repr, raising=False)
     assert simulate_digest(tmp_path, stem, seed, memory) == GOLDEN_SIMULATE[(stem, seed, memory)]
 
 
