@@ -5,10 +5,10 @@ diagnostics go to standard error; data goes to files or standard output.
 CSV numbers use a decimal point and no grouping, so outputs for a fixed
 (config, seed) are byte-identical across runs.
 
-``linkbudget`` prints a satellite's downlinks on the channel steps where
-the engine evaluates them (``entanglement.pass_slice``), so each
-``p_coincidence`` is an entry of the probability matrix a run uses.
-``sweep`` bounds its rows before building any list and holds one run.
+``linkbudget`` prints the columns of ``entanglement.pass_slice``, whose
+coincidence column a run's probability matrix holds, through the row
+writer of ``frames.csv``.  ``sweep`` runs each source alone under
+all-sources, bounds its rows before building any list and holds one run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import engine, ryu, scenario
-from .entanglement import pass_slice
+from .entanglement import coincidence_matrix, pass_slice
 from .geometry import slant_range_km, visibility_window
 from .linkbudget import fiber_transmittance
 
@@ -118,11 +118,7 @@ def _write_frames(fh, frames: engine.FrameTable) -> None:
     """Write frames.csv to a binary file, ``FRAMES_CHUNK`` rows per write.
 
     Cells match ``_cells``: ``repr`` of floats (``ryu.float_cells``), ``str``
-    of ints, and empty cells for frames still in flight.  Every cell is
-    numeric or empty, so no cell needs CSV quoting.  A chunk is laid out as
-    one ``uint8`` matrix, a column per frame and a row per byte place, with
-    the cells' places and a comma or newline place after each; one mask
-    keeps the bytes of each cell.
+    of ints, and empty cells for frames still in flight.
     """
     fh.write((",".join(FRAMES_COLUMNS) + "\n").encode())
     payload = np.frombuffer(str(frames.payload_qubits).encode(), np.uint8)[:, None]
@@ -156,17 +152,27 @@ def _write_frames(fh, frames: engine.FrameTable) -> None:
             _count_cells(successes[: len(delivered)] - delivered),
             delivered_at,
         )
-        chars = np.empty((sum(len(c) for c, _ in cells) + len(cells), n), np.uint8)
-        keep = np.zeros(chars.shape, bool)
-        at = 0
-        for cell_chars, cell_keep in cells:
-            rows, cols = slice(at, at + len(cell_chars)), cell_chars.shape[1]
-            chars[rows, :cols], keep[rows, :cols] = cell_chars, cell_keep
-            at = rows.stop
-            chars[at], keep[at] = ord(","), True
-            at += 1
-        chars[-1] = ord("\n")
-        fh.write(chars.T[keep.T])
+        fh.write(_row_bytes(cells, n))
+
+
+def _row_bytes(cells: Sequence[tuple[np.ndarray, np.ndarray | bool]], n: int) -> np.ndarray:
+    """The bytes of ``n`` unquoted CSV rows from one ``(chars, keep)`` pair
+    per column, laid out as ``ryu.float_cells`` lays out its cells; a pair
+    that covers only the first rows leaves the others empty.  The rows are
+    one ``uint8`` matrix, a column per row and a row per byte place, with a
+    comma or newline place after each cell's places; one mask keeps their
+    bytes."""
+    chars = np.empty((sum(len(c) for c, _ in cells) + len(cells), n), np.uint8)
+    keep = np.zeros(chars.shape, bool)
+    at = 0
+    for cell_chars, cell_keep in cells:
+        rows, cols = slice(at, at + len(cell_chars)), cell_chars.shape[1]
+        chars[rows, :cols], keep[rows, :cols] = cell_chars, cell_keep
+        at = rows.stop
+        chars[at], keep[at] = ord(","), True
+        at += 1
+    chars[-1] = ord("\n")
+    return chars.T[keep.T]
 
 
 def _count_cells(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,25 +232,6 @@ def _parse_memory_list(raw: str) -> list[int | None]:
     return values
 
 
-def _isolated_source_runs(
-    config: scenario.ScenarioConfig,
-) -> list[tuple[str, scenario.ScenarioConfig]]:
-    """One (label, config) per source, each run with only that source active."""
-    runs = []
-    for source in config.sources:
-        if source.kind == "satellite-pass":
-            policy = scenario.Policy("satellite-only", source.source_id)
-        else:
-            policy = scenario.Policy("fiber-only")
-        runs.append(
-            (
-                source.source_id,
-                dataclasses.replace(config, sources=(source,), policy=policy),
-            )
-        )
-    return runs
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load(args)
     if args.seeds_per_point < 1:
@@ -254,11 +241,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base = dataclasses.replace(config, policy=scenario.Policy(args.policy, args.source))
         labeled = [(args.policy, base)]
     else:
-        labeled = _isolated_source_runs(config)
-        if args.source is not None:
-            labeled = [(label, cfg) for label, cfg in labeled if label == args.source]
-            if not labeled:
-                raise scenario.ConfigError(f"unknown source {args.source!r}")
+        # Each source alone: every policy that admits a lone source keeps
+        # exactly its steps with p > 0, as all-sources does.
+        alone = scenario.Policy("all-sources")
+        labeled = [
+            (s.source_id, dataclasses.replace(config, sources=(s,), policy=alone))
+            for s in config.sources
+            if args.source in (None, s.source_id)
+        ]
+        if args.source is not None and not labeled:
+            raise scenario.ConfigError(f"unknown source {args.source!r}")
 
     # Bound the rows, one per label, size and seed, before any list is
     # built; the commas bound the number of sizes --memory lists.
@@ -329,19 +321,19 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
         raise scenario.ConfigError(f"unknown source {args.source!r}")
     source = matches[0]
     if source.kind == "ground-fiber":
-        eta = fiber_transmittance(source.arm)
-        length = source.arm.length_km
-        rows = [_cells((0.0, None, None, length, length, eta, eta, eta * eta))]
+        eta, length = fiber_transmittance(source.arm), source.arm.length_km
+        p = coincidence_matrix((source,), np.zeros(1))[:, 0]
+        columns = ([0.0], [None], [None], [length], [length], [eta], [eta], p)
     else:
         times = config.step_grid[:-1]
-        lo, hi, (elev_a, range_a, eta_a), (elev_b, range_b, eta_b) = pass_slice(source, times)
-        # ``_cells`` column by column: every value is a float, or None below the horizon.
-        rows = zip(
-            map(repr, times[lo:hi].tolist()),
-            *(["" if v is None else repr(v) for v in c] for c in (elev_a, elev_b, range_a, range_b)),
-            *(map(repr, c) for c in (eta_a, eta_b, np.multiply(eta_a, eta_b).tolist())),
-        )
-    sys.stdout.write("".join([",".join(row) + "\n" for row in (LINKBUDGET_COLUMNS, *rows)]))
+        lo, hi, (elev_a, range_a, eta_a), (elev_b, range_b, eta_b), p = pass_slice(source, times)
+        columns = (times[lo:hi], elev_a, elev_b, range_a, range_b, eta_a, eta_b, p)
+    values = np.array(columns, np.float64).ravel()  # None, below the horizon, becomes NaN
+    chars, keep = ryu.float_cells(values)
+    keep[:, np.isnan(values)] = False  # an empty cell
+    cells = list(zip(np.split(chars, len(columns), axis=1), np.split(keep, len(columns), axis=1)))
+    rows = _row_bytes(cells, len(values) // len(columns))
+    sys.stdout.write(",".join(LINKBUDGET_COLUMNS) + "\n" + rows.tobytes().decode())
     return EXIT_OK
 
 
@@ -368,7 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="Comma-separated memory sizes, e.g. '1,10,100,unlimited'.",
     )
     sweep.add_argument("--seeds-per-point", type=int, default=1, help="Seeds per point.")
-    sweep.add_argument("--source", help="Restrict to one source id.")
+    sweep.add_argument(
+        "--source",
+        help="Without --policy, sweep only this source; with --policy satellite-only, the "
+        "policy's satellite; any other --policy takes no source and exits 1.",
+    )
     sweep.add_argument(
         "--policy",
         choices=scenario.POLICY_KINDS,

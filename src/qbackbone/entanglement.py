@@ -5,12 +5,12 @@ to the egress station and one to the ingress station.  A pair counts
 only if both photons arrive, so its coincidence probability is the
 product of the two arm transmittances: two equal fiber arms for a
 ground source, the egress and ingress downlinks for a satellite.
-``coincidence_matrix`` evaluates it for every source at every channel
-step, a satellite's only on its ``pass_slice`` of the steps, which the
-``linkbudget`` command prints; ``engine.run`` thins the emission rates
-by it and draws Poisson pair counts.  The egress and ingress memories
-that hold the two halves mirror each other, so the engine tracks both as
-one occupancy count.
+``pass_slice`` computes a satellite's on the channel steps of its pass,
+which the ``linkbudget`` command prints, and ``coincidence_matrix``
+holds every source's at every step; ``engine.run`` thins the emission
+rates by it and draws Poisson pair counts.  The egress and ingress
+memories that hold the two halves mirror each other, so the engine
+tracks both as one occupancy count.
 """
 
 from __future__ import annotations
@@ -67,11 +67,12 @@ class SatelliteSource:
 EntanglementSource = Union[FiberSource, SatelliteSource]
 
 
-def pass_slice(source: SatelliteSource, times: np.ndarray) -> tuple[int, int, tuple, tuple]:
-    """``(lo, hi, egress_columns, ingress_columns)``: a satellite's two
+def pass_slice(source: SatelliteSource, times: np.ndarray) -> tuple[int, int, tuple, tuple, np.ndarray]:
+    """``(lo, hi, egress_columns, ingress_columns, p)``: a satellite's two
     ``downlink_profile`` column triples on ``times[lo:hi]``, which are finite
-    and ascending.  The slice is its ``service_interval`` and one time more
-    on each side; at every other time the coincidence probability is 0."""
+    and ascending, and the coincidence probability, their transmittances'
+    product.  The slice is its ``service_interval`` and one time more on
+    each side; at every other time the probability is 0."""
     model, params = source.pass_model, source.link_params
     start, end = service_interval(model, params.min_elevation_deg)
     lo = max(int(np.searchsorted(times, start)) - 1, 0)
@@ -79,7 +80,8 @@ def pass_slice(source: SatelliteSource, times: np.ndarray) -> tuple[int, int, tu
     t_list = times[lo:hi].tolist()
     egress = downlink_profile(t_list, model, model.egress, params)
     ingress = downlink_profile(t_list, model, model.ingress, params)
-    return lo, hi, egress, ingress
+    # An IEEE product, the same bits as Python's ``a * b`` on any SIMD dispatch.
+    return lo, hi, egress, ingress, np.multiply(egress[2], ingress[2])
 
 
 def coincidence_matrix(
@@ -99,7 +101,6 @@ def coincidence_matrix(
             eta = fiber_transmittance(source.arm)
             p[:, j] = eta * eta
             continue
-        lo, hi, egress, ingress = pass_slice(source, times)
-        # An IEEE product, the same bits as Python's ``a * b`` on any SIMD dispatch.
-        p[lo:hi, j] = np.multiply(egress[2], ingress[2])
+        lo, hi, _, _, column = pass_slice(source, times)
+        p[lo:hi, j] = column
     return p

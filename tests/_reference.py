@@ -15,8 +15,7 @@ and hand-picked runs alike; its final occupancy comes from
 ``write_frames`` is the oracle for the ``frames.csv`` byte writer,
 ``cli._write_frames``: one row per frame, one cell at a time, through
 ``csv.writer`` and ``_fmt``.  ``_fmt`` stays the per-cell oracle of
-``cli._cells``, the cell rule of the small tables, and of the
-column-wise ``linkbudget`` table, which keep ``repr``.
+``cli._cells``, the cell rule of the small tables, which keep ``repr``.
 
 ``elevation_at``, ``freespace_transmittance`` and ``downlink`` are the
 per-instant pass and downlink kernels as first written: every constant

@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 
 import _reference
 from qbackbone import engine
-from qbackbone.cli import FRAMES_CHUNK, FRAMES_COLUMNS, _write_frames, _write_quoted, main
+from qbackbone.cli import (
+    FRAMES_CHUNK,
+    FRAMES_COLUMNS,
+    LINKBUDGET_COLUMNS,
+    _write_frames,
+    _write_quoted,
+    main,
+)
 from qbackbone.entanglement import FiberSource, SatelliteSource
 from qbackbone.geometry import SatellitePassModel, StationPass
 from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
@@ -680,6 +687,15 @@ class TestLinkbudget:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [row["time_s"] for row in rows] == ["98.0", "100.0", "102.0"]
         assert all(row["p_coincidence"] == "0.0" for row in rows)
+
+    def test_empty_slice_prints_only_the_header(self, tmp_path, capsys):
+        # A zero horizon has no channel steps, so the pass slice is empty.
+        doc = config_to_dict(short_config(sources=(satellite_source("Micius"),)))
+        doc["duration_s"] = 0.0
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert main(["linkbudget", "--config", str(path), "--source", "Micius"]) == 0
+        assert capsys.readouterr().out == ",".join(LINKBUDGET_COLUMNS) + "\n"
 
     def test_huge_window_exits_1_before_allocating(self, tmp_path, capsys):
         # 2**23 channel steps of 2**-23 s exceed the run ceiling; the

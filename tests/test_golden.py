@@ -2,9 +2,10 @@
 
 Every shipped config runs under ``simulate`` for seeds {0, 1} and memory
 {unlimited, 1, 20}; memory is applied to a ``config_to_dict`` copy of the
-shipped document.  One ``sweep`` of the dark-fiber config over memory
-1, 20 and unlimited is hashed as well.  A refactor that keeps these
-hashes keeps the simulator's outputs byte for byte.
+shipped document.  The ``sweep`` of the dark-fiber config and of the
+all-sources config over memory 1, 20 and unlimited is hashed as well.
+A refactor that keeps these hashes keeps the simulator's outputs byte
+for byte.
 
 The hashes depend on the streams of numpy's ``Generator`` (PCG64 and its
 Poisson, binomial and exponential samplers), so they hold for the numpy
@@ -73,6 +74,8 @@ GOLDEN_SIMULATE = {
     ("starlink", 1, 20): "4b151cb0a9d2c8f4a24ca5c61d5c2fbab446b84228199090da5cddbd5230ae65",
 }
 GOLDEN_SWEEP = "89c118b1469fa66f4875dcf1be6d2d49e2e6e781dbc14a889879b4fde6d1c2e7"
+# The same sweep of all_sources.json, which runs each fiber and satellite source alone.
+GOLDEN_SWEEP_ALL_SOURCES = "c9c337532debbbe3f36d513c4b0d16708e45e0c95a03e1d1357990dcc332a9e0"
 
 
 def _digest(paths) -> str:
@@ -98,12 +101,12 @@ def simulate_digest(tmp_path: Path, stem: str, seed: int, memory: int | None) ->
     return _digest(out / name for name in SIMULATE_FILES)
 
 
-def sweep_digest(tmp_path: Path) -> str:
+def sweep_digest(tmp_path: Path, stem: str = "dark_fiber") -> str:
     out = tmp_path / "sweep.csv"
     argv = [
         "sweep",
         "--config",
-        str(CONFIGS_DIR / "dark_fiber.json"),
+        str(CONFIGS_DIR / f"{stem}.json"),
         "--out",
         str(out),
         "--seed",
@@ -141,3 +144,7 @@ def test_golden_covers_every_shipped_config():
 
 def test_sweep_bytes(tmp_path):
     assert sweep_digest(tmp_path) == GOLDEN_SWEEP
+
+
+def test_sweep_bytes_over_satellites(tmp_path):
+    assert sweep_digest(tmp_path, "all_sources") == GOLDEN_SWEEP_ALL_SOURCES

@@ -516,6 +516,21 @@ class TestSelectSources:
             assert active_sources(policy, builtin_sources(), p).shape == (0, 5)
         assert_matches_reference((), np.arange(4) * 0.25)
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(p=st.lists(st.sampled_from([0.0, 5e-324, 1e-9, 0.03, 1.0]), min_size=1, max_size=40))
+    def test_lone_source_policies_keep_all_sources_mask(self, p):
+        # ``sweep`` runs each source alone under all-sources: the policy of
+        # its kind keeps the same steps, exactly those with p > 0.
+        column = np.array(p)[:, None]
+        for source in builtin_sources():
+            if source.kind == "ground-fiber":
+                own = Policy("fiber-only")
+            else:
+                own = Policy("satellite-only", source.source_id)
+            mask = active_sources(own, (source,), column)
+            assert np.array_equal(mask, active_sources(Policy("all-sources"), (source,), column))
+            assert np.array_equal(mask, column > 0.0)
+
 
 class TestPolicyMonotonicity:
     def test_more_sources_deliver_more(self):
