@@ -1,7 +1,7 @@
 """Deterministic simulator of quantum dataframe transmission over an
 entanglement-based backbone joining two packetized quantum subnetworks."""
 
-from .engine import MetricsBin, RunResult, run
+from .engine import BinTable, RunResult, run
 from .geometry import SatellitePassModel
 from .linkbudget import FiberLink, FreeSpaceLinkParams
 from .scenario import (
@@ -16,10 +16,10 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BinTable",
     "ConfigError",
     "FiberLink",
     "FreeSpaceLinkParams",
-    "MetricsBin",
     "Policy",
     "RunResult",
     "SatellitePassModel",

@@ -1,6 +1,6 @@
 """Command-line entry point: run scenarios, sweeps, pass tables, link budgets.
 
-Exit codes: 0 success, 1 parse/validation errors, 2 I/O errors.  All
+Exit codes: 0 success, 1 usage/parse/validation errors, 2 I/O errors.  All
 diagnostics go to standard error; data goes to files or standard output.
 CSV numbers use a decimal point and no grouping, so outputs for a fixed
 (config, seed) are byte-identical across runs.
@@ -32,7 +32,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 
-TIMESERIES_COLUMNS = tuple(f.name for f in dataclasses.fields(engine.MetricsBin))
+TIMESERIES_COLUMNS = tuple(f.name for f in dataclasses.fields(engine.BinTable))
 FRAMES_COLUMNS = (
     "frame_id",
     "created_at_s",
@@ -197,8 +197,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "timeseries.csv"), "w", encoding="utf-8", newline="") as fh:
-            bin_row = operator.attrgetter(*TIMESERIES_COLUMNS)
-            _write_quoted(fh, TIMESERIES_COLUMNS, map(bin_row, result.bins))
+            columns = (getattr(result.bins, name) for name in TIMESERIES_COLUMNS)
+            _write_quoted(fh, TIMESERIES_COLUMNS, zip(*columns))
         with open(os.path.join(args.out, "frames.csv"), "wb") as fh:
             _write_frames(fh, result.frames)
         with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -387,8 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or a usage error (code 2).
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
     except scenario.ConfigError as exc:

@@ -40,9 +40,8 @@ from its step's start, so a visibility-window edge inside a step would
 only split a segment into two of the same rate.  A segment takes the
 rate of the channel step it starts in, found by searching the step grid.
 Bins are whole channel steps cut from the step grid, so a segment counts
-toward the bin of its step.  Per-frame results are returned as a
-``FrameTable`` of numpy columns, slices of the arrays the stages build,
-rather than one object per frame.
+toward the bin of its step.  Per-frame and per-bin results are read-only
+numpy columns, ``FrameTable`` and ``BinTable``, not one object per row.
 """
 
 from __future__ import annotations
@@ -72,19 +71,33 @@ def stream(seed: int, name: str) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class MetricsBin:
-    """Aggregated counters over one reporting bin."""
+class _Columns:
+    """A table of read-only numpy columns, one row per index; compare
+    tables column by column with ``np.array_equal``."""
 
-    bin_start_s: float
-    pairs_arrived: int
-    pairs_stored: int
-    pairs_dropped: int
-    qubits_delivered: int
-    frames_completed: int
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(next(v for v in vars(self).values() if isinstance(v, np.ndarray)))
 
 
 @dataclass(frozen=True)
-class FrameTable:
+class BinTable(_Columns):
+    """Per-bin counters, one row per reporting bin in time order."""
+
+    bin_start_s: np.ndarray
+    pairs_arrived: np.ndarray
+    pairs_stored: np.ndarray
+    pairs_dropped: np.ndarray
+    qubits_delivered: np.ndarray
+    frames_completed: np.ndarray
+
+
+@dataclass(frozen=True)
+class FrameTable(_Columns):
     """Per-frame columns of the frames served at the egress, in frame order.
 
     Row ``i`` is frame ``i``.  The served-frame columns have one entry per
@@ -92,8 +105,6 @@ class FrameTable:
     ``delivered_at_s`` cover only the completed prefix of those frames, the
     rest were still in flight when the simulation ended.  A frame consumes
     the memory pairs ``[consumed_start, consumed_start + attempts)``.
-    Columns are read-only numpy arrays; compare tables column by column
-    with ``np.array_equal``.
     """
 
     payload_qubits: int
@@ -105,14 +116,6 @@ class FrameTable:
     consumed_start: np.ndarray
     delivered: np.ndarray
     delivered_at_s: np.ndarray
-
-    def __post_init__(self) -> None:
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.created_at_s)
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ class RunTotals:
 class RunResult:
     """All outputs of one simulation run."""
 
-    bins: tuple[MetricsBin, ...]
+    bins: BinTable
     frames: FrameTable
     totals: RunTotals
     pairs_by_source: dict[str, int]
@@ -311,44 +314,34 @@ def _walk_and_finish(cfg: ScenarioConfig, draws: _Draws) -> RunResult:
     )
     delivered_bin = np.searchsorted(bin_starts, delivered_at[:n_completed], side="right") - 1
 
-    def per_bin(index: np.ndarray, counts: np.ndarray) -> list[int]:
+    def per_bin(index: np.ndarray, counts: np.ndarray) -> np.ndarray:
         # Summed in int64: bincount's float64 weights round counts above 2**53.
         total = np.zeros(n_bins, dtype=np.int64)
         np.add.at(total, index, counts)
-        return total.tolist()
+        return total
 
     seg_bin = draws.seg_bin
-    arrived_per_bin = per_bin(seg_bin, pairs_per_segment)
-    stored_per_bin = per_bin(seg_bin, stored_per_segment)
-    dropped_per_bin = per_bin(seg_bin, pairs_per_segment - stored_per_segment)
-    delivered_per_bin = per_bin(delivered_bin, delivered)
-    frames_per_bin = np.bincount(delivered_bin, minlength=n_bins).tolist()
-
-    if int(attempts.sum()) + occupancy != sum(stored_per_bin) or any(
-        s + d != a for s, d, a in zip(stored_per_bin, dropped_per_bin, arrived_per_bin)
-    ):
-        raise AssertionError("pair accounting broken after the memory walk")
-
-    bins = tuple(
-        MetricsBin(
-            bin_start_s=bin_start,
-            pairs_arrived=arrived_per_bin[k],
-            pairs_stored=stored_per_bin[k],
-            pairs_dropped=dropped_per_bin[k],
-            qubits_delivered=delivered_per_bin[k],
-            frames_completed=frames_per_bin[k],
-        )
-        for k, bin_start in enumerate(bin_starts.tolist())
+    bins = BinTable(
+        bin_start_s=bin_starts,
+        pairs_arrived=per_bin(seg_bin, pairs_per_segment),
+        pairs_stored=per_bin(seg_bin, stored_per_segment),
+        pairs_dropped=per_bin(seg_bin, pairs_per_segment - stored_per_segment),
+        qubits_delivered=per_bin(delivered_bin, delivered),
+        frames_completed=np.bincount(delivered_bin, minlength=n_bins),
     )
     totals = RunTotals(
         frames_generated=draws.n_frames,
         frames_processed=len(egress_times),
         frames_completed=n_completed,
-        pairs_arrived=sum(arrived_per_bin),
-        pairs_stored=sum(stored_per_bin),
-        pairs_dropped=sum(dropped_per_bin),
+        pairs_arrived=int(bins.pairs_arrived.sum()),
+        pairs_stored=int(bins.pairs_stored.sum()),
+        pairs_dropped=int(bins.pairs_dropped.sum()),
         qubits_delivered=int(delivered.sum()),
     )
+    if int(attempts.sum()) + occupancy != totals.pairs_stored or not np.array_equal(
+        bins.pairs_stored + bins.pairs_dropped, bins.pairs_arrived
+    ):
+        raise AssertionError("pair accounting broken after the memory walk")
 
     frames = FrameTable(
         payload_qubits=cfg.traffic.payload_qubits,

@@ -39,10 +39,11 @@ _SATELLITES = {
 POLICY_KINDS = ("fiber-only", "satellite-only", "best-source", "all-sources")
 
 # Ceiling on the expected frame count and on the channel steps of one run
-# (a bin spans whole steps, so bins are never more than steps).  The
-# tracemalloc peak of a run and its frames.csv write grows by about 125
-# bytes per frame (dark_fiber, 30k to 240k frames), so the ceiling keeps
-# a run under 1 GB; at the default traffic it allows a 27 h horizon.
+# (a bin spans whole steps, so bins are never more than steps); at the
+# default traffic it allows a 27 h horizon.  A run and its CSV writes peak
+# (tracemalloc) about 125 B higher per frame (dark_fiber, 30k to 120k
+# frames) and 80 B per step (one source, a bin per step), near 1 GB at both
+# ceilings; each further source adds about 55 B per step, not bounded here.
 MAX_RUN_CELLS = 5_000_000
 
 # Ceiling on the expected pair count and the expected qubit count of one

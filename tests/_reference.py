@@ -10,7 +10,8 @@ written, two nested loops kept in step by a segment pointer, storing
 the segments before each frame and then the frame's take.
 ``check_run`` asserts the accounting every run must satisfy, on fuzzed
 and hand-picked runs alike; its final occupancy comes from
-``memory_walk`` over the run's own draws.
+``memory_walk`` over the run's own draws.  ``assert_tables_equal``
+compares two column tables, a ``FrameTable`` or a ``BinTable``.
 
 ``write_frames`` is the oracle for the ``frames.csv`` byte writer,
 ``cli._write_frames``: one row per frame, one cell at a time, through
@@ -36,6 +37,7 @@ per source, and a dict and a sort per instant.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -275,14 +277,13 @@ def check_run(result: RunResult, config: ScenarioConfig) -> None:
     every qubit of each frame is accounted for, and the consumed ranges
     tile the stored pairs, with the final occupancy left in memory."""
     bins, totals, frames = result.bins, result.totals, result.frames
-    for b in bins:
-        assert min(b.pairs_stored, b.pairs_dropped, b.qubits_delivered, b.frames_completed) >= 0, b
-        assert b.pairs_stored + b.pairs_dropped == b.pairs_arrived, b
-
-    for name in (
-        "pairs_arrived", "pairs_stored", "pairs_dropped", "qubits_delivered", "frames_completed"
-    ):
-        assert getattr(totals, name) == sum(getattr(b, name) for b in bins), name
+    counts = ("pairs_arrived", "pairs_stored", "pairs_dropped", "qubits_delivered", "frames_completed")
+    for name in counts:
+        column = getattr(bins, name)
+        assert column.dtype == np.int64 and len(column) == len(bins), name
+        assert np.all(column >= 0), name
+        assert getattr(totals, name) == int(column.sum()), name
+    assert np.array_equal(bins.pairs_stored + bins.pairs_dropped, bins.pairs_arrived)
     assert list(result.pairs_by_source) == [s.source_id for s in config.sources]
     assert totals.pairs_arrived == sum(result.pairs_by_source.values())
     assert totals.qubits_delivered == int(frames.delivered.sum())
@@ -312,6 +313,18 @@ def check_run(result: RunResult, config: ScenarioConfig) -> None:
     )
     assert np.array_equal(attempts, ref_attempts)
     assert int(attempts.sum()) + occupancy == totals.pairs_stored
+
+
+def assert_tables_equal(a, b) -> None:
+    """Assert two column tables equal field by field: array columns by
+    ``np.array_equal``, scalar fields by ``==``."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        value, expected = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, expected), field.name
+        else:
+            assert value == expected, field.name
 
 
 def _fmt(value: object) -> str:

@@ -24,6 +24,7 @@ from qbackbone.cli import (
     FRAMES_CHUNK,
     FRAMES_COLUMNS,
     LINKBUDGET_COLUMNS,
+    TIMESERIES_COLUMNS,
     _write_frames,
     _write_quoted,
     main,
@@ -47,6 +48,13 @@ from qbackbone.scenario import (
 
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+class Discard:
+    """A text file that drops what is written to it."""
+
+    def write(self, text: str) -> None:
+        pass
 
 
 def write_config(tmp_path, config: ScenarioConfig, name: str = "scenario.json") -> str:
@@ -119,6 +127,24 @@ class TestSimulate:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate"],  # no --out
+            ["sweep", "--out", "s.csv", "--memory", "1", "--seeds-per-point", "abc"],
+            ["teleport"],  # no such command
+        ],
+        ids=["missing-out", "bad-int", "unknown-command"],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["simulate", "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert "--out" in out and err == ""
+
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"memory_capacity": 0}')
@@ -165,10 +191,6 @@ class TestSimulate:
         # MAX_RUN_CELLS keeps a run under 1 GB at 200 bytes per frame.
         base = load_config_file(str(CONFIGS_DIR / "dark_fiber.json"))
 
-        class Discard:
-            def write(self, text: str) -> None:
-                pass
-
         def peak(duration_s: float) -> tuple[int, int]:
             tracemalloc.start()
             try:
@@ -182,6 +204,29 @@ class TestSimulate:
         (n_short, short), (n_long, long) = peak(150.0), peak(600.0)
         assert n_long > 3 * n_short
         assert (long - short) / (n_long - n_short) <= 200, (short, long)
+
+    def test_peak_memory_per_bin(self):
+        # MAX_RUN_CELLS keeps a run under 1 GB at 120 bytes per channel
+        # step, here one bin per step.
+        base = load_config_file(str(CONFIGS_DIR / "dark_fiber.json"))
+
+        def peak(n_bins: int) -> int:
+            # About 2,500 frames at every size, so their cost cancels.
+            step = 50.0 / n_bins
+            config = dataclasses.replace(base, duration_s=50.0, channel_step_s=step, bin_width_s=step)
+            tracemalloc.start()
+            try:
+                bins = engine.run(config).bins
+                columns = (getattr(bins, name) for name in TIMESERIES_COLUMNS)
+                _write_quoted(Discard(), TIMESERIES_COLUMNS, zip(*columns))
+                assert len(bins) == n_bins
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-call allocations
+        short, long = peak(10_000), peak(40_000)
+        assert (long - short) / 30_000 <= 120, (short, long)
 
     def test_schema_v1_document_exits_1(self, tmp_path, capsys):
         for version in (1, 2):

@@ -53,7 +53,7 @@ def per_second_arrivals(source, seed: int, duration_s: float = 100.0) -> np.ndar
         config(sources=(source,), duration_s=duration_s, bin_width_s=1.0,
                channel_step_s=1.0, seed=seed)
     )
-    return np.array([b.pairs_arrived for b in result.bins])
+    return result.bins.pairs_arrived
 
 
 class TestCoincidenceCount:
@@ -96,8 +96,8 @@ class TestCoincidenceCount:
         whole = run(config(NO_FRAMES_GAP_S, channel_step_s=1.0, seed=4, **common))
         assert len(split.frames) > 10 * trials
         assert len(whole.frames) == 0
-        split_counts = np.array([b.pairs_arrived for b in split.bins])
-        whole_counts = np.array([b.pairs_arrived for b in whole.bins])
+        split_counts = split.bins.pairs_arrived
+        whole_counts = whole.bins.pairs_arrived
         se_mean = math.sqrt(lam / trials)
         assert split_counts.mean() == pytest.approx(whole_counts.mean(), abs=6 * se_mean)
         assert split_counts.mean() == pytest.approx(lam, abs=6 * se_mean)
@@ -119,8 +119,8 @@ class TestMemory:
         # No frames consume, and 3,200 pairs fit: every arrival is stored.
         result = run(config(NO_FRAMES_GAP_S, memory_capacity=10**6, duration_s=16.0))
         assert result.totals.pairs_arrived > 0
-        for b in result.bins:
-            assert (b.pairs_stored, b.pairs_dropped) == (b.pairs_arrived, 0)
+        assert np.array_equal(result.bins.pairs_stored, result.bins.pairs_arrived)
+        assert not result.bins.pairs_dropped.any()
 
     def test_capacity_arithmetic(self):
         # Nothing consumes, so the memory fills to M and drops the rest.
@@ -128,8 +128,8 @@ class TestMemory:
         totals = result.totals
         assert totals.pairs_stored == 5
         assert totals.pairs_dropped == totals.pairs_arrived - 5
-        assert result.bins[0].pairs_stored == 5
-        assert all(b.pairs_stored == 0 for b in result.bins[1:])
+        assert result.bins.pairs_stored[0] == 5
+        assert not result.bins.pairs_stored[1:].any()
         # With frames consuming, no frame finds more than M pairs.
         frames = run(config(memory_capacity=5, duration_s=16.0)).frames
         assert frames.attempts.max() == 5
@@ -139,8 +139,7 @@ class TestMemory:
         result = run(config(sources=(source,), duration_s=0.5))
         assert result.totals.pairs_arrived > 10_000_000
         assert result.totals.pairs_dropped == 0
-        for b in result.bins:
-            assert b.pairs_stored == b.pairs_arrived
+        assert np.array_equal(result.bins.pairs_stored, result.bins.pairs_arrived)
 
     def test_fifo_ranges(self):
         result = run(config(memory_capacity=10, duration_s=32.0, seed=5))
@@ -170,8 +169,8 @@ class TestMemory:
                        bin_width_s=0.5, channel_step_s=0.5, seed=7)
             )
             frames = result.frames
-            stored_through = np.cumsum([b.pairs_stored for b in result.bins])
-            bin_ends = np.array([b.bin_start_s + 0.5 for b in result.bins])
+            stored_through = np.cumsum(result.bins.pairs_stored)
+            bin_ends = result.bins.bin_start_s + 0.5
             served_before = np.searchsorted(frames.egress_at_s, bin_ends, side="left")
             consumed_through = np.concatenate([[0], np.cumsum(frames.attempts)])[served_before]
             assert np.all(consumed_through <= stored_through)

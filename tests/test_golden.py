@@ -73,6 +73,15 @@ GOLDEN_SIMULATE = {
     ("starlink", 1, 1): "ef4d12b37da95995ad755cf03bb9b0271ec3b6907bd15184ea7d0e16bb462eac",
     ("starlink", 1, 20): "4b151cb0a9d2c8f4a24ca5c61d5c2fbab446b84228199090da5cddbd5230ae65",
 }
+# Runs on 0.3 s steps and 0.9 s bins, neither exact in binary, so bin
+# starts such as 0.8999999999999999 reach timeseries.csv: (config stem,
+# memory) -> sha256 over the three simulate CSVs at seed 0.  Kept apart
+# from GOLDEN_SIMULATE, which holds the shipped configs as they ship.
+NON_DYADIC = {"channel_step_s": 0.3, "bin_width_s": 0.9}
+GOLDEN_SIMULATE_NON_DYADIC = {
+    ("micius", 20): "4d093d2e1c2439aa831abf92b1df27f7e03435b9dee7b331bcbdc3b3c21f86ba",
+    ("best_source", None): "42eff3ea69ba96e6d6533be15d3ac9cb778ba73ee00957063165be234cbd16b6",
+}
 GOLDEN_SWEEP = "89c118b1469fa66f4875dcf1be6d2d49e2e6e781dbc14a889879b4fde6d1c2e7"
 # The same sweep of all_sources.json, which runs each fiber and satellite source alone.
 GOLDEN_SWEEP_ALL_SOURCES = "c9c337532debbbe3f36d513c4b0d16708e45e0c95a03e1d1357990dcc332a9e0"
@@ -86,16 +95,16 @@ def _digest(paths) -> str:
     return h.hexdigest()
 
 
-def _config_with_memory(tmp_path: Path, stem: str, memory: int | None) -> str:
+def _config_with_memory(tmp_path: Path, stem: str, memory: int | None, **fields) -> str:
     doc = config_to_dict(load_config_file(str(CONFIGS_DIR / f"{stem}.json")))
-    doc["memory_capacity"] = memory
+    doc.update(fields, memory_capacity=memory)
     path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
 
-def simulate_digest(tmp_path: Path, stem: str, seed: int, memory: int | None) -> str:
-    config = _config_with_memory(tmp_path, stem, memory)
+def simulate_digest(tmp_path: Path, stem: str, seed: int, memory: int | None, **fields) -> str:
+    config = _config_with_memory(tmp_path, stem, memory, **fields)
     out = tmp_path / "out"
     assert main(["simulate", "--config", config, "--out", str(out), "--seed", str(seed)]) == 0
     return _digest(out / name for name in SIMULATE_FILES)
@@ -130,6 +139,12 @@ def test_simulate_bytes(tmp_path, monkeypatch, stem, seed, memory):
 
     monkeypatch.setattr(ryu, "repr", no_repr, raising=False)
     assert simulate_digest(tmp_path, stem, seed, memory) == GOLDEN_SIMULATE[(stem, seed, memory)]
+
+
+@pytest.mark.parametrize("stem,memory", sorted(GOLDEN_SIMULATE_NON_DYADIC, key=str))
+def test_simulate_bytes_on_non_dyadic_steps(tmp_path, stem, memory):
+    digest = simulate_digest(tmp_path, stem, 0, memory, **NON_DYADIC)
+    assert digest == GOLDEN_SIMULATE_NON_DYADIC[(stem, memory)]
 
 
 def test_golden_covers_every_shipped_config():
