@@ -129,16 +129,15 @@ def _write_frames(fh, frames: engine.FrameTable) -> None:
             c[lo:hi] for c in (frames.survivors_at_egress, frames.attempts, frames.successes, frames.consumed_start)
         )
         delivered = frames.delivered[lo:hi]  # the chunk's completed frames only
-        chars, keep = ryu.float_cells(
+        times = ryu.float_cells(
             np.concatenate([frames.created_at_s[lo:hi], frames.egress_at_s[lo:hi], frames.delivered_at_s[lo:hi]])
         )
-        created, egress, delivered_at = ((chars[:, at : at + n], keep[:, at : at + n]) for at in (0, n, 2 * n))
         tried = _count_cells(attempts)
         cells = (
             _count_cells(np.arange(lo, hi)),
-            created,
-            egress,
-            (np.broadcast_to(payload, (len(payload), n)), True),
+            times[:, :n],
+            times[:, n : 2 * n],
+            np.broadcast_to(payload, (len(payload), n)),
             _count_cells(survivors),
             _count_cells(frames.payload_qubits - survivors),
             tried,
@@ -150,45 +149,41 @@ def _write_frames(fh, frames: engine.FrameTable) -> None:
             _count_cells(start + attempts),
             _count_cells(delivered),
             _count_cells(successes[: len(delivered)] - delivered),
-            delivered_at,
+            times[:, 2 * n :],
         )
         fh.write(_row_bytes(cells, n))
 
 
-def _row_bytes(cells: Sequence[tuple[np.ndarray, np.ndarray | bool]], n: int) -> np.ndarray:
-    """The bytes of ``n`` unquoted CSV rows from one ``(chars, keep)`` pair
-    per column, laid out as ``ryu.float_cells`` lays out its cells; a pair
-    that covers only the first rows leaves the others empty.  The rows are
-    one ``uint8`` matrix, a column per row and a row per byte place, with a
-    comma or newline place after each cell's places; one mask keeps their
-    bytes."""
-    chars = np.empty((sum(len(c) for c, _ in cells) + len(cells), n), np.uint8)
-    keep = np.zeros(chars.shape, bool)
+def _row_bytes(cells: Sequence[np.ndarray], n: int) -> bytes:
+    """The bytes of ``n`` unquoted CSV rows from one cell matrix per column,
+    laid out as ``ryu.float_cells`` lays out its cells; a matrix that covers
+    only the first rows leaves the others empty.  The cells are stacked
+    place-major with a comma or newline place after each cell's places,
+    copied once into row-major order, and their NUL bytes dropped: no byte
+    of a cell's text is NUL."""
+    chars = np.zeros((sum(len(cell) + 1 for cell in cells), n), np.uint8)
     at = 0
-    for cell_chars, cell_keep in cells:
-        rows, cols = slice(at, at + len(cell_chars)), cell_chars.shape[1]
-        chars[rows, :cols], keep[rows, :cols] = cell_chars, cell_keep
-        at = rows.stop
-        chars[at], keep[at] = ord(","), True
-        at += 1
+    for cell in cells:
+        chars[at : at + len(cell), : cell.shape[1]] = cell
+        at += len(cell) + 1
+        chars[at - 1] = ord(",")
     chars[-1] = ord("\n")
-    return chars.T[keep.T]
+    return chars.T.tobytes().translate(None, b"\0")
 
 
-def _count_cells(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _count_cells(counts: np.ndarray) -> np.ndarray:
     """The ``str`` of each non-negative integer as right-aligned ASCII digits,
-    laid out as ``ryu.float_cells`` lays out its cells."""
-    value = counts.astype(np.uint64)
-    width = len(str(value.max(initial=0)))
-    chars = np.empty((width, len(value)), np.uint8)
-    keep = np.empty(chars.shape, bool)
-    for place in range(width - 1, -1, -1):
-        keep[place] = value != 0
+    NUL in the leading places, laid out as ``ryu.float_cells`` lays out its
+    cells."""
+    top = int(counts.max(initial=0))
+    value = counts.astype(np.uint32 if top < 2**32 else np.uint64)  # uint32 lanes are faster
+    chars = np.empty((len(str(top)), len(value)), np.uint8)
+    for place in range(len(chars) - 1, -1, -1):
         quotient = value // 10
-        chars[place] = value - quotient * 10 + ord("0")
+        chars[place] = (value - quotient * 10 + ord("0")) * (value != 0)
         value = quotient
-    keep[-1] = True  # the units digit, also of 0
-    return chars, keep
+    chars[-1] |= ord("0")  # the units digit, also of 0
+    return chars
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -329,11 +324,10 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
         lo, hi, (elev_a, range_a, eta_a), (elev_b, range_b, eta_b), p = pass_slice(source, times)
         columns = (times[lo:hi], elev_a, elev_b, range_a, range_b, eta_a, eta_b, p)
     values = np.array(columns, np.float64).ravel()  # None, below the horizon, becomes NaN
-    chars, keep = ryu.float_cells(values)
-    keep[:, np.isnan(values)] = False  # an empty cell
-    cells = list(zip(np.split(chars, len(columns), axis=1), np.split(keep, len(columns), axis=1)))
-    rows = _row_bytes(cells, len(values) // len(columns))
-    sys.stdout.write(",".join(LINKBUDGET_COLUMNS) + "\n" + rows.tobytes().decode())
+    cells = ryu.float_cells(values)
+    cells[:, np.isnan(values)] = 0  # an empty cell
+    rows = _row_bytes(np.split(cells, len(columns), axis=1), len(values) // len(columns))
+    sys.stdout.write(",".join(LINKBUDGET_COLUMNS) + "\n" + rows.decode())
     return EXIT_OK
 
 

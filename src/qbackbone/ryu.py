@@ -14,11 +14,11 @@ prints.  The range keeps the kernel small:
   digits dropped from it are never all zeros;
 - ``repr`` prints every value in the range in fixed notation.
 
-The 64×64-bit products are built from 32-bit limbs in ``uint64`` lanes,
-so the bytes cannot depend on numpy's SIMD dispatch.  Other values take
-``repr``.  Each value becomes a column of a ``uint8`` matrix, a row per
-byte place, with a mask of the bytes of its text, so a caller can stack
-the cells of a table's columns and compact them with one mask.
+One exact 64×64-bit product per value, from 32-bit limbs in ``uint64``
+lanes, plus carries: the bytes cannot depend on numpy's SIMD dispatch.
+Other values take ``repr``.  Each value becomes a column of a ``uint8``
+matrix, a row per byte place, NUL in the places its text does not use, so
+a caller can stack the cells of a table's columns and drop every NUL at once.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ _E10 = _Q - _A
 _RIGHT, _LEFT = _Q.astype(np.uint64), (64 - _Q).astype(np.uint64)
 
 
-def _umul(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a·b, from 32-bit limbs."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    low, mid = a0 * b0, a1 * b0
-    # At most (2^32 - 1)^2 + 2·(2^32 - 1) = 2^64 - 1: no carry is lost.
-    cross = (low >> 32) + (mid & _MASK32) + a0 * b1
-    return a1 * b1 + (mid >> 32) + (cross >> 32), (cross << 32) | (low & _MASK32)
-
-
 def _div10(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quotient and remainder by 10; numpy's ``uint64 %`` is far slower than ``//``."""
     quotient = v // 10
@@ -65,14 +56,20 @@ def shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mv = (mantissa | np.uint64(1 << 52)) << 2  # 4·m2, the value's scaled mantissa
     five, right, left = _FIVE[row], _RIGHT[row], _LEFT[row]
 
-    def scaled(m: np.ndarray) -> np.ndarray:
-        # ⌊m·5^i / 2^q⌋: m·5^i < 2^107 and the quotient < 100·2^55 < 2^64.
-        high, low = _umul(m, five)
-        return (high << left) | (low >> right)
-
     # Step 3: vr, the upper bound vp and the lower bound vm (half as far
-    # below a power of two, whose lower neighbour is half an ulp away).
-    vr, vp, vm = scaled(mv), scaled(mv + 2), scaled(mv - 1 - (mantissa != 0))
+    # below a power of two, whose lower neighbour is half an ulp away), as
+    # ⌊m·5^i / 2^q⌋ for m = mv, mv + 2 and mv - 1 - mmShift.  Only the
+    # product P = mv·5^i < 2^107 is multiplied out, from 32-bit limbs: each
+    # sum below is at most (2^32 - 1)^2 + 2·(2^32 - 1) = 2^64 - 1.  The
+    # bounds' products are P + 2·5^i and P - (1 + mmShift)·5^i (5^i < 2^52),
+    # with a carry or borrow from the low word; each quotient < 2^64.
+    m0, m1, f0, f1 = mv & _MASK32, mv >> 32, five & _MASK32, five >> 32
+    low, mid = m0 * f0, m1 * f0
+    cross = (low >> 32) + (mid & _MASK32) + m0 * f1
+    high, low = m1 * f1 + (mid >> 32) + (cross >> 32), (cross << 32) | (low & _MASK32)
+    up, down = low + (five << 1), five + five * (mantissa != 0)
+    bounds = ((high, low), (high + (up < low), up), (high - (low < down), low - down))
+    vr, vp, vm = ((h << left) | (w >> right) for h, w in bounds)
     vr_zeros = mv >> right << right == mv  # 5^i is odd: vr is exact iff 2^q divides mv
 
     # Step 4: drop the digits below the first place where vp and vm differ,
@@ -96,55 +93,62 @@ def shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vr + round_up, _E10[row] + removed
 
 
-# The byte places of a cell: '0.000' before the digits; the 17 digits, each
-# followed by a place for the decimal point; then 15 trailing zeros and '.0'.
-_DIGITS, _POINTS = slice(5, 39, 2), slice(6, 40, 2)
-_ZEROS, _DOT_ZERO = slice(39, 54), slice(54, 56)
-_TEMPLATE = np.frombuffer(b"0.000" + b"0." * 17 + b"0" * 15 + b".0", np.uint8)
+_ZERO, _DOT = np.uint8(ord("0")), np.uint8(ord("."))
 
 
-def _layout(digits: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of ``digits · 10**exponent`` as ``repr`` writes them, one
-    column per value (see ``float_cells``).
-
-    Fixed notation, which ``repr`` uses from 1e-4 up to 1e16: a decimal
-    point after at most 16 digits and before at most 3 zeros, with ``.0``
-    on integral values.
-    """
+def _layout(digits: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """The cells of ``digits · 10**exponent`` as ``repr`` writes them (see
+    ``float_cells``) in fixed notation, which ``repr`` uses from 1e-4 up to
+    1e16: '0.' and up to 3 zeros before the digits of a value below 1, a
+    decimal point after one of the first 16 digits, or up to 15 zeros and
+    '.0' after the digits of an integral value.  Only the places that some
+    value uses are laid out, in that order."""
     size = np.searchsorted(_POW10, digits, side="right")
     point = exponent + size  # digits before the decimal point
-    chars = np.repeat(_TEMPLATE[:, None], len(digits), axis=1)
-    keep = np.empty(chars.shape, bool)
-    places = np.arange(17)[:, None]
-    # '0.' and one zero per place the point lies before the first digit.
-    keep[:2] = point <= 0
-    keep[2:5] = places[:3] < -point
-    for place in range(16, -1, -1):
+    split = np.flatnonzero((point > 0) & (exponent < 0))
+    after = 16 + exponent[split]  # the digit the point follows, not the last
+    before = -int(point.min(initial=1))  # the most zeros after '0.', if >= 0
+    lead = before + 2 if before >= 0 else 0
+    first, full = 17 - int(size.max(initial=1)), 17 - int(size.min(initial=17))
+    low = int(after.min(initial=16))  # point places follow digits low to max(after)
+    points = int(after.max(initial=low - 1)) + 1 - low
+    units = lead + 16 - first + points  # the units digit's place
+    zeros, integral = max(int(exponent.max(initial=-1)), 0), exponent >= 0
+    cells = np.zeros((units + 1 + zeros + 2 * integral.any(), len(digits)), np.uint8)
+    if lead:
+        cells[:2, point <= 0] = [[_ZERO], [_DOT]]
+    for k in range(before):
+        cells[2 + k] = (k < -point) * _ZERO
+    for place in range(16, first - 1, -1):
+        row = cells[lead + place - first + min(max(place - low, 0), points)]
         digits, digit = _div10(digits)
-        chars[5 + 2 * place] += digit.astype(np.uint8)
-    keep[_DIGITS] = places >= 17 - size
-    # The point follows digit 16 + exponent when that is a digit but not the last.
-    keep[_POINTS] = places == np.where((point > 0) & (exponent < 0), 16 + exponent, -1)
-    keep[_ZEROS] = places[:15] < exponent
-    keep[_DOT_ZERO] = exponent >= 0
-    return chars, keep
+        np.add(digit, _ZERO, out=row, casting="unsafe")
+        if place < full:  # a place before a value's first digit is empty
+            row *= size > 16 - place
+    cells[lead + 2 * after - first - low + 1, split] = _DOT
+    for k in range(zeros):
+        cells[units + 1 + k] = (k < exponent) * _ZERO
+    if integral.any():
+        cells[-2:, integral] = [[_DOT], [_ZERO]]
+    return cells
 
 
-def float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def float_cells(values: np.ndarray) -> np.ndarray:
     """The ``repr`` of each float64 in a ``uint8`` matrix with one column per
-    value and one row per byte place, and the mask of the bytes that make up
-    each value's text.  Rows that no value keeps are left out."""
+    value and one row per byte place, NUL in the places a value's text does
+    not use.  Only the places that some value in the call uses are laid
+    out, with room for the longest ``repr`` fallback."""
     values = np.ascontiguousarray(values, np.float64)
     bits = values.view(np.uint64)
     biased = bits >> 52  # the sign bit makes it >= 2048
     fast = (biased >= _LOW) & (biased < _HIGH)
     # The other values are laid out as 1.0 here and replaced by their repr.
-    chars, keep = _layout(*shortest(np.where(fast, bits, _ONE)))
+    cells = _layout(*shortest(np.where(fast, bits, _ONE)))
     if not fast.all():
-        # Every repr of a float fits the places of a cell and holds no NUL byte.
+        # No repr holds a NUL byte; numpy pads the shorter ones with NUL,
+        # and the cells grow to the longest.
         text = np.array([repr(v) for v in values[~fast].tolist()], dtype="S")
-        text = text.view(np.uint8).reshape(len(text), -1).T
-        keep[:, ~fast] = False
-        chars[: len(text), ~fast], keep[: len(text), ~fast] = text, text != 0
-    used = keep.any(axis=1)
-    return chars[used], keep[used]
+        cells = np.pad(cells, ((0, max(text.itemsize - len(cells), 0)), (0, 0)))
+        cells[:, ~fast] = 0
+        cells[: text.itemsize, ~fast] = text.view(np.uint8).reshape(len(text), -1).T
+    return cells

@@ -38,12 +38,12 @@ _SATELLITES = {
 
 POLICY_KINDS = ("fiber-only", "satellite-only", "best-source", "all-sources")
 
-# Ceiling on the expected frame count and on the channel steps of one run
-# (a bin spans whole steps, so bins are never more than steps); at the
-# default traffic it allows a 27 h horizon.  A run and its CSV writes peak
-# (tracemalloc) about 125 B higher per frame (dark_fiber, 30k to 120k
-# frames) and 80 B per step (one source, a bin per step), near 1 GB at both
-# ceilings; each further source adds about 55 B per step, not bounded here.
+# Ceiling on the expected frame count and on the channel steps of one run,
+# each times the source count (bins are never more than steps); at the
+# default traffic and one source it allows a 27 h horizon.  A run and its
+# CSV writes peak (tracemalloc) about 120 B higher per frame (dark_fiber,
+# 30k to 120k frames) and 80 B per step (one source, a bin per step), near
+# 1 GB at both ceilings; stages 2 and 3 hold a column per source.
 MAX_RUN_CELLS = 5_000_000
 
 # Ceiling on the expected pair count and the expected qubit count of one
@@ -137,10 +137,12 @@ class ScenarioConfig:
                 f"channel_step_s ({self.channel_step_s})"
             )
         frames = self.duration_s / self.traffic.mean_interarrival_s
-        cells_hint = "shorten duration_s or lengthen channel_step_s or the frame gap"
+        steps, width = self.duration_s / self.channel_step_s, max(1, len(self.sources))
+        per = f" x {width} sources" if width > 1 else ""
+        cells_hint = "shorten duration_s, lengthen channel_step_s or the frame gap, or use fewer sources"
         for name, count, ceiling, hint in (
-            ("expected frame count", frames, MAX_RUN_CELLS, cells_hint),
-            ("channel step count", self.duration_s / self.channel_step_s, MAX_RUN_CELLS, cells_hint),
+            (f"expected frame count{per}", frames * width, MAX_RUN_CELLS, cells_hint),
+            (f"channel step count{per}", steps * width, MAX_RUN_CELLS, cells_hint),
             (
                 "expected pair count",
                 sum(s.emission_rate_hz for s in self.sources) * self.duration_s,

@@ -19,12 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
-from qbackbone import engine
+from qbackbone import engine, ryu
 from qbackbone.cli import (
     FRAMES_CHUNK,
     FRAMES_COLUMNS,
     LINKBUDGET_COLUMNS,
     TIMESERIES_COLUMNS,
+    _count_cells,
+    _row_bytes,
     _write_frames,
     _write_quoted,
     main,
@@ -187,8 +189,28 @@ class TestSimulate:
         assert peak < 1_000_000
         assert not out.exists()
 
+    def test_many_sources_exit_1_before_running(self, tmp_path, capsys, monkeypatch):
+        # 10,000 sources on 1,000 steps: stages 2 and 3 would hold 10^7
+        # cells per matrix, so the ceiling counts steps times sources.
+        doc = config_to_dict(short_config(duration_s=2000.0, traffic=TrafficConfig(mean_interarrival_s=100.0)))
+        doc["sources"] = [dict(doc["sources"][0], source_id=f"f{k}") for k in range(10_000)]
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+
+        def no_run(config):
+            raise AssertionError("engine.run entered")
+
+        monkeypatch.setattr(engine, "run", no_run)
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"x 10000 sources 1e+07 exceeds the ceiling of {MAX_RUN_CELLS}" in err
+        assert not out.exists()
+
     def test_peak_memory_per_frame(self):
-        # MAX_RUN_CELLS keeps a run under 1 GB at 200 bytes per frame.
+        # MAX_RUN_CELLS keeps a run under 1 GB at 200 bytes per frame,
+        # measured between 30k and 120k frames.
         base = load_config_file(str(CONFIGS_DIR / "dark_fiber.json"))
 
         def peak(duration_s: float) -> tuple[int, int]:
@@ -201,7 +223,7 @@ class TestSimulate:
                 tracemalloc.stop()
 
         peak(20.0)  # first-call allocations
-        (n_short, short), (n_long, long) = peak(150.0), peak(600.0)
+        (n_short, short), (n_long, long) = peak(600.0), peak(2400.0)
         assert n_long > 3 * n_short
         assert (long - short) / (n_long - n_short) <= 200, (short, long)
 
@@ -431,6 +453,58 @@ class TestFramesWriter:
             traffic=dataclasses.replace(base.traffic, mean_interarrival_s=mean_gap),
         )
         assert_matches_reference(engine.run(config).frames)
+
+
+# Doubles of every cell form: inside the Ryu kernel's range [2^-13, 2^50),
+# outside it (repr's exponent form and the subnormals), any double, and NaN
+# for an empty cell.
+ROW_FLOATS = st.one_of(
+    st.floats(2.0**-13, 2.0**50, exclude_max=True),
+    st.sampled_from([1e-05, 1e16, 5e-324, 2.0**-14, 2.0**50, 0.0]),
+    st.floats(),
+    st.just(math.nan),
+)
+
+
+@st.composite
+def row_columns(draw) -> tuple[int, list[tuple[str, list]]]:
+    """``n`` rows of count and float columns; some cover only the first rows."""
+    n = draw(st.integers(0, 40))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["count", "float"]), min_size=1, max_size=6)):
+        rows = draw(st.one_of(st.just(n), st.integers(0, n)))
+        element = st.integers(0, 2**56) if kind == "count" else ROW_FLOATS
+        columns.append((kind, draw(st.lists(element, min_size=rows, max_size=rows))))
+    return n, columns
+
+
+class TestRowBytes:
+    """``_row_bytes`` over NUL-padded cells equals a per-row join of ``_fmt``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(table=row_columns())
+    def test_matches_joined_rows(self, table):
+        n, columns = table
+        cells = []
+        for kind, values in columns:
+            if kind == "count":
+                cells.append(_count_cells(np.array(values, np.int64)))
+            else:
+                values = np.array(values, np.float64)
+                column = ryu.float_cells(values)
+                column[:, np.isnan(values)] = 0  # an empty cell, as linkbudget writes it
+                cells.append(column)
+        got = _row_bytes(cells, n).decode("ascii")
+        want = "".join(
+            ",".join(
+                # Empty past a column's rows and for NaN, the one value unequal to itself.
+                _reference._fmt(None if i >= len(values) or values[i] != values[i] else values[i])
+                for _, values in columns
+            )
+            + "\n"
+            for i in range(n)
+        )
+        assert got == want
 
 
 TABLE_CELLS = st.one_of(

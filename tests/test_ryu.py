@@ -12,11 +12,11 @@ from qbackbone.ryu import float_cells
 
 def assert_repr(values: np.ndarray) -> None:
     """Every cell of ``float_cells(values)`` is the ``repr`` of its value."""
-    chars, keep = float_cells(values)
-    # One newline place after every cell, then the cells in value order.
-    chars = np.vstack([chars, np.full((1, len(values)), ord("\n"), np.uint8)])
-    keep = np.vstack([keep, np.ones((1, len(values)), bool)])
-    got = chars.T[keep.T].tobytes().decode("ascii").split("\n")[:-1]
+    cells = float_cells(values)
+    # One newline place after every cell, then the cells in value order
+    # with their NUL places dropped.
+    cells = np.vstack([cells, np.full((1, len(values)), ord("\n"), np.uint8)])
+    got = cells.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
     want = [repr(v) for v in values.tolist()]
     wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
     assert len(got) == len(want) and not wrong, wrong[:5]
