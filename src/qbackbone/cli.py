@@ -118,10 +118,10 @@ def _write_frames(fh, frames: engine.FrameTable) -> None:
     """Write frames.csv to a binary file, ``FRAMES_CHUNK`` rows per write.
 
     Cells match ``_cells``: ``repr`` of floats (``ryu.float_cells``), ``str``
-    of ints, and empty cells for frames still in flight.
+    of ints (``ryu.count_cells``) and empty cells for frames still in flight.
     """
     fh.write((",".join(FRAMES_COLUMNS) + "\n").encode())
-    payload = np.frombuffer(str(frames.payload_qubits).encode(), np.uint8)[:, None]
+    payload = ryu.count_cells(np.array([frames.payload_qubits]))
     for lo in range(0, len(frames), FRAMES_CHUNK):
         hi = min(lo + FRAMES_CHUNK, len(frames))
         n = hi - lo
@@ -132,23 +132,23 @@ def _write_frames(fh, frames: engine.FrameTable) -> None:
         times = ryu.float_cells(
             np.concatenate([frames.created_at_s[lo:hi], frames.egress_at_s[lo:hi], frames.delivered_at_s[lo:hi]])
         )
-        tried = _count_cells(attempts)
+        tried = ryu.count_cells(attempts)
         cells = (
-            _count_cells(np.arange(lo, hi)),
+            ryu.count_cells(np.arange(lo, hi)),
             times[:, :n],
             times[:, n : 2 * n],
             np.broadcast_to(payload, (len(payload), n)),
-            _count_cells(survivors),
-            _count_cells(frames.payload_qubits - survivors),
+            ryu.count_cells(survivors),
+            ryu.count_cells(frames.payload_qubits - survivors),
             tried,
-            _count_cells(survivors - attempts),
-            _count_cells(successes),
-            _count_cells(attempts - successes),
+            ryu.count_cells(survivors - attempts),
+            ryu.count_cells(successes),
+            ryu.count_cells(attempts - successes),
             tried,  # pairs_consumed
-            _count_cells(start),
-            _count_cells(start + attempts),
-            _count_cells(delivered),
-            _count_cells(successes[: len(delivered)] - delivered),
+            ryu.count_cells(start),
+            ryu.count_cells(start + attempts),
+            ryu.count_cells(delivered),
+            ryu.count_cells(successes[: len(delivered)] - delivered),
             times[:, 2 * n :],
         )
         fh.write(_row_bytes(cells, n))
@@ -171,23 +171,9 @@ def _row_bytes(cells: Sequence[np.ndarray], n: int) -> bytes:
     return chars.T.tobytes().translate(None, b"\0")
 
 
-def _count_cells(counts: np.ndarray) -> np.ndarray:
-    """The ``str`` of each non-negative integer as right-aligned ASCII digits,
-    NUL in the leading places, laid out as ``ryu.float_cells`` lays out its
-    cells."""
-    top = int(counts.max(initial=0))
-    value = counts.astype(np.uint32 if top < 2**32 else np.uint64)  # uint32 lanes are faster
-    chars = np.empty((len(str(top)), len(value)), np.uint8)
-    for place in range(len(chars) - 1, -1, -1):
-        quotient = value // 10
-        chars[place] = (value - quotient * 10 + ord("0")) * (value != 0)
-        value = quotient
-    chars[-1] |= ord("0")  # the units digit, also of 0
-    return chars
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args)
+    config.check_ceilings(len(config.sources))
     result = engine.run(config)
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -234,6 +220,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.policy is not None:
         base = dataclasses.replace(config, policy=scenario.Policy(args.policy, args.source))
+        base.check_ceilings(len(base.sources))  # a lone source was checked as it was built
         labeled = [(args.policy, base)]
     else:
         # Each source alone: every policy that admits a lone source keeps

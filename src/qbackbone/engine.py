@@ -374,6 +374,7 @@ def run_many(config: ScenarioConfig, capacities: Sequence[int | None]) -> Iterat
     the run of its capacity.  Results are yielded one at a time and not
     kept, so a caller that reduces each one holds a single result.
     """
+    config.check_ceilings(len(config.sources))
     draws = _draw(config)
     return (
         _walk_and_finish(dataclasses.replace(config, memory_capacity=m), draws)

@@ -1,4 +1,4 @@
-"""Shortest round-trip digits of float64 arrays, laid out as ``repr`` prints them.
+"""Shortest round-trip digits of float64 arrays, and their cells as ``repr`` prints them.
 
 A numpy port of Ryu's ``d2d`` (Ulf Adams, "Ryū: fast float-to-string
 conversion", PLDI 2018) for doubles in [2^-13, 2^50), the range of every
@@ -19,6 +19,8 @@ lanes, plus carries: the bytes cannot depend on numpy's SIMD dispatch.
 Other values take ``repr``.  Each value becomes a column of a ``uint8``
 matrix, a row per byte place, NUL in the places its text does not use, so
 a caller can stack the cells of a table's columns and drop every NUL at once.
+A float's cell is three bands, its integer part, a point and its fraction's
+digits, the digits from ``count_cells``, which writes frames.csv's counts too.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 _MASK32 = np.uint64(0xFFFF_FFFF)
 _POW10 = np.array([10**k for k in range(20)], np.uint64)  # 10^19 < 2^64
-_ONE = np.float64(1.0).view(np.uint64)
 
 # Per biased exponent from _LOW (2^-13) to _HIGH (2^50, excluded): a, q,
 # 5^i and vr's decimal exponent q - a.
@@ -93,44 +94,24 @@ def shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vr + round_up, _E10[row] + removed
 
 
-_ZERO, _DOT = np.uint8(ord("0")), np.uint8(ord("."))
-
-
-def _layout(digits: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """The cells of ``digits · 10**exponent`` as ``repr`` writes them (see
-    ``float_cells``) in fixed notation, which ``repr`` uses from 1e-4 up to
-    1e16: '0.' and up to 3 zeros before the digits of a value below 1, a
-    decimal point after one of the first 16 digits, or up to 15 zeros and
-    '.0' after the digits of an integral value.  Only the places that some
-    value uses are laid out, in that order."""
-    size = np.searchsorted(_POW10, digits, side="right")
-    point = exponent + size  # digits before the decimal point
-    split = np.flatnonzero((point > 0) & (exponent < 0))
-    after = 16 + exponent[split]  # the digit the point follows, not the last
-    before = -int(point.min(initial=1))  # the most zeros after '0.', if >= 0
-    lead = before + 2 if before >= 0 else 0
-    first, full = 17 - int(size.max(initial=1)), 17 - int(size.min(initial=17))
-    low = int(after.min(initial=16))  # point places follow digits low to max(after)
-    points = int(after.max(initial=low - 1)) + 1 - low
-    units = lead + 16 - first + points  # the units digit's place
-    zeros, integral = max(int(exponent.max(initial=-1)), 0), exponent >= 0
-    cells = np.zeros((units + 1 + zeros + 2 * integral.any(), len(digits)), np.uint8)
-    if lead:
-        cells[:2, point <= 0] = [[_ZERO], [_DOT]]
-    for k in range(before):
-        cells[2 + k] = (k < -point) * _ZERO
-    for place in range(16, first - 1, -1):
-        row = cells[lead + place - first + min(max(place - low, 0), points)]
-        digits, digit = _div10(digits)
-        np.add(digit, _ZERO, out=row, casting="unsafe")
-        if place < full:  # a place before a value's first digit is empty
-            row *= size > 16 - place
-    cells[lead + 2 * after - first - low + 1, split] = _DOT
-    for k in range(zeros):
-        cells[units + 1 + k] = (k < exponent) * _ZERO
-    if integral.any():
-        cells[-2:, integral] = [[_DOT], [_ZERO]]
-    return cells
+def count_cells(values: np.ndarray, places: np.ndarray | None = None) -> np.ndarray:
+    """The ``str`` of each non-negative integer below 2^64 as right-aligned
+    ASCII digits, NUL in the places before them, laid out as ``float_cells``
+    lays out its cells, from ``uint32`` lanes of 9 digits.  With ``places``, each
+    value below ``10**places`` prints exactly that many digits, its leading zeros too."""
+    width = len(str(int(values.max(initial=0)))) if places is None else int(places.max(initial=1))
+    chars = np.empty((width, len(values)), np.uint8)
+    for end in range(width, 0, -9):
+        high = values // 10**9 if end > 9 else 0  # a lower lane keeps a 1 above its digits where more follow
+        lane = (values - (high - (high > 0)) * 10**9).astype(np.uint32)
+        for place in range(end - 1, max(end - 9, 0) - 1, -1):
+            quotient = lane // 10
+            shown = lane != 0 if places is None else places >= width - place
+            chars[place] = (lane - quotient * 10 + ord("0")) * shown
+            lane = quotient
+        values = high
+    chars[-1] |= ord("0")  # the units digit, also of 0
+    return chars
 
 
 def float_cells(values: np.ndarray) -> np.ndarray:
@@ -143,7 +124,16 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     biased = bits >> 52  # the sign bit makes it >= 2048
     fast = (biased >= _LOW) & (biased < _HIGH)
     # The other values are laid out as 1.0 here and replaced by their repr.
-    cells = _layout(*shortest(np.where(fast, bits, _ONE)))
+    kept = np.where(fast, values, 1.0)
+    digits, exponent = shortest(kept.view(np.uint64))
+    # Three bands: the integer part, the point and the fraction's digits.  No
+    # integer lies between a double and its shortest decimal (it would be a
+    # double nearer that decimal), so the integer part is the floor; a value
+    # from 1 up has at most 16 fraction digits.
+    floor, length = np.floor(kept).astype(np.uint64), np.maximum(-exponent, 1)
+    fraction = (digits - floor * _POW10[np.minimum(length, 16)]) * (exponent < 0)  # 0 if integral
+    point = np.full((1, len(values)), ord("."), np.uint8)
+    cells = np.vstack([count_cells(floor), point, count_cells(fraction, length)])
     if not fast.all():
         # No repr holds a NUL byte; numpy pads the shorter ones with NUL,
         # and the cells grow to the longest.

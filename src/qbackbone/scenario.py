@@ -136,28 +136,7 @@ class ScenarioConfig:
                 f"bin_width_s ({self.bin_width_s}) must be a multiple of "
                 f"channel_step_s ({self.channel_step_s})"
             )
-        frames = self.duration_s / self.traffic.mean_interarrival_s
-        steps, width = self.duration_s / self.channel_step_s, max(1, len(self.sources))
-        per = f" x {width} sources" if width > 1 else ""
-        cells_hint = "shorten duration_s, lengthen channel_step_s or the frame gap, or use fewer sources"
-        for name, count, ceiling, hint in (
-            (f"expected frame count{per}", frames * width, MAX_RUN_CELLS, cells_hint),
-            (f"channel step count{per}", steps * width, MAX_RUN_CELLS, cells_hint),
-            (
-                "expected pair count",
-                sum(s.emission_rate_hz for s in self.sources) * self.duration_s,
-                MAX_RUN_COUNT,
-                "lower the sources' emission_rate_hz or shorten duration_s",
-            ),
-            (
-                "expected qubit count",
-                self.traffic.payload_qubits * max(1.0, frames),
-                MAX_RUN_COUNT,
-                "lower traffic.qubit_rate_hz x traffic.frame_duration_s or shorten duration_s",
-            ),
-        ):
-            if count > ceiling:
-                raise ConfigError(f"{name} {count:.6g} exceeds the ceiling of {ceiling}; {hint}")
+        self.check_ceilings()
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer: {self.seed}")
         seen: set[str] = set()
@@ -176,6 +155,31 @@ class ScenarioConfig:
                     f"policy satellite-only requires a satellite source, "
                     f"got {match[0].kind!r} for {self.policy.source_id!r}"
                 )
+
+    def check_ceilings(self, width: int = 1) -> None:
+        """Bound a run's frames and channel steps, each times ``width`` sources,
+        and its pairs and qubits: a document at one source, a run at its own."""
+        frames = self.duration_s / self.traffic.mean_interarrival_s
+        per = f" x {width} sources" if width > 1 else ""
+        cells_hint = "shorten duration_s, lengthen channel_step_s or the frame gap, or use fewer sources"
+        for name, count, ceiling, hint in (
+            (f"expected frame count{per}", frames * width, MAX_RUN_CELLS, cells_hint),
+            (f"channel step count{per}", self.duration_s / self.channel_step_s * width, MAX_RUN_CELLS, cells_hint),
+            (
+                "expected pair count",
+                sum(s.emission_rate_hz for s in self.sources) * self.duration_s,
+                MAX_RUN_COUNT,
+                "lower the sources' emission_rate_hz or shorten duration_s",
+            ),
+            (
+                "expected qubit count",
+                self.traffic.payload_qubits * max(1.0, frames),
+                MAX_RUN_COUNT,
+                "lower traffic.qubit_rate_hz x traffic.frame_duration_s or shorten duration_s",
+            ),
+        ):
+            if count > ceiling:
+                raise ConfigError(f"{name} {count:.6g} exceeds the ceiling of {ceiling}; {hint}")
 
     @property
     def n_steps(self) -> int:

@@ -25,7 +25,6 @@ from qbackbone.cli import (
     FRAMES_COLUMNS,
     LINKBUDGET_COLUMNS,
     TIMESERIES_COLUMNS,
-    _count_cells,
     _row_bytes,
     _write_frames,
     _write_quoted,
@@ -488,7 +487,7 @@ class TestRowBytes:
         cells = []
         for kind, values in columns:
             if kind == "count":
-                cells.append(_count_cells(np.array(values, np.int64)))
+                cells.append(ryu.count_cells(np.array(values, np.int64)))
             else:
                 values = np.array(values, np.float64)
                 column = ryu.float_cells(values)
@@ -652,6 +651,31 @@ class TestSweep:
         assert flag in err and "ceiling" in err
         assert peak < 1_000_000
         assert not out.exists()
+
+    def test_isolated_sources_pass_the_run_ceilings(self, tmp_path, capsys, monkeypatch):
+        # 1.2M steps a run: the document's 5 sources make 6M cells, but a
+        # sweep without --policy runs each source alone, which fits.
+        doc = json.loads((CONFIGS_DIR / "all_sources.json").read_text())
+        doc["duration_s"], doc["traffic"]["mean_interarrival_s"] = 2.4e6, 10.0
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "sweep.csv")
+
+        class Entered(Exception):
+            pass
+
+        def stop(config, capacities):
+            assert [s.source_id for s in config.sources] == ["fiber-standard"]
+            raise Entered
+
+        monkeypatch.setattr(engine, "run_many", stop)
+        with pytest.raises(Entered):
+            main(["sweep", "--config", str(path), "--out", out, "--memory", "1", "--source", "fiber-standard"])
+        # Under --policy one run holds every source, so the sweep exits 1 before running.
+        assert main(["sweep", "--config", str(path), "--out", out, "--memory", "1", "--policy", "all-sources"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"channel step count x 5 sources 6e+06 exceeds the ceiling of {MAX_RUN_CELLS}" in err
 
     def test_peak_memory_does_not_grow_with_memory_sizes(self, tmp_path):
         # 30,000 frames: each result a sweep held would add about 1.2 MB.

@@ -14,8 +14,11 @@ from qbackbone import engine
 from qbackbone.engine import _traffic_times, run, stream
 from qbackbone.linkbudget import classical_latency_s
 from qbackbone.scenario import (
+    MAX_RUN_CELLS,
+    ConfigError,
     Policy,
     ScenarioConfig,
+    TrafficConfig,
     builtin_sources,
     dark_fiber_source,
     fiber_source,
@@ -460,3 +463,16 @@ class TestRunMany:
             assert result.totals == expected.totals
             assert result.pairs_by_source == expected.pairs_by_source
             _reference.assert_tables_equal(result.frames, expected.frames)
+
+    def test_sources_past_the_ceiling_raise_before_drawing(self, monkeypatch):
+        # One source's 1.2M steps load; a run holds a column per source.
+        config = ScenarioConfig(
+            duration_s=2.4e6, traffic=TrafficConfig(mean_interarrival_s=10.0), sources=builtin_sources()
+        )
+
+        def no_draw(config):
+            raise AssertionError("stages 1-4 entered")
+
+        monkeypatch.setattr(engine, "_draw", no_draw)
+        with pytest.raises(ConfigError, match=f"x 5 sources 6e\\+06 exceeds the ceiling of {MAX_RUN_CELLS}"):
+            engine.run_many(config, [None])

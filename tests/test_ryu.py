@@ -1,4 +1,4 @@
-"""The float cells of ``qbackbone.ryu`` equal ``repr``, value by value."""
+"""The cells of ``qbackbone.ryu`` equal ``repr`` of floats and ``str`` of counts, value by value."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qbackbone.ryu import float_cells
+from qbackbone.ryu import count_cells, float_cells
 
 
 def assert_repr(values: np.ndarray) -> None:
@@ -65,7 +65,34 @@ def test_integers():
             2**53 - np.arange(1000),
         ]
     )
-    assert_repr(exact.astype(np.float64))
+    # The doubles 2 ulp either side of each pin the integer band, the floor.
+    assert_repr(neighbours(exact.astype(np.float64), steps=2))
+
+
+def column_text(cells: np.ndarray) -> list[str]:
+    return [col.tobytes().translate(None, b"\0").decode("ascii") for col in cells.T]
+
+
+# The edges of the count kernel's 9-digit uint32 lanes, of uint32 and of
+# the widest counts.
+LANE_EDGES = [0, 9, 10, 10**8 - 1, 10**8, 10**9 - 1, 10**9, 2**32 - 1, 2**32, 10**16, 2**56, 10**18, 2**63 - 1]
+
+
+def test_counts_at_lane_edges():
+    values = sorted({v + d for v in LANE_EDGES for d in (-1, 0, 1) if 0 <= v + d < 2**63})
+    for dtype in (np.int64, np.uint64):
+        assert column_text(count_cells(np.array(values, dtype))) == [str(v) for v in values]
+    assert column_text(count_cells(np.array([2**64 - 1], np.uint64))) == [str(2**64 - 1)]
+
+
+def test_places_print_leading_zeros():
+    # A fraction band: each value below 10**places, all of its places printed.
+    rng = np.random.default_rng(7)
+    places = rng.integers(1, 21, 5000)
+    values = rng.integers(0, 10 ** np.minimum(places, 18)) // rng.integers(1, 10**9, 5000)
+    values = values.astype(np.uint64)
+    want = [f"{v:0{p}d}" for v, p in zip(values.tolist(), places.tolist())]
+    assert column_text(count_cells(values, places)) == want
 
 
 def test_three_decimal_values():
