@@ -8,7 +8,8 @@ CSV numbers use a decimal point and no grouping, so outputs for a fixed
 ``linkbudget`` prints the columns of ``entanglement.pass_slice``, whose
 coincidence column a run's probability matrix holds, through the row
 writer of ``frames.csv``.  ``sweep`` runs each source alone under
-all-sources, bounds its rows before building any list and holds one run.
+all-sources, bounds its rows before building any list, checks every
+label's run ceilings before its first run and holds one run.
 """
 
 from __future__ import annotations
@@ -173,7 +174,6 @@ def _row_bytes(cells: Sequence[np.ndarray], n: int) -> bytes:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args)
-    config.check_ceilings(len(config.sources))
     result = engine.run(config)
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -220,7 +220,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.policy is not None:
         base = dataclasses.replace(config, policy=scenario.Policy(args.policy, args.source))
-        base.check_ceilings(len(base.sources))  # a lone source was checked as it was built
         labeled = [(args.policy, base)]
     else:
         # Each source alone: every policy that admits a lone source keeps
@@ -242,6 +241,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"sweep rows ({len(labeled)} labels x {n_sizes} --memory sizes x {args.seeds_per_point} "
             f"--seeds-per-point) exceed the ceiling of {scenario.MAX_RUN_CELLS}"
         )
+    for _, base in labeled:  # so that no label fails after another has run
+        base.check_ceilings()
     memory_sizes = sorted(_parse_memory_list(args.memory), key=lambda m: (m is None, m))
     # Equal sizes give equal results, so each distinct size is walked once.
     distinct = list(dict.fromkeys(memory_sizes))

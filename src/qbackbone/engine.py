@@ -372,9 +372,11 @@ def run_many(config: ScenarioConfig, capacities: Sequence[int | None]) -> Iterat
     Stages 1-4 are drawn once and every capacity walks the same draws;
     each obtains the teleport and egress streams afresh, so each result is
     the run of its capacity.  Results are yielded one at a time and not
-    kept, so a caller that reduces each one holds a single result.
+    kept, so a caller that reduces each one holds a single result.  The
+    run's ceilings (``ScenarioConfig.check_ceilings``) are checked as it is
+    called, before anything is drawn.
     """
-    config.check_ceilings(len(config.sources))
+    config.check_ceilings()
     draws = _draw(config)
     return (
         _walk_and_finish(dataclasses.replace(config, memory_capacity=m), draws)

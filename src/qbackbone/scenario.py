@@ -38,8 +38,9 @@ _SATELLITES = {
 
 POLICY_KINDS = ("fiber-only", "satellite-only", "best-source", "all-sources")
 
-# Ceiling on the expected frame count and on the channel steps of one run,
-# each times the source count (bins are never more than steps); at the
+# Ceiling on the channel steps of a document, which every command builds,
+# and on the expected frame count and the channel steps of one run, each
+# times the run's source count (bins are never more than steps); at the
 # default traffic and one source it allows a 27 h horizon.  A run and its
 # CSV writes peak (tracemalloc) about 120 B higher per frame (dark_fiber,
 # 30k to 120k frames) and 80 B per step (one source, a bin per step), near
@@ -136,13 +137,18 @@ class ScenarioConfig:
                 f"bin_width_s ({self.bin_width_s}) must be a multiple of "
                 f"channel_step_s ({self.channel_step_s})"
             )
-        self.check_ceilings()
+        steps = self.duration_s / self.channel_step_s
+        if steps > MAX_RUN_CELLS:
+            hint = "shorten duration_s or lengthen channel_step_s"
+            raise ConfigError(f"channel step count {steps:.6g} exceeds the ceiling of {MAX_RUN_CELLS}; {hint}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer: {self.seed}")
         seen: set[str] = set()
         for source in self.sources:
             if source.source_id in seen:
                 raise ConfigError(f"duplicate source id {source.source_id!r}")
+            if not source.source_id.isprintable():
+                raise ConfigError(f"source id {source.source_id!r} has a non-printable character")
             seen.add(source.source_id)
         if self.policy.kind == "satellite-only":
             match = [s for s in self.sources if s.source_id == self.policy.source_id]
@@ -156,10 +162,13 @@ class ScenarioConfig:
                     f"got {match[0].kind!r} for {self.policy.source_id!r}"
                 )
 
-    def check_ceilings(self, width: int = 1) -> None:
-        """Bound a run's frames and channel steps, each times ``width`` sources,
-        and its pairs and qubits: a document at one source, a run at its own."""
+    def check_ceilings(self) -> None:
+        """Bound the run of this config before it allocates: its frames and
+        channel steps, each times its sources (at least one), and its pairs
+        and qubits.  ``engine.run_many`` checks every run, ``sweep`` every
+        label before its first run."""
         frames = self.duration_s / self.traffic.mean_interarrival_s
+        width = max(1, len(self.sources))
         per = f" x {width} sources" if width > 1 else ""
         cells_hint = "shorten duration_s, lengthen channel_step_s or the frame gap, or use fewer sources"
         for name, count, ceiling, hint in (

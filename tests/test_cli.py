@@ -35,6 +35,7 @@ from qbackbone.geometry import SatellitePassModel, StationPass
 from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
 from qbackbone.scenario import (
     MAX_RUN_CELLS,
+    MAX_RUN_COUNT,
     Policy,
     ScenarioConfig,
     TrafficConfig,
@@ -197,10 +198,10 @@ class TestSimulate:
         path.write_text(json.dumps(doc))
         out = tmp_path / "o"
 
-        def no_run(config):
-            raise AssertionError("engine.run entered")
+        def no_draw(config):
+            raise AssertionError("stages 1-4 entered")
 
-        monkeypatch.setattr(engine, "run", no_run)
+        monkeypatch.setattr(engine, "_draw", no_draw)
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
@@ -767,6 +768,29 @@ class TestPasses:
         assert rows
         assert all(r["window_start_s"] == "" and r["window_duration_s"] == "" for r in rows)
 
+    @pytest.mark.parametrize("char", ["\r", "\n", "\t", "\x00"], ids=["CR", "LF", "TAB", "NUL"])
+    def test_control_characters_in_source_ids_exit_1(self, tmp_path, capsys, char):
+        # csv.writer writes these differently across Python versions.
+        doc = config_to_dict(short_config(sources=(satellite_source("Micius"),)))
+        doc["sources"][0]["source_id"] = f"Mic{char}ius"
+        path = tmp_path / "control.json"
+        path.write_text(json.dumps(doc))
+        assert main(["passes", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert repr(f"Mic{char}ius") in captured.err
+
+    @pytest.mark.parametrize("source_id, cell", [("Mic,ius", '"Mic,ius"'), ('Mic"ius', '"Mic""ius"')])
+    def test_separators_in_source_ids_are_quoted(self, tmp_path, capsys, source_id, cell):
+        source = dataclasses.replace(satellite_source("Micius"), source_id=source_id)
+        config = write_config(tmp_path, short_config(sources=(source,)))
+        assert load_config_file(config).sources[0].source_id == source_id
+        assert main(["passes", "--config", config]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1].startswith(cell + ",")
+        assert [r["satellite"] for r in csv.DictReader(io.StringIO(out))] == [source_id]
+
     def test_no_satellites_is_header_only(self, tmp_path, capsys):
         config = write_config(tmp_path, short_config())
         assert main(["passes", "--config", config]) == 0
@@ -777,6 +801,93 @@ class TestPasses:
 
 def self_rows_empty(out: str) -> bool:
     return list(csv.DictReader(io.StringIO(out))) == []
+
+
+class Drawn(Exception):
+    """Stage 1 of a run was entered: the run passed its ceilings."""
+
+
+class TestRunCeilings:
+    """A document bounds only its step grid; a run bounds itself, at its own
+    sources, before stage 1 (``engine._draw``) allocates anything."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch) -> list[list[str]]:
+        """The source ids of each run that enters stage 1, which stops it."""
+        runs = []
+
+        def draw(config):
+            runs.append([s.source_id for s in config.sources])
+            raise Drawn
+
+        monkeypatch.setattr(engine, "_draw", draw)
+        return runs
+
+    @pytest.fixture
+    def rich(self, tmp_path) -> str:
+        # Each source alone expects 2e16 pairs, below MAX_RUN_COUNT (2**56,
+        # about 7.2e16); all five together expect 1e17.
+        doc = json.loads((CONFIGS_DIR / "all_sources.json").read_text())
+        doc["duration_s"], doc["traffic"]["mean_interarrival_s"] = 1e5, 1.0
+        for source in doc["sources"]:
+            source["emission_rate_hz"] = 2e11
+        path = tmp_path / "rich.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_a_document_too_rich_to_run_loads_and_prints_its_passes(self, rich, drawn, capsys):
+        assert len(load_config_file(rich).sources) == 5
+        assert main(["passes", "--config", rich]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["satellite"] for r in rows] == ["Micius", "Starlink-2007", "Iridium-126"]
+        assert drawn == []
+
+    def test_an_isolated_source_runs_within_its_own_pairs(self, rich, drawn, tmp_path):
+        out = str(tmp_path / "sweep.csv")
+        with pytest.raises(Drawn):
+            main(["sweep", "--config", rich, "--out", out, "--memory", "1", "--source", "fiber-standard"])
+        assert drawn == [["fiber-standard"]]
+
+    @pytest.mark.parametrize(
+        "command", [["simulate", "--out"], ["sweep", "--memory", "1", "--policy", "all-sources", "--out"]]
+    )
+    def test_every_source_at_once_exits_1_before_drawing(self, rich, drawn, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert main([*command, str(out), "--config", rich]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"expected pair count 1e+17 exceeds the ceiling of {MAX_RUN_COUNT}" in err
+        assert drawn == []
+        assert not out.exists()
+
+    def test_a_later_label_past_its_ceiling_stops_the_sweep_before_any_run(self, drawn, tmp_path, capsys):
+        # "b" alone expects 2.4e17 pairs; "a" sorts, and would run, first.
+        doc = config_to_dict(short_config(sources=(fiber_source("a"), fiber_source("b"))))
+        doc["sources"][1]["emission_rate_hz"] = 1e16
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--memory", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "expected pair count 2.4e+17" in err
+        assert drawn == []
+        assert not out.exists()
+
+    def test_a_run_without_sources_is_bounded_by_its_frames(self, drawn, tmp_path, capsys):
+        # 1e7 frames on 1e5 steps: the document loads, and its run is
+        # bounded at one source's width.
+        doc = config_to_dict(ScenarioConfig(sources=()))
+        doc["duration_s"] = 2e5
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"error: expected frame count 1e+07 exceeds the ceiling of {MAX_RUN_CELLS}" in err
+        assert drawn == []
+        assert not out.exists()
 
 
 class TestLinkbudget:

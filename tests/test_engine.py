@@ -59,6 +59,58 @@ class TestRandomStreams:
             stream(-1, "traffic")
 
 
+class TestChunkedDraws:
+    """A stream drawn in blocks gives the counts of one call, so a run could
+    draw its Poisson and binomial counts chunk by chunk, or only where a
+    mean is nonzero, and keep its bytes.  These pin numpy's samplers."""
+
+    NUMPY = f"numpy {np.__version__}"
+
+    @staticmethod
+    def means() -> np.ndarray:
+        """Segments x sources pair means, 80 % of them zero."""
+        rng = np.random.default_rng(3)
+        lam = rng.exponential(20.0, size=(10_000, 5))
+        return np.where(rng.random(lam.shape) < 0.8, 0.0, lam)
+
+    @pytest.mark.parametrize("rows", [1, 7, 1000, 4096])
+    def test_poisson_over_row_blocks_is_one_call(self, rows):
+        lam = self.means()
+        whole = stream(11, "coincidence").poisson(lam)
+        rng = stream(11, "coincidence")
+        blocks = np.concatenate([rng.poisson(lam[lo : lo + rows]) for lo in range(0, len(lam), rows)])
+        assert np.array_equal(blocks, whole), self.NUMPY
+
+    def test_poisson_of_the_nonzero_means_is_the_dense_draw(self):
+        # A zero mean consumes no randomness.
+        lam = self.means()
+        whole = stream(11, "coincidence").poisson(lam)
+        nonzero = lam != 0.0
+        sparse = np.zeros_like(whole)
+        sparse[nonzero] = stream(11, "coincidence").poisson(lam[nonzero])  # C order
+        assert np.array_equal(sparse, whole), self.NUMPY
+
+    @pytest.mark.parametrize("size", [1, 333, 4096])
+    def test_binomial_with_scalar_n_over_size_blocks_is_one_call(self, size):
+        total = 10_000
+        whole = stream(11, "ingress_access").binomial(100_000, 0.79, size=total)
+        rng = stream(11, "ingress_access")
+        blocks = np.concatenate(
+            [rng.binomial(100_000, 0.79, size=min(size, total - lo)) for lo in range(0, total, size)]
+        )
+        assert np.array_equal(blocks, whole), self.NUMPY
+
+    @pytest.mark.parametrize("size", [1, 333, 4096])
+    def test_binomial_with_array_n_over_blocks_is_one_call(self, size):
+        # Zero, small and large trial counts: numpy's inversion and BTPE paths.
+        rng = np.random.default_rng(4)
+        n = rng.integers(0, 100_000, size=10_000) >> rng.integers(0, 17, size=10_000)
+        whole = stream(11, "teleport").binomial(n, 0.5)
+        rng = stream(11, "teleport")
+        blocks = np.concatenate([rng.binomial(n[lo : lo + size], 0.5) for lo in range(0, len(n), size)])
+        assert np.array_equal(blocks, whole), self.NUMPY
+
+
 class TestRun:
     def short(self, **overrides):
         base = dict(duration_s=16.0, seed=3)

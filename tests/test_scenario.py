@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference
+from qbackbone import engine
 from qbackbone.engine import run
 from qbackbone.entanglement import FiberSource, coincidence_matrix
 from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
@@ -56,6 +57,29 @@ def _with(doc, path, value):
         node = node[key]
     node[last] = value
     return doc
+
+
+class Drawn(Exception):
+    """Stage 1 of a run was entered: the run passed its ceilings."""
+
+
+@pytest.fixture
+def start_run(monkeypatch):
+    """Load a document and start its run, stopping as stage 1 is entered;
+    a ceiling raises its ConfigError before then.  Returns the config."""
+
+    def draw(config):
+        raise Drawn
+
+    monkeypatch.setattr(engine, "_draw", draw)
+
+    def start(doc) -> ScenarioConfig:
+        config = load_config(doc)
+        with pytest.raises(Drawn):
+            engine.run_many(config, [None])
+        return config
+
+    return start
 
 
 def _paths(node, prefix=()):
@@ -267,10 +291,21 @@ class TestValidation:
     def test_zero_duration_allowed(self):
         assert load_config({"duration_s": 0.0}).duration_s == 0.0
 
+    def test_a_document_bounds_only_its_step_grid(self):
+        # Every command builds the step grid from the document; the other
+        # ceilings bound a run, which may hold fewer sources than it.
+        with pytest.raises(ConfigError, match=f"channel step count 5e\\+11 exceeds the ceiling of {MAX_RUN_CELLS}"):
+            load_config({"duration_s": 1.0e12})
+        assert load_config({"duration_s": 2.0e5}).n_steps == 100_000  # 1e7 frames
+        lossless = {"kind": "ground-fiber", "source_id": "f", "arm": {"length_km": 0.0}}
+        assert load_config({"duration_s": 64.0, "sources": [dict(lossless, emission_rate_hz=2e15)]})
+        assert load_config({"traffic": {"qubit_rate_hz": 2**42, "frame_duration_s": 1.0}})
+
     @pytest.mark.parametrize(
         "rejected, what, accepted",
         [
-            ({"duration_s": 1.0e12}, "expected frame count", {"duration_s": 9.0e4}),
+            # 1e7 frames on 1e5 steps: the document loads, its run does not
+            ({"duration_s": 2.0e5}, "expected frame count", {"duration_s": 9.0e4}),
             (
                 {"channel_step_s": 1.0e-5, "bin_width_s": 1.0e-5},
                 "channel step count",
@@ -278,32 +313,32 @@ class TestValidation:
             ),
         ],
     )
-    def test_run_size_ceiling(self, rejected, what, accepted):
+    def test_run_size_ceiling(self, start_run, rejected, what, accepted):
         with pytest.raises(ConfigError, match=what):
-            load_config(rejected)
-        assert load_config(accepted).n_steps <= MAX_RUN_CELLS
+            start_run(rejected)
+        assert start_run(accepted).n_steps <= MAX_RUN_CELLS
 
-    def test_draw_count_ceiling(self):
+    def test_draw_count_ceiling(self, start_run):
         lossless = {"kind": "ground-fiber", "source_id": "f", "arm": {"length_km": 0.0}}
         accepted = {"duration_s": 16.0, "sources": [dict(lossless, emission_rate_hz=2e15)]}
-        assert load_config(accepted).duration_s == 16.0
+        assert start_run(accepted).duration_s == 16.0
         rejected = dict(accepted, duration_s=64.0)
         with pytest.raises(ConfigError, match=f"expected pair count .* {MAX_RUN_COUNT}"):
-            load_config(rejected)
-        # the pair ceiling sums over sources
+            start_run(rejected)
+        # the pair ceiling sums over the run's sources
         twins = [
             dict(lossless, emission_rate_hz=2.5e15),
             dict(lossless, source_id="g", emission_rate_hz=2.5e15),
         ]
         with pytest.raises(ConfigError, match="emission_rate_hz"):
-            load_config({"duration_s": 16.0, "sources": twins})
+            start_run({"duration_s": 16.0, "sources": twins})
         payload = 2**40  # x 30,000 expected frames is about 3.3e16, below 2**56
-        assert load_config({"traffic": {"qubit_rate_hz": payload, "frame_duration_s": 1.0}})
+        assert start_run({"traffic": {"qubit_rate_hz": payload, "frame_duration_s": 1.0}})
         with pytest.raises(ConfigError, match="expected qubit count .*traffic.qubit_rate_hz"):
-            load_config({"traffic": {"qubit_rate_hz": 4 * payload, "frame_duration_s": 1.0}})
+            start_run({"traffic": {"qubit_rate_hz": 4 * payload, "frame_duration_s": 1.0}})
         # a horizon below one frame gap still draws one payload
         with pytest.raises(ConfigError, match="expected qubit count"):
-            load_config(
+            start_run(
                 {
                     "duration_s": 0.0,
                     "traffic": {"qubit_rate_hz": 2.0 * MAX_RUN_COUNT, "frame_duration_s": 1.0},
