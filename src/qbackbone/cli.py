@@ -319,58 +319,68 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_CONFIG = ("--config", {"help": "Scenario JSON (defaults when omitted)."})
+# Each command's handler, its line in the command list and its arguments.
+COMMANDS = {
+    "simulate": (_cmd_simulate, "Run one scenario and write CSV telemetry.", (
+        _CONFIG,
+        ("--out", {"required": True, "help": "Output directory for the CSV files."}),
+        ("--seed", {"type": int, "help": "Master seed override."}),
+    )),
+    "sweep": (_cmd_sweep, "Sweep memory sizes over seeds and sources.", (
+        _CONFIG,
+        ("--out", {"required": True, "help": "Output CSV file."}),
+        ("--seed", {"type": int, "help": "Base seed override."}),
+        ("--memory", {"required": True, "help": "Comma-separated memory sizes, e.g. '1,10,100,unlimited'."}),
+        ("--seeds-per-point", {"type": int, "default": 1, "help": "Seeds per point."}),
+        ("--source", {
+            "help": "Without --policy, sweep only this source; with --policy satellite-only, the "
+            "policy's satellite; any other --policy takes no source and exits 1.",
+        }),
+        ("--policy", {
+            "choices": scenario.POLICY_KINDS,
+            "help": "Sweep this policy over the full source list instead of per-source isolation.",
+        }),
+    )),
+    "passes": (_cmd_passes, "Print the satellite pass table as CSV.", (_CONFIG,)),
+    "linkbudget": (_cmd_linkbudget, "Print one source's downlink budget per channel step as CSV.", (
+        _CONFIG,
+        ("--source", {"required": True, "help": "Source id to profile."}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
+
+    A command's subparser, its help and its errors are the same either
+    way, and the usage line always names every command.
+    """
     parser = argparse.ArgumentParser(
         prog="qbackbone",
         description="Simulate quantum dataframe transmission over an entanglement backbone.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    simulate = sub.add_parser("simulate", help="Run one scenario and write CSV telemetry.")
-    simulate.add_argument("--config", help="Scenario JSON (defaults when omitted).")
-    simulate.add_argument("--out", required=True, help="Output directory for the CSV files.")
-    simulate.add_argument("--seed", type=int, help="Master seed override.")
-    simulate.set_defaults(func=_cmd_simulate)
-
-    sweep = sub.add_parser("sweep", help="Sweep memory sizes over seeds and sources.")
-    sweep.add_argument("--config", help="Scenario JSON (defaults when omitted).")
-    sweep.add_argument("--out", required=True, help="Output CSV file.")
-    sweep.add_argument("--seed", type=int, help="Base seed override.")
-    sweep.add_argument(
-        "--memory",
-        required=True,
-        help="Comma-separated memory sizes, e.g. '1,10,100,unlimited'.",
-    )
-    sweep.add_argument("--seeds-per-point", type=int, default=1, help="Seeds per point.")
-    sweep.add_argument(
-        "--source",
-        help="Without --policy, sweep only this source; with --policy satellite-only, the "
-        "policy's satellite; any other --policy takes no source and exits 1.",
-    )
-    sweep.add_argument(
-        "--policy",
-        choices=scenario.POLICY_KINDS,
-        help="Sweep this policy over the full source list instead of per-source isolation.",
-    )
-    sweep.set_defaults(func=_cmd_sweep)
-
-    passes = sub.add_parser("passes", help="Print the satellite pass table as CSV.")
-    passes.add_argument("--config", help="Scenario JSON (defaults when omitted).")
-    passes.set_defaults(func=_cmd_passes)
-
-    linkbudget = sub.add_parser(
-        "linkbudget", help="Print one source's downlink budget per channel step as CSV."
-    )
-    linkbudget.add_argument("--config", help="Scenario JSON (defaults when omitted).")
-    linkbudget.add_argument("--source", required=True, help="Source id to profile.")
-    linkbudget.set_defaults(func=_cmd_linkbudget)
-
+    # With one command built, the usage line still names every command.
+    # With all built, argparse writes that text itself; setting it would
+    # also rename "command" in messages such as "argument command: ...".
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        func, help_text, arguments = COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            subparser.add_argument(flag, **options)
+        subparser.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Parsing a command needs only its own subparser; --help and a missing
+    # or unknown command need every command, to list them.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the help (code 0) or a usage error (code 2).
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG

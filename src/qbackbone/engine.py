@@ -25,10 +25,15 @@ is ``(a1 + a2, clamp(lo1 + a2, lo2, hi2), clamp(hi1 + a2, lo2, hi2))``, so
 an inclusive prefix scan of the shifts gives every occupancy (Blelloch
 1990; the two-sided Lindley recursion).  The stores before a frame and
 its take compose to one shift ``(A_i - s_i, 0, max(M - s_i, 0))``, so the
-scan runs over the frames alone, in int64, with one code path for every
-capacity including unlimited.  Nothing at or after the horizon happens:
-a frame whose egress or delivery time equals ``duration_s`` is not
-served or not delivered.
+scan runs over the frames alone, in int64, for every capacity including
+unlimited.  Every lower clamp is 0, so the walk first takes the one-sided
+recursion's closed form, ``S - min(0, running minimum of S)`` over the
+prefix sums ``S`` of ``A_i - s_i``.  By induction it is the walk whenever
+no frame leaves more than ``max(M - s_i, 0)`` pairs, as when every frame
+takes every stored pair.  Otherwise (a frame finds more pairs than fit in
+memory and leaves some, as small payloads do) the Blelloch scan runs.
+Nothing at or after the horizon happens: a frame whose egress or delivery
+time equals ``duration_s`` is not served or not delivered.
 
 Stages 1-4 (traffic, rate table, segments and coincidence draws,
 survivors) do not depend on M.  ``run_many`` draws them once and walks
@@ -194,11 +199,19 @@ def _walk(
     arrived_before = np.concatenate(([0], np.cumsum(arrived)))
     run_start = np.concatenate(([0], seg_stop))
     run_arrived = np.diff(arrived_before[run_start])
-    after = _occupancy(
-        run_arrived - survivors,
-        np.zeros(len(survivors), dtype=np.int64),
-        np.maximum(capacity - survivors, 0),
-    )
+    # Lindley's one-sided recursion o -> max(o + a, 0) has the closed form
+    # S - min(0, running minimum of S) over S = cumsum(a); it is the
+    # two-sided walk wherever no value passes its upper clamp.  The shifts
+    # are not kept in names, so no extra per-frame array outlives the scan
+    # (test_peak_memory_per_frame).
+    after = np.cumsum(run_arrived - survivors)
+    after -= np.minimum(np.minimum.accumulate(after), 0)
+    if np.any(after > np.maximum(capacity - survivors, 0)):
+        after = _occupancy(
+            run_arrived - survivors,
+            np.zeros(len(survivors), dtype=np.int64),
+            np.maximum(capacity - survivors, 0),
+        )
     before = np.concatenate(([0], after))
     attempts = np.minimum(before[:-1] + run_arrived, capacity) - after
     # Inside the run of segments before frame i (or after the last frame),

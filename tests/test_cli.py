@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import _reference
 from qbackbone import engine, ryu
 from qbackbone.cli import (
+    COMMANDS,
     FRAMES_CHUNK,
     FRAMES_COLUMNS,
     LINKBUDGET_COLUMNS,
@@ -28,6 +29,7 @@ from qbackbone.cli import (
     _row_bytes,
     _write_frames,
     _write_quoted,
+    build_parser,
     main,
 )
 from qbackbone.entanglement import FiberSource, SatelliteSource
@@ -134,18 +136,49 @@ class TestSimulate:
         [
             ["simulate"],  # no --out
             ["sweep", "--out", "s.csv", "--memory", "1", "--seeds-per-point", "abc"],
+            ["passes", "extra"],  # reported by the top-level parser
+            ["linkbudget", "--config", "c.json"],  # no --source
             ["teleport"],  # no such command
+            [],  # no command
         ],
-        ids=["missing-out", "bad-int", "unknown-command"],
+        ids=["missing-out", "bad-int", "extra-argument", "missing-source", "unknown-command", "no-command"],
     )
     def test_usage_error_exits_1(self, argv, capsys):
+        # main builds only the named command's subparser; its message is
+        # the one the parser of every command prints.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        full = capsys.readouterr().err
         assert main(argv) == 1
-        assert "usage:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage:" in err and err == full
 
     def test_help_exits_0(self, capsys):
         assert main(["simulate", "--help"]) == 0
         out, err = capsys.readouterr()
         assert "--out" in out and err == ""
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        for command in ("simulate", "sweep", "passes", "linkbudget"):
+            assert re.search(rf"^    {command} ", out, re.MULTILINE), command
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_help_is_the_full_parsers(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        full = capsys.readouterr().out
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out == full
+        assert full.startswith(f"usage: qbackbone {command} ")
+
+    def test_unknown_command_lists_the_choices(self, capsys):
+        assert main(["teleport", "--out", "o"]) == 1
+        err = capsys.readouterr().err
+        choices = err[err.index("invalid choice: 'teleport'") :]
+        assert all(command in choices for command in ("simulate", "sweep", "passes", "linkbudget"))
 
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -482,16 +484,42 @@ def walk_inputs(draw):
     )
 
 
+def walk_case(arrived, seg_stop, survivors, capacity):
+    return (
+        np.array(arrived, dtype=np.int64),
+        np.array(seg_stop, dtype=np.intp),
+        np.array(survivors, dtype=np.int64),
+        capacity,
+    )
+
+
 class TestWalkOracle:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(inputs=walk_inputs())
-    def test_matches_nested_loop(self, inputs):
-        stored, attempts, occupancy = engine._walk(*inputs)
-        ref_stored, ref_attempts, ref_occupancy = _reference.memory_walk(*inputs)
-        assert stored.dtype == attempts.dtype == np.int64
-        assert np.array_equal(stored, ref_stored)
-        assert np.array_equal(attempts, ref_attempts)
-        assert occupancy == ref_occupancy
+    def test_matches_nested_loop(self):
+        # The walk takes Lindley's closed form unless a frame leaves more
+        # pairs than fit after its take; then it runs the Blelloch scan
+        # (_occupancy).  Both forms must run across the examples.
+        forms = collections.Counter()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(inputs=walk_inputs())
+        # Closed form: the running minimum of the prefix sums goes below 0
+        # and no frame leaves more than M - s pairs.
+        @example(inputs=walk_case([3, 0, 4], [1, 1, 3], [5, 2, 1], 20))
+        # Blelloch scan: the memory keeps 2 of 5 pairs and the frame takes
+        # 1, where the one-sided form would leave 4 > max(M - s, 0) = 1.
+        @example(inputs=walk_case([5, 1], [1], [1], 2))
+        def check(inputs):
+            with mock.patch.object(engine, "_occupancy", wraps=engine._occupancy) as scan:
+                stored, attempts, occupancy = engine._walk(*inputs)
+            forms["blelloch" if scan.called else "closed"] += 1
+            ref_stored, ref_attempts, ref_occupancy = _reference.memory_walk(*inputs)
+            assert stored.dtype == attempts.dtype == np.int64
+            assert np.array_equal(stored, ref_stored)
+            assert np.array_equal(attempts, ref_attempts)
+            assert occupancy == ref_occupancy
+
+        check()
+        assert forms["closed"] > 0 and forms["blelloch"] > 0, forms
 
 
 SHIPPED_CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
@@ -511,6 +539,36 @@ class TestRunMany:
         assert len(results) == len(capacities)
         for capacity, result in zip(capacities, results):
             expected = run(dataclasses.replace(config, memory_capacity=capacity))
+            _reference.assert_tables_equal(result.bins, expected.bins)
+            assert result.totals == expected.totals
+            assert result.pairs_by_source == expected.pairs_by_source
+            _reference.assert_tables_equal(result.frames, expected.frames)
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(payload=st.integers(1, 20), seed=st.integers(0, 2**16))
+    @example(payload=1, seed=0)
+    @example(payload=20, seed=0)
+    def test_small_payloads_take_the_blelloch_scan_and_match_single_runs(self, payload, seed):
+        # About 16 pairs arrive per frame gap, more in long gaps, and a frame
+        # takes at most 20, so frames leave pairs in memory.  At each bounded
+        # size the memory fills at least once and the walk leaves the closed
+        # form for the Blelloch scan; unlimited memory never fills.
+        base = load_config_file(str(CONFIGS_DIR / "dark_fiber.json"))
+        config = dataclasses.replace(
+            base,
+            seed=seed,
+            duration_s=20.0,
+            traffic=dataclasses.replace(base.traffic, frame_duration_s=payload / base.traffic.qubit_rate_hz),
+        )
+        assert config.traffic.payload_qubits == payload
+        results = engine.run_many(config, [1, 5, 20, None])
+        for capacity in [1, 5, 20, None]:
+            with mock.patch.object(engine, "_occupancy", wraps=engine._occupancy) as scan:
+                result = next(results)
+            assert scan.called == (capacity is not None)
+            single = dataclasses.replace(config, memory_capacity=capacity)
+            _reference.check_run(result, single)
+            expected = run(single)
             _reference.assert_tables_equal(result.bins, expected.bins)
             assert result.totals == expected.totals
             assert result.pairs_by_source == expected.pairs_by_source
