@@ -3,9 +3,12 @@
 Every shipped config runs under ``simulate`` for seeds {0, 1} and memory
 {unlimited, 1, 20}; memory is applied to a ``config_to_dict`` copy of the
 shipped document.  The ``sweep`` of the dark-fiber config and of the
-all-sources config over memory 1, 20 and unlimited is hashed as well.
-A refactor that keeps these hashes keeps the simulator's outputs byte
-for byte.
+all-sources config over memory 1, 20 and unlimited is hashed as well,
+and so are the sweep modes those leave out: each ``--policy`` over all
+sources, and repeated, unsorted sizes with two seeds per point.  A
+5-qubit payload pins the memory walk's Blelloch scan, which the shipped
+payloads never reach.  A refactor that keeps these hashes keeps the
+simulator's outputs byte for byte.
 
 The hashes depend on the streams of numpy's ``Generator`` (PCG64 and its
 Poisson, binomial and exponential samplers), so they hold for the numpy
@@ -15,13 +18,16 @@ purpose regenerates them and says why.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from qbackbone import ryu
+from qbackbone import engine, ryu
 from qbackbone.cli import main
 from qbackbone.scenario import config_to_dict, load_config_file
 
@@ -85,6 +91,27 @@ GOLDEN_SIMULATE_NON_DYADIC = {
 GOLDEN_SWEEP = "89c118b1469fa66f4875dcf1be6d2d49e2e6e781dbc14a889879b4fde6d1c2e7"
 # The same sweep of all_sources.json, which runs each fiber and satellite source alone.
 GOLDEN_SWEEP_ALL_SOURCES = "c9c337532debbbe3f36d513c4b0d16708e45e0c95a03e1d1357990dcc332a9e0"
+# all_sources.json swept over memory 1, 20 and unlimited under each policy
+# that runs the full source list: --policy -> sha256 of sweep.csv.
+GOLDEN_SWEEP_POLICY = {
+    "all-sources": "20cd64c40e2de463aba28c3f48177b237e4a7ad8a60f82fa6918b9c895c959e7",
+    "best-source": "7d8d0a793c3fbd433b6e186734978572207c34bf2252774aa45cc45c4fce53b2",
+}
+# dark_fiber.json swept over repeated, unsorted sizes with two seeds per point.
+REPEATED_SIZES = ("--memory", "20,1,unlimited,20,5", "--seeds-per-point", "2")
+GOLDEN_SWEEP_REPEATED_SIZES = "8ff3560d6f19e8196dde85603abd42b19c10808fe631e3ab6e6887569421abfc"
+# Dark fiber on a 60 s horizon with a 5-qubit payload: about 16 pairs
+# arrive per frame gap and a frame takes at most 5, so every bounded memory
+# fills and the walk leaves its closed form for the Blelloch scan
+# (engine._occupancy).  Memory -> sha256 over the three simulate CSVs at
+# seed 0, and the sha256 of the sweep over memory 1, 5, 20 and unlimited.
+SMALL_PAYLOAD_QUBIT_RATE_HZ = 5e4
+GOLDEN_SIMULATE_SMALL_PAYLOAD = {
+    1: "f55faed8da18d2cf552d4b94dab0b3dfa1f5b5857b11da6ca52b84dffcb6cbf8",
+    5: "051a52c0c6e132361bf60c5ae0f2ce449cf5aa3c5f9ea213c6e09633c505caca",
+    20: "a8c9f3ab2d23299f1da908690ac50f546168caaddae1d137b6ad83c686b900bd",
+}
+GOLDEN_SWEEP_SMALL_PAYLOAD = "1dbbbdf6e9f43f76ae724684d93116fe20100396a1ed6f2317ebfcf080a1d1eb"
 
 
 def _digest(paths) -> str:
@@ -103,28 +130,56 @@ def _config_with_memory(tmp_path: Path, stem: str, memory: int | None, **fields)
     return str(path)
 
 
-def simulate_digest(tmp_path: Path, stem: str, seed: int, memory: int | None, **fields) -> str:
-    config = _config_with_memory(tmp_path, stem, memory, **fields)
+def _small_payload_config(tmp_path: Path, memory: int | None) -> str:
+    doc = config_to_dict(load_config_file(str(CONFIGS_DIR / "dark_fiber.json")))
+    doc["traffic"]["qubit_rate_hz"] = SMALL_PAYLOAD_QUBIT_RATE_HZ
+    doc.update(duration_s=60.0, memory_capacity=memory)
+    path = tmp_path / "small_payload.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _simulate(tmp_path: Path, config: str, seed: int) -> str:
     out = tmp_path / "out"
     assert main(["simulate", "--config", config, "--out", str(out), "--seed", str(seed)]) == 0
     return _digest(out / name for name in SIMULATE_FILES)
 
 
-def sweep_digest(tmp_path: Path, stem: str = "dark_fiber") -> str:
+def simulate_digest(tmp_path: Path, stem: str, seed: int, memory: int | None, **fields) -> str:
+    return _simulate(tmp_path, _config_with_memory(tmp_path, stem, memory, **fields), seed)
+
+
+def sweep_digest(tmp_path: Path, config: str, *options: str) -> str:
+    """sha256 of ``sweep`` at seed 0, over memory 1, 20 and unlimited unless
+    ``options`` give ``--memory``."""
     out = tmp_path / "sweep.csv"
-    argv = [
-        "sweep",
-        "--config",
-        str(CONFIGS_DIR / f"{stem}.json"),
-        "--out",
-        str(out),
-        "--seed",
-        "0",
-        "--memory",
-        "1,20,unlimited",
-    ]
-    assert main(argv) == 0
+    if "--memory" not in options:
+        options = ("--memory", "1,20,unlimited", *options)
+    assert main(["sweep", "--config", config, "--out", str(out), "--seed", "0", *options]) == 0
     return _digest([out])
+
+
+def shipped(stem: str) -> str:
+    return str(CONFIGS_DIR / f"{stem}.json")
+
+
+@contextlib.contextmanager
+def walks_and_scans():
+    """Collects ``(capacity, scanned)`` for each memory walk run inside the
+    block: the walk's capacity (inf when unlimited) and whether it ran the
+    Blelloch scan."""
+    walks = []
+    walk = engine._walk
+    with mock.patch.object(engine, "_occupancy", wraps=engine._occupancy) as scan:
+
+        def counted(*args):
+            before = scan.call_count
+            result = walk(*args)
+            walks.append((args[-1], scan.call_count > before))
+            return result
+
+        with mock.patch.object(engine, "_walk", counted):
+            yield walks
 
 
 @pytest.mark.parametrize(
@@ -158,8 +213,35 @@ def test_golden_covers_every_shipped_config():
 
 
 def test_sweep_bytes(tmp_path):
-    assert sweep_digest(tmp_path) == GOLDEN_SWEEP
+    assert sweep_digest(tmp_path, shipped("dark_fiber")) == GOLDEN_SWEEP
 
 
 def test_sweep_bytes_over_satellites(tmp_path):
-    assert sweep_digest(tmp_path, "all_sources") == GOLDEN_SWEEP_ALL_SOURCES
+    assert sweep_digest(tmp_path, shipped("all_sources")) == GOLDEN_SWEEP_ALL_SOURCES
+
+
+@pytest.mark.parametrize("policy", sorted(GOLDEN_SWEEP_POLICY))
+def test_sweep_bytes_under_a_policy(tmp_path, policy):
+    digest = sweep_digest(tmp_path, shipped("all_sources"), "--policy", policy)
+    assert digest == GOLDEN_SWEEP_POLICY[policy]
+
+
+def test_sweep_bytes_over_repeated_unsorted_sizes(tmp_path):
+    assert sweep_digest(tmp_path, shipped("dark_fiber"), *REPEATED_SIZES) == GOLDEN_SWEEP_REPEATED_SIZES
+
+
+@pytest.mark.parametrize("memory", sorted(GOLDEN_SIMULATE_SMALL_PAYLOAD))
+def test_simulate_bytes_through_the_blelloch_scan(tmp_path, memory):
+    config = _small_payload_config(tmp_path, memory)
+    with walks_and_scans() as walks:
+        digest = _simulate(tmp_path, config, 0)
+    assert walks == [(memory, True)]
+    assert digest == GOLDEN_SIMULATE_SMALL_PAYLOAD[memory]
+
+
+def test_sweep_bytes_through_the_blelloch_scan(tmp_path):
+    config = _small_payload_config(tmp_path, None)
+    with walks_and_scans() as walks:
+        digest = sweep_digest(tmp_path, config, "--memory", "1,5,20,unlimited")
+    assert walks == [(1, True), (5, True), (20, True), (math.inf, False)]
+    assert digest == GOLDEN_SWEEP_SMALL_PAYLOAD

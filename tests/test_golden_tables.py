@@ -3,7 +3,9 @@
 Every shipped config runs under ``passes`` as shipped, with each
 satellite's elevation mask at 20°, and on a copy with each mask set to
 10°, and under ``linkbudget`` for each of its sources; the sha256 of
-each command's stdout is pinned.  Neither table draws random numbers,
+each command's stdout is pinned.  Each satellite's ``linkbudget`` is
+pinned on 0.25 s channel steps as well, the grid the benchmark's
+linkbudget-fine workload prints.  Neither table draws random numbers,
 so the hashes depend only on the pass geometry, the link budget and the
 CSV formatting.  A change to the config loader or the document schema
 that keeps these hashes leaves both tables byte for byte.
@@ -57,6 +59,21 @@ GOLDEN_TABLES = {
     ("starlink", "passes", "20"): "2a8888092693ecc326f52bda5957254147e4286d80fbdb80a96d5eab818c2618",
 }
 
+# The single-satellite configs on 0.25 s steps: (config stem, source id)
+# -> sha256 of the linkbudget stdout.
+FINE_STEP_S = 0.25
+GOLDEN_TABLES_FINE = {
+    ("iridium", "Iridium-126"): "692e68bf554456ff4bb3fd4591054e4bf1c1f6dc551fbb47711c39bb628ae7cc",
+    ("micius", "Micius"): "efc3461a4f0b5d80b5f80021c9f1f287b6092c7c447b061f8174a1c1f4614142",
+    ("starlink", "Starlink-2007"): "1a2d86c45aef67c2f61d16e9e3dd478eb9a9a27398293d6ddb212f15fe9c2cd7",
+}
+
+
+def stdout_digest(capsys, argv: list[str]) -> str:
+    capsys.readouterr()
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
 
 def table_digest(capsys, tmp_path, stem: str, command: str, arg: str) -> str:
     config = CONFIGS_DIR / f"{stem}.json"
@@ -71,15 +88,23 @@ def table_digest(capsys, tmp_path, stem: str, command: str, arg: str) -> str:
             config = tmp_path / f"{stem}-mask-{arg}.json"
             config.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["passes", "--config", str(config)]
-    capsys.readouterr()
-    assert main(argv) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    return stdout_digest(capsys, argv)
 
 
 @pytest.mark.parametrize("stem,command,arg", sorted(GOLDEN_TABLES))
 def test_table_bytes(capsys, tmp_path, stem, command, arg):
     digest = table_digest(capsys, tmp_path, stem, command, arg)
     assert digest == GOLDEN_TABLES[(stem, command, arg)]
+
+
+@pytest.mark.parametrize("stem,source_id", sorted(GOLDEN_TABLES_FINE))
+def test_linkbudget_bytes_on_fine_steps(capsys, tmp_path, stem, source_id):
+    doc = json.loads((CONFIGS_DIR / f"{stem}.json").read_text(encoding="utf-8"))
+    doc["channel_step_s"] = FINE_STEP_S
+    config = tmp_path / f"{stem}-fine.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    digest = stdout_digest(capsys, ["linkbudget", "--config", str(config), "--source", source_id])
+    assert digest == GOLDEN_TABLES_FINE[(stem, source_id)]
 
 
 def test_golden_tables_cover_every_shipped_config_and_source():
