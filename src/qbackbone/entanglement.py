@@ -93,8 +93,6 @@ def coincidence_matrix(
     is constant.  A satellite's is the product of its two downlink
     transmittances on its ``pass_slice``, and exactly 0 elsewhere.
     """
-    if not (np.isfinite(times).all() and (np.diff(times) >= 0.0).all()):
-        raise ValueError("times must be finite and ascending")
     p = np.zeros((len(times), len(sources)))
     for j, source in enumerate(sources):
         if source.kind == "ground-fiber":

@@ -79,13 +79,6 @@ class SatellitePassModel:
         return math.sqrt(EARTH_MU_KM3_S2 / self.orbit_radius_km**3)
 
 
-def _check_elevation_altitude(elevation_deg: float, altitude_km: float) -> None:
-    if not (math.isfinite(elevation_deg) and 0.0 <= elevation_deg <= 90.0):
-        raise ValueError(f"elevation_deg must be in [0, 90]: {elevation_deg}")
-    if not (math.isfinite(altitude_km) and altitude_km > 0.0):
-        raise ValueError(f"altitude_km must be > 0: {altitude_km}")
-
-
 def slant_range_km(elevation_deg: float, altitude_km: float) -> float:
     """Line-of-sight distance from a station to a satellite.
 
@@ -94,7 +87,7 @@ def slant_range_km(elevation_deg: float, altitude_km: float) -> float:
     elevation_deg : float
         Elevation of the satellite above the local horizon, in [0, 90].
     altitude_km : float
-        Orbit altitude above the spherical Earth surface.
+        Orbit altitude above the spherical Earth surface, > 0.
 
     Returns
     -------
@@ -102,7 +95,6 @@ def slant_range_km(elevation_deg: float, altitude_km: float) -> float:
         Slant range in kilometres, between ``altitude_km`` (zenith) and
         the horizon range.
     """
-    _check_elevation_altitude(elevation_deg, altitude_km)
     re = EARTH_RADIUS_KM
     r = re + altitude_km
     el = math.radians(elevation_deg)
@@ -110,12 +102,12 @@ def slant_range_km(elevation_deg: float, altitude_km: float) -> float:
 
 
 def central_angle_rad(elevation_deg: float, altitude_km: float) -> float:
-    """Earth-central angle between a station and the sub-satellite point.
+    """Earth-central angle between a station and the sub-satellite point,
+    for ``elevation_deg`` in [0, 90] and ``altitude_km`` > 0.
 
     Zero at zenith and strictly decreasing in elevation for a fixed
     altitude.
     """
-    _check_elevation_altitude(elevation_deg, altitude_km)
     rho = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + altitude_km)
     el = math.radians(elevation_deg)
     return math.acos(_clamp(rho * math.cos(el))) - el

@@ -256,15 +256,11 @@ def fiber_source(
     return FiberSource(source_id, FiberLink(arm_length_km, attenuation_db_per_km), emission_rate_hz)
 
 
-def dark_fiber_source(source_id: str = "fiber-dark") -> FiberSource:
-    return fiber_source(source_id, DARK_FIBER_DB_PER_KM)
-
-
 def builtin_sources() -> tuple[EntanglementSource, ...]:
     """Both fiber backbones plus the three built-in satellites."""
     return (
         fiber_source(),
-        dark_fiber_source(),
+        fiber_source("fiber-dark", DARK_FIBER_DB_PER_KM),
         satellite_source("Micius"),
         satellite_source("Starlink-2007"),
         satellite_source("Iridium-126"),

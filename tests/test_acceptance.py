@@ -20,11 +20,10 @@ import _reference
 from qbackbone.cli import main
 from qbackbone.engine import run
 from qbackbone.geometry import visibility_window
-from qbackbone.linkbudget import FiberLink, fiber_transmittance
+from qbackbone.linkbudget import DARK_FIBER_DB_PER_KM, FiberLink, fiber_transmittance
 from qbackbone.scenario import (
     Policy,
     ScenarioConfig,
-    dark_fiber_source,
     fiber_source,
     satellite_source,
 )
@@ -48,7 +47,7 @@ def satellite_config(name: str, memory: int | None, seed: int = 0):
 
 
 def fiber_config(dark: bool, memory: int | None, seed: int = 0, **extra):
-    source = dark_fiber_source() if dark else fiber_source()
+    source = fiber_source("fiber-dark", DARK_FIBER_DB_PER_KM) if dark else fiber_source()
     return config_with(sources=(source,), memory_capacity=memory, seed=seed, **extra)
 
 

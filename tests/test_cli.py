@@ -34,7 +34,7 @@ from qbackbone.cli import (
 )
 from qbackbone.entanglement import FiberSource, SatelliteSource
 from qbackbone.geometry import SatellitePassModel, StationPass
-from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
+from qbackbone.linkbudget import DARK_FIBER_DB_PER_KM, FiberLink, FreeSpaceLinkParams
 from qbackbone.scenario import (
     MAX_RUN_CELLS,
     MAX_RUN_COUNT,
@@ -42,7 +42,6 @@ from qbackbone.scenario import (
     ScenarioConfig,
     TrafficConfig,
     config_to_dict,
-    dark_fiber_source,
     fiber_source,
     builtin_sources,
     load_config,
@@ -576,7 +575,7 @@ class TestSweep:
     def test_rows_and_ordering(self, tmp_path):
         config = write_config(
             tmp_path,
-            short_config(duration_s=10.0, sources=(fiber_source(), dark_fiber_source())),
+            short_config(duration_s=10.0, sources=(fiber_source(), fiber_source("fiber-dark", DARK_FIBER_DB_PER_KM))),
         )
         out = tmp_path / "sweep.csv"
         code = main(
@@ -633,7 +632,7 @@ class TestSweep:
     def test_policy_flag(self, tmp_path):
         config = write_config(
             tmp_path,
-            short_config(duration_s=10.0, sources=(fiber_source(), dark_fiber_source())),
+            short_config(duration_s=10.0, sources=(fiber_source(), fiber_source("fiber-dark", DARK_FIBER_DB_PER_KM))),
         )
         out = tmp_path / "sweep.csv"
         assert (
@@ -713,7 +712,7 @@ class TestSweep:
 
     def test_peak_memory_does_not_grow_with_memory_sizes(self, tmp_path):
         # 30,000 frames: each result a sweep held would add about 1.2 MB.
-        config = write_config(tmp_path, ScenarioConfig(sources=(dark_fiber_source(),)))
+        config = write_config(tmp_path, ScenarioConfig(sources=(fiber_source("fiber-dark", DARK_FIBER_DB_PER_KM),)))
         out = str(tmp_path / "sweep.csv")
 
         def peak(memory: str) -> int:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import _reference
 from qbackbone import engine
 from qbackbone.engine import _traffic_times, run, stream
-from qbackbone.linkbudget import classical_latency_s
+from qbackbone.linkbudget import DARK_FIBER_DB_PER_KM, classical_latency_s
 from qbackbone.scenario import (
     MAX_RUN_CELLS,
     ConfigError,
@@ -22,7 +22,6 @@ from qbackbone.scenario import (
     ScenarioConfig,
     TrafficConfig,
     builtin_sources,
-    dark_fiber_source,
     fiber_source,
     load_config_file,
     satellite_source,
@@ -220,7 +219,7 @@ class TestRun:
         ]
         dark = [
             run(
-                self.short(duration_s=64.0, seed=s, sources=(dark_fiber_source(),)),
+                self.short(duration_s=64.0, seed=s, sources=(fiber_source("fiber-dark", DARK_FIBER_DB_PER_KM),)),
             ).totals.qubits_delivered
             for s in range(5)
         ]
@@ -353,7 +352,7 @@ class TestWalkProperties:
         duration=64.0,
         mean_gap=0.05,
         sources_policy=(
-            (dark_fiber_source(), satellite_source("Micius", peak_time_s=32.0)),
+            (fiber_source("fiber-dark", DARK_FIBER_DB_PER_KM), satellite_source("Micius", peak_time_s=32.0)),
             Policy("best-source"),
         ),
         step=0.3,

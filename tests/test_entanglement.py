@@ -17,12 +17,11 @@ import _reference
 from qbackbone.engine import run
 from qbackbone.entanglement import coincidence_matrix
 from qbackbone.geometry import SatellitePassModel
-from qbackbone.linkbudget import FiberLink, downlink_profile, fiber_transmittance
+from qbackbone.linkbudget import DARK_FIBER_DB_PER_KM, FiberLink, downlink_profile, fiber_transmittance
 from qbackbone.scenario import (
     ConfigError,
     Policy,
     ScenarioConfig,
-    dark_fiber_source,
     fiber_source,
     satellite_source,
 )
@@ -81,7 +80,7 @@ class TestCoincidenceCount:
         assert samples.mean() == pytest.approx(mean, abs=3 * math.sqrt(mean / 100))
 
     def test_dark_fiber_rate(self):
-        samples = per_second_arrivals(dark_fiber_source(), seed=2)
+        samples = per_second_arrivals(fiber_source("fiber-dark", DARK_FIBER_DB_PER_KM), seed=2)
         mean = 2.0e5 * DARK_ARM_ETA**2
         assert samples.mean() == pytest.approx(mean, abs=3 * math.sqrt(mean / 100))
 

@@ -61,10 +61,6 @@ class TestClassicalLatency:
         assert classical_latency_s(150.0) == pytest.approx(7.345081376263308e-4, abs=1e-6)
         assert classical_latency_s(5.0) == pytest.approx(2.448360458754436e-5, abs=1e-7)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            classical_latency_s(-1.0)
-
 
 class TestAccessLink:
     def test_perfect_link(self):

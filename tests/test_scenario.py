@@ -16,7 +16,7 @@ import _reference
 from qbackbone import engine
 from qbackbone.engine import run
 from qbackbone.entanglement import FiberSource, coincidence_matrix
-from qbackbone.linkbudget import FiberLink, FreeSpaceLinkParams
+from qbackbone.linkbudget import DARK_FIBER_DB_PER_KM, FiberLink, FreeSpaceLinkParams
 from qbackbone.scenario import (
     MAX_RUN_CELLS,
     MAX_RUN_COUNT,
@@ -26,7 +26,6 @@ from qbackbone.scenario import (
     TrafficConfig,
     active_sources,
     config_to_dict,
-    dark_fiber_source,
     fiber_source,
     load_config,
     load_config_file,
@@ -497,13 +496,13 @@ class TestSelectSources:
         assert decide(Policy("fiber-only"), 128.0, sources)[0] == ("fiber-standard",)
 
     def test_best_source_at_micius_peak(self):
-        sources = (dark_fiber_source(), satellite_source("Micius"))
+        sources = (fiber_source("fiber-dark", DARK_FIBER_DB_PER_KM), satellite_source("Micius"))
         active, probs = decide(Policy("best-source"), 128.0, sources)
         assert active == ("Micius",)
         assert probs["Micius"] > probs["fiber-dark"]
 
     def test_best_source_without_visible_satellite(self):
-        sources = (dark_fiber_source(), satellite_source("Micius"))
+        sources = (fiber_source("fiber-dark", DARK_FIBER_DB_PER_KM), satellite_source("Micius"))
         assert decide(Policy("best-source"), 5000.0, sources)[0] == ("fiber-dark",)
 
     def test_best_source_empty_when_nothing_available(self):
@@ -515,7 +514,7 @@ class TestSelectSources:
         assert decide(Policy("satellite-only", "Micius"), 5000.0, sources)[0] == ()
 
     def test_all_sources_excludes_zero_probability(self):
-        sources = (fiber_source(), dark_fiber_source("fiber-dark"), satellite_source("Micius"))
+        sources = (fiber_source(), fiber_source("fiber-dark", DARK_FIBER_DB_PER_KM), satellite_source("Micius"))
         at_peak = decide(Policy("all-sources"), 128.0, sources)[0]
         assert at_peak == ("Micius", "fiber-dark", "fiber-standard")
         later = decide(Policy("all-sources"), 5000.0, sources)[0]
@@ -573,7 +572,7 @@ class TestPolicyMonotonicity:
         base = dataclasses.replace(
             ScenarioConfig(),
             duration_s=60.0,
-            sources=(dark_fiber_source(), satellite_source("Micius", peak_time_s=30.0)),
+            sources=(fiber_source("fiber-dark", DARK_FIBER_DB_PER_KM), satellite_source("Micius", peak_time_s=30.0)),
         )
         totals = {"fiber-only": [], "best-source": [], "all-sources": []}
         for kind in totals:
