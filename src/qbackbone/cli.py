@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
+import functools
 import operator
 import os
 import sys
@@ -374,8 +376,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _hold_freed_memory() -> None:
+    """Fix glibc's mmap threshold (-3) at its maximum and its trim threshold
+    (-1) at 256 MiB, once per process, so freed temporaries stay mapped."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt in this C library
+        return
+    mallopt(-3, ctypes.sizeof(ctypes.c_long) << 22)  # 4 MiB per byte of a long: 32 MiB on 64-bit hosts
+    mallopt(-1, 256 << 20)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    _hold_freed_memory()
     # Parsing a command needs only its own subparser; --help and a missing
     # or unknown command need every command, to list them.
     command = argv[0] if argv and argv[0] in COMMANDS else None
