@@ -25,19 +25,20 @@ is ``(a1 + a2, clamp(lo1 + a2, lo2, hi2), clamp(hi1 + a2, lo2, hi2))``, so
 an inclusive prefix scan of the shifts gives every occupancy (Blelloch
 1990; the two-sided Lindley recursion).  The stores before a frame and
 its take compose to one shift ``(A_i - s_i, 0, max(M - s_i, 0))``, so the
-scan runs over the frames alone, in int64, for every capacity including
-unlimited.  Every lower clamp is 0, so the walk first takes the one-sided
-recursion's closed form, ``S - min(0, running minimum of S)`` over the
-prefix sums ``S`` of ``A_i - s_i``.  By induction it is the walk whenever
-no frame leaves more than ``max(M - s_i, 0)`` pairs, as when every frame
-takes every stored pair.  Otherwise (a frame finds more pairs than fit in
-memory and leaves some, as small payloads do) the Blelloch scan runs.
+scan runs over the frames alone, in int64.  Every lower clamp is 0, so
+unlimited memory walks by the one-sided recursion's closed form,
+``S - min(0, running minimum of S)`` over the prefix sums ``S`` of
+``A_i - s_i``.  By induction that is the walk of every M under which no
+frame finds more pairs than both M and ``s_i``, leaving more than
+``max(M - s_i, 0)``; under any other M (small payloads) the scan runs.
 Nothing at or after the horizon happens: a frame whose egress or delivery
 time equals ``duration_s`` is not served or not delivered.
 
 Stages 1-4 (traffic, rate table, segments and coincidence draws,
-survivors) do not depend on M.  ``run_many`` draws them once and walks
-every capacity over them; ``run`` is its one-capacity case.
+survivors), the unlimited walk, the delivery times and bins, and the pairs
+arrived per bin do not depend on M.  ``run_many`` computes them once and
+finishes every capacity from them, each drawing stage 6 from the start of
+the same streams; ``run`` is its one-capacity case.
 
 Time has one grid, the channel steps.  Segments are the step grid cut
 at the served egress times and the horizon, nothing else: a rate is held
@@ -182,46 +183,54 @@ def _occupancy(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return values
 
 
-def _walk(
-    arrived: np.ndarray, seg_stop: np.ndarray, survivors: np.ndarray, capacity: float
+def _shared_walk(
+    arrived: np.ndarray, seg_stop: np.ndarray, survivors: np.ndarray, capacity: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pairs stored per segment, pairs taken per frame, and the final occupancy.
+    """The pairs each frame finds before its take and each segment's level
+    before M clamps them, read-only, and the pairs arrived after the last frame:
+    of unlimited memory by Lindley's closed form, else of ``capacity`` by the scan."""
+    arrived_before = np.concatenate(([0], np.cumsum(arrived)))
+    run_start = np.concatenate(([0], seg_stop))
+    # Frame i's shift: the A_i pairs arrived since the previous frame, then
+    # its take of s_i, is (A_i - s_i, 0, max(M - s_i, 0)).
+    run_arrived = np.diff(arrived_before[run_start])
+    if capacity is None:
+        # Lindley's one-sided recursion o -> max(o + a, 0) has the closed
+        # form S - min(0, running minimum of S) over S = cumsum(a).
+        after = np.cumsum(run_arrived - survivors)
+        after -= np.minimum(np.minimum.accumulate(after), 0)
+    else:
+        zeros = np.zeros(len(survivors), dtype=np.int64)
+        after = _occupancy(run_arrived - survivors, zeros, np.maximum(capacity - survivors, 0))
+    before = np.concatenate(([0], after))
+    # Inside the run of segments before frame i (or after the last frame),
+    # the level after segment k is before[i] + pairs arrived in the run up to k.
+    run_length = np.diff(run_start, append=len(arrived))
+    level = np.repeat(before - arrived_before[run_start], run_length) + arrived_before[1:]
+    found = before[:-1] + run_arrived
+    found.flags.writeable = level.flags.writeable = False
+    return found, level, int(arrived_before[-1] - arrived_before[run_start[-1]])
 
-    Segment ``k`` stores up to ``arrived[k]`` pairs, as many as fit under
-    ``capacity``; frame ``i`` takes up to ``survivors[i]`` stored pairs
-    after the first ``seg_stop[i]`` segments are stored.
-    """
+
+def _walk(
+    shared: tuple, arrived: np.ndarray, seg_stop: np.ndarray, survivors: np.ndarray, capacity: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Pairs stored per segment, pairs taken per frame and the final occupancy under
+    ``capacity``, from ``_shared_walk`` of the same inputs: segment k stores up to
+    ``arrived[k]``, frame i takes up to ``survivors[i]`` after the first ``seg_stop[i]``."""
     # Occupancy never exceeds the pairs arrived, so a larger capacity walks
     # like UNLIMITED_CAPACITY, which keeps every sum below in int64.
     capacity = int(min(capacity, UNLIMITED_CAPACITY))
-    # Frame i's shift: the A_i pairs arrived since the previous frame, then
-    # its take of s_i, is (A_i - s_i, 0, max(M - s_i, 0)).
-    arrived_before = np.concatenate(([0], np.cumsum(arrived)))
-    run_start = np.concatenate(([0], seg_stop))
-    run_arrived = np.diff(arrived_before[run_start])
-    # Lindley's one-sided recursion o -> max(o + a, 0) has the closed form
-    # S - min(0, running minimum of S) over S = cumsum(a); it is the
-    # two-sided walk wherever no value passes its upper clamp.  The shifts
-    # are not kept in names, so no extra per-frame array outlives the scan
-    # (test_peak_memory_per_frame).
-    after = np.cumsum(run_arrived - survivors)
-    after -= np.minimum(np.minimum.accumulate(after), 0)
-    if np.any(after > np.maximum(capacity - survivors, 0)):
-        after = _occupancy(
-            run_arrived - survivors,
-            np.zeros(len(survivors), dtype=np.int64),
-            np.maximum(capacity - survivors, 0),
-        )
-    before = np.concatenate(([0], after))
-    attempts = np.minimum(before[:-1] + run_arrived, capacity) - after
-    # Inside the run of segments before frame i (or after the last frame),
-    # the occupancy after segment k is min(before[i] + pairs arrived in the
-    # run up to k, M); a segment stores the step of that level.
-    run_length = np.diff(np.concatenate((run_start, [len(arrived)])))
-    level = np.repeat(before - arrived_before[run_start], run_length) + arrived_before[1:]
-    stored = np.minimum(level, capacity) - np.minimum(level - arrived, capacity)
-    occupancy = min(int(before[-1] + arrived_before[-1] - arrived_before[run_start[-1]]), capacity)
-    return stored, attempts, occupancy
+    found, level, tail = shared
+    # Unlimited memory walks as M does unless a frame finds more pairs than
+    # both M and its take hold, and so leaves more than max(M - s, 0).
+    if np.any(found > np.maximum(survivors, capacity)):
+        found, level, _ = _shared_walk(arrived, seg_stop, survivors, capacity)
+    # A frame takes what it finds up to M and s; a segment drops what its level passes M by.
+    attempts = np.minimum(np.minimum(found, survivors), capacity)
+    dropped = np.clip(level - capacity, 0, arrived)
+    left = int(min(found[-1], capacity) - attempts[-1]) if len(attempts) else 0
+    return arrived - dropped, attempts, min(left + tail, capacity)
 
 
 @dataclass(frozen=True)
@@ -299,67 +308,80 @@ def _draw(cfg: ScenarioConfig) -> _Draws:
     )
 
 
-def _walk_and_finish(cfg: ScenarioConfig, draws: _Draws) -> RunResult:
-    duration = cfg.duration_s
-    egress_times = draws.egress_times
-    pairs_per_segment = draws.pairs_per_segment
-    bin_starts = draws.bin_starts
-    n_bins = len(bin_starts)
+def _per_bin(index: np.ndarray, counts: np.ndarray, n_bins: int) -> np.ndarray:
+    # Summed in int64: bincount's float64 weights round counts above 2**53.
+    total = np.zeros(n_bins, dtype=np.int64)
+    np.add.at(total, index, counts)
+    return total
 
-    # Stage 5: the memory walk over frames served before the horizon.
+
+def _shared_finish(cfg: ScenarioConfig, draws: _Draws) -> tuple:
+    """What no capacity changes after the walk: each served frame's delivery time,
+    each completed frame's bin, the pairs arrived and frames completed per bin,
+    the pairs per source, and the stage-6 streams with the states they start at."""
+    delivered_at = draws.egress_times + classical_latency_s(cfg.classical_distance_km)
+    delivered_at += classical_latency_s(cfg.egress_access.length_km)
+    n_completed = int(np.count_nonzero(delivered_at < cfg.duration_s))
+    delivered_bin = np.searchsorted(draws.bin_starts, delivered_at[:n_completed], side="right") - 1
+    n_bins = len(draws.bin_starts)
+    pairs_arrived = _per_bin(draws.seg_bin, draws.pairs_per_segment, n_bins)
+    frames_completed = np.bincount(delivered_bin, minlength=n_bins)
+    by_source = dict(zip((s.source_id for s in cfg.sources), draws.pairs_by_source.tolist()))
+    streams = [stream(cfg.seed, name) for name in ("teleport", "egress_access")]
+    starts = [rng.bit_generator.state for rng in streams]
+    return delivered_at, delivered_bin, pairs_arrived, frames_completed, by_source, streams, starts
+
+
+def _walk_and_finish(cfg: ScenarioConfig, draws: _Draws, walk: tuple, finish: tuple) -> RunResult:
+    arrived = draws.pairs_per_segment
+    delivered_at, delivered_bin, pairs_arrived, frames_completed, by_source, streams, starts = finish
+
+    # Stage 5: the memory walk over frames served before the horizon.  Its stores
+    # are summed per bin at once, so that they are not held through stage 6.
     capacity = math.inf if cfg.memory_capacity is None else cfg.memory_capacity
-    stored_per_segment, attempts, occupancy = _walk(
-        pairs_per_segment, draws.seg_stop, draws.survivors, capacity
-    )
+    stored, attempts, occupancy = _walk(walk, arrived, draws.seg_stop, draws.survivors, capacity)
+    seg_bin, n_bins = draws.seg_bin, len(pairs_arrived)
+    pairs_stored = _per_bin(seg_bin, stored, n_bins)
+    pairs_dropped = _per_bin(seg_bin, arrived - stored, n_bins)
+    del stored
     consumed_start = np.cumsum(attempts) - attempts
 
-    # Stage 6: teleport and far-side access thinning; a frame completes
-    # when its corrections and the rebuilt frame arrive before the horizon.
-    successes = stream(cfg.seed, "teleport").binomial(attempts, cfg.p_teleport_success)
-    delivered_at = (
-        egress_times
-        + classical_latency_s(cfg.classical_distance_km)
-        + classical_latency_s(cfg.egress_access.length_km)
-    )
-    n_completed = int(np.count_nonzero(delivered_at < duration))
-    delivered = stream(cfg.seed, "egress_access").binomial(
-        successes[:n_completed], fiber_transmittance(cfg.egress_access)
-    )
-    delivered_bin = np.searchsorted(bin_starts, delivered_at[:n_completed], side="right") - 1
+    # Stage 6: teleport and far-side access thinning, each from the start of
+    # its stream; a frame completes when its corrections and the rebuilt
+    # frame arrive before the horizon.
+    for rng, start in zip(streams, starts):
+        rng.bit_generator.state = start
+    teleport, egress = streams
+    successes = teleport.binomial(attempts, cfg.p_teleport_success)
+    n_completed = len(delivered_bin)
+    delivered = egress.binomial(successes[:n_completed], fiber_transmittance(cfg.egress_access))
 
-    def per_bin(index: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        # Summed in int64: bincount's float64 weights round counts above 2**53.
-        total = np.zeros(n_bins, dtype=np.int64)
-        np.add.at(total, index, counts)
-        return total
-
-    seg_bin = draws.seg_bin
     bins = BinTable(
-        bin_start_s=bin_starts,
-        pairs_arrived=per_bin(seg_bin, pairs_per_segment),
-        pairs_stored=per_bin(seg_bin, stored_per_segment),
-        pairs_dropped=per_bin(seg_bin, pairs_per_segment - stored_per_segment),
-        qubits_delivered=per_bin(delivered_bin, delivered),
-        frames_completed=np.bincount(delivered_bin, minlength=n_bins),
+        bin_start_s=draws.bin_starts,
+        pairs_arrived=pairs_arrived,
+        pairs_stored=pairs_stored,
+        pairs_dropped=pairs_dropped,
+        qubits_delivered=_per_bin(delivered_bin, delivered, n_bins),
+        frames_completed=frames_completed,
     )
     totals = RunTotals(
         frames_generated=draws.n_frames,
-        frames_processed=len(egress_times),
+        frames_processed=len(draws.egress_times),
         frames_completed=n_completed,
-        pairs_arrived=int(bins.pairs_arrived.sum()),
+        pairs_arrived=int(pairs_arrived.sum()),
         pairs_stored=int(bins.pairs_stored.sum()),
         pairs_dropped=int(bins.pairs_dropped.sum()),
         qubits_delivered=int(delivered.sum()),
     )
     if int(attempts.sum()) + occupancy != totals.pairs_stored or not np.array_equal(
-        bins.pairs_stored + bins.pairs_dropped, bins.pairs_arrived
+        bins.pairs_stored + bins.pairs_dropped, pairs_arrived
     ):
         raise AssertionError("pair accounting broken after the memory walk")
 
     frames = FrameTable(
         payload_qubits=cfg.traffic.payload_qubits,
         created_at_s=draws.created,
-        egress_at_s=egress_times,
+        egress_at_s=draws.egress_times,
         survivors_at_egress=draws.survivors,
         attempts=attempts,
         successes=successes,
@@ -368,31 +390,24 @@ def _walk_and_finish(cfg: ScenarioConfig, draws: _Draws) -> RunResult:
         delivered_at_s=delivered_at[:n_completed],
     )
 
-    return RunResult(
-        bins=bins,
-        frames=frames,
-        totals=totals,
-        pairs_by_source={
-            source.source_id: count
-            for source, count in zip(cfg.sources, draws.pairs_by_source.tolist())
-        },
-    )
+    return RunResult(bins=bins, frames=frames, totals=totals, pairs_by_source=dict(by_source))
 
 
 def run_many(config: ScenarioConfig, capacities: Sequence[int | None]) -> Iterator[RunResult]:
     """``run(replace(config, memory_capacity=m))`` for each ``m`` in ``capacities``.
 
-    Stages 1-4 are drawn once and every capacity walks the same draws;
-    each obtains the teleport and egress streams afresh, so each result is
-    the run of its capacity.  Results are yielded one at a time and not
-    kept, so a caller that reduces each one holds a single result.  The
-    run's ceilings (``ScenarioConfig.check_ceilings``) are checked as it is
-    called, before anything is drawn.
+    What no capacity changes (``_draw``, ``_shared_walk``, ``_shared_finish``)
+    is computed once; each capacity draws from the start of the teleport and
+    egress streams.  Results are yielded one at a time and not kept, so a
+    caller that reduces each one holds a single result.  The run's ceilings
+    (``ScenarioConfig.check_ceilings``) are checked before anything is drawn.
     """
     config.check_ceilings()
     draws = _draw(config)
+    walk = _shared_walk(draws.pairs_per_segment, draws.seg_stop, draws.survivors)
+    finish = _shared_finish(config, draws)
     return (
-        _walk_and_finish(dataclasses.replace(config, memory_capacity=m), draws)
+        _walk_and_finish(dataclasses.replace(config, memory_capacity=m), draws, walk, finish)
         for m in capacities
     )
 

@@ -8,6 +8,7 @@ import dataclasses
 import io
 import json
 import math
+import operator
 import os
 import re
 import tempfile
@@ -710,6 +711,27 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"channel step count x 5 sources 6e+06 exceeds the ceiling of {MAX_RUN_CELLS}" in err
+
+    def test_peak_memory_per_frame_of_a_memory_sweep(self):
+        # A sweep keeps the draws and what no memory size changes while it
+        # walks every size, and reduces each result to its count as
+        # _cmd_sweep does; it must fit the 200 bytes per frame of a run.
+        base = load_config_file(str(CONFIGS_DIR / "dark_fiber.json"))
+        counts = operator.attrgetter("totals.frames_processed", "totals.qubits_delivered")
+
+        def peak(duration_s: float) -> tuple[int, int]:
+            config = dataclasses.replace(base, duration_s=duration_s)
+            tracemalloc.start()
+            try:
+                rows = list(map(counts, engine.run_many(config, [1, 5, 20, 100, None])))
+                return rows[0][0], tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20.0)  # first-call allocations
+        (n_short, short), (n_long, long) = peak(600.0), peak(2400.0)
+        assert n_long > 3 * n_short
+        assert (long - short) / (n_long - n_short) <= 200, (short, long)
 
     def test_peak_memory_does_not_grow_with_memory_sizes(self, tmp_path):
         # 30,000 frames: each result a sweep held would add about 1.2 MB.

@@ -473,49 +473,64 @@ def walk_inputs(draw):
     # Gaps of 0 put several frames after one segment with no store between them.
     gaps = draw(st.lists(st.integers(0, 3), min_size=len(survivors), max_size=len(survivors)))
     seg_stop = np.minimum(np.cumsum(gaps, dtype=np.intp), len(arrived))
-    # Capacities past int64 walk as unlimited.
-    capacity = draw(st.sampled_from([1, 2, 5, 20, 2**60, 2**62, 2**63, 10**30, math.inf]))
+    # Capacities past int64 walk as unlimited.  Every capacity walks from
+    # one shared walk, in a drawn order.
+    capacities = draw(st.permutations([1, 2, 5, 20, 2**60, 2**62, 2**63, 10**30, math.inf]))
     return (
         np.array(arrived, dtype=np.int64),
         seg_stop,
         np.array(survivors, dtype=np.int64),
-        capacity,
+        capacities,
     )
 
 
-def walk_case(arrived, seg_stop, survivors, capacity):
+def walk_case(arrived, seg_stop, survivors, capacities):
     return (
         np.array(arrived, dtype=np.int64),
         np.array(seg_stop, dtype=np.intp),
         np.array(survivors, dtype=np.int64),
-        capacity,
+        capacities,
     )
 
 
 class TestWalkOracle:
     def test_matches_nested_loop(self):
-        # The walk takes Lindley's closed form unless a frame leaves more
-        # pairs than fit after its take; then it runs the Blelloch scan
-        # (_occupancy).  Both forms must run across the examples.
+        # Each capacity walks from the shared walk of unlimited memory
+        # (Lindley's closed form) unless a frame leaves more pairs than fit
+        # after its take; then it runs the Blelloch scan (_occupancy).  Both
+        # forms must run across the examples.
         forms = collections.Counter()
 
         @settings(max_examples=300, deadline=None, derandomize=True)
         @given(inputs=walk_inputs())
         # Closed form: the running minimum of the prefix sums goes below 0
-        # and no frame leaves more than M - s pairs.
-        @example(inputs=walk_case([3, 0, 4], [1, 1, 3], [5, 2, 1], 20))
+        # and no frame leaves more than M - s pairs at 20 and above.
+        @example(inputs=walk_case([3, 0, 4], [1, 1, 3], [5, 2, 1], [20, math.inf, 2**62]))
         # Blelloch scan: the memory keeps 2 of 5 pairs and the frame takes
-        # 1, where the one-sided form would leave 4 > max(M - s, 0) = 1.
-        @example(inputs=walk_case([5, 1], [1], [1], 2))
+        # 1, where the one-sided form would leave 4 > max(M - s, 0) = 1;
+        # unlimited memory, walked after it, keeps all 5.
+        @example(inputs=walk_case([5, 1], [1], [1], [2, math.inf, 1, 20]))
+        # Frames and no segments, and segments and no frames.
+        @example(inputs=walk_case([], [0, 0], [3, 0], [math.inf, 1]))
+        @example(inputs=walk_case([4, 2**56], [], [], [1, math.inf]))
         def check(inputs):
-            with mock.patch.object(engine, "_occupancy", wraps=engine._occupancy) as scan:
-                stored, attempts, occupancy = engine._walk(*inputs)
-            forms["blelloch" if scan.called else "closed"] += 1
-            ref_stored, ref_attempts, ref_occupancy = _reference.memory_walk(*inputs)
-            assert stored.dtype == attempts.dtype == np.int64
-            assert np.array_equal(stored, ref_stored)
-            assert np.array_equal(attempts, ref_attempts)
-            assert occupancy == ref_occupancy
+            arrived, seg_stop, survivors, capacities = inputs
+            shared = engine._shared_walk(arrived, seg_stop, survivors)
+            found, level, _ = shared
+            assert not found.flags.writeable and not level.flags.writeable
+            for capacity in capacities:
+                with mock.patch.object(engine, "_occupancy", wraps=engine._occupancy) as scan:
+                    stored, attempts, occupancy = engine._walk(
+                        shared, arrived, seg_stop, survivors, capacity
+                    )
+                forms["blelloch" if scan.called else "closed"] += 1
+                ref_stored, ref_attempts, ref_occupancy = _reference.memory_walk(
+                    arrived, seg_stop, survivors, capacity
+                )
+                assert stored.dtype == attempts.dtype == np.int64
+                assert np.array_equal(stored, ref_stored), capacity
+                assert np.array_equal(attempts, ref_attempts), capacity
+                assert occupancy == ref_occupancy, capacity
 
         check()
         assert forms["closed"] > 0 and forms["blelloch"] > 0, forms
@@ -544,10 +559,18 @@ class TestRunMany:
             _reference.assert_tables_equal(result.frames, expected.frames)
 
     @settings(max_examples=4, deadline=None, derandomize=True)
-    @given(payload=st.integers(1, 20), seed=st.integers(0, 2**16))
-    @example(payload=1, seed=0)
-    @example(payload=20, seed=0)
-    def test_small_payloads_take_the_blelloch_scan_and_match_single_runs(self, payload, seed):
+    @given(
+        payload=st.integers(1, 20),
+        seed=st.integers(0, 2**16),
+        capacities=st.permutations([1, 5, 20, None]),
+    )
+    @example(payload=1, seed=0, capacities=[1, 5, 20, None])
+    @example(payload=20, seed=0, capacities=[1, 5, 20, None])
+    # The closed form and the scan alternate over one shared walk.
+    @example(payload=1, seed=0, capacities=[None, 20, 1, 5])
+    def test_small_payloads_take_the_blelloch_scan_and_match_single_runs(
+        self, payload, seed, capacities
+    ):
         # About 16 pairs arrive per frame gap, more in long gaps, and a frame
         # takes at most 20, so frames leave pairs in memory.  At each bounded
         # size the memory fills at least once and the walk leaves the closed
@@ -560,8 +583,8 @@ class TestRunMany:
             traffic=dataclasses.replace(base.traffic, frame_duration_s=payload / base.traffic.qubit_rate_hz),
         )
         assert config.traffic.payload_qubits == payload
-        results = engine.run_many(config, [1, 5, 20, None])
-        for capacity in [1, 5, 20, None]:
+        results = engine.run_many(config, capacities)
+        for capacity in capacities:
             with mock.patch.object(engine, "_occupancy", wraps=engine._occupancy) as scan:
                 result = next(results)
             assert scan.called == (capacity is not None)
@@ -572,6 +595,30 @@ class TestRunMany:
             assert result.totals == expected.totals
             assert result.pairs_by_source == expected.pairs_by_source
             _reference.assert_tables_equal(result.frames, expected.frames)
+
+    @pytest.mark.parametrize("capacities", [[1, 5, 20, None], [None]], ids=["four-sizes", "single"])
+    def test_shared_parts_are_computed_once(self, capacities):
+        # Small payloads, so the bounded sizes also run the scan, which
+        # _shared_walk computes with their capacity.
+        base = load_config_file(str(CONFIGS_DIR / "dark_fiber.json"))
+        config = dataclasses.replace(
+            base, duration_s=20.0, traffic=dataclasses.replace(base.traffic, frame_duration_s=1e-8)
+        )
+        with (
+            mock.patch.object(engine, "_shared_walk", wraps=engine._shared_walk) as walk,
+            mock.patch.object(engine, "_shared_finish", wraps=engine._shared_finish) as finish,
+        ):
+            results = list(engine.run_many(config, capacities))
+        shared = [c for c in walk.call_args_list if len(c.args) == 3 and not c.kwargs]
+        scanned = [c.args[3] for c in walk.call_args_list if c not in shared]
+        assert len(shared) == 1 and finish.call_count == 1
+        assert scanned == [m for m in capacities if m is not None]
+        for capacity, result in zip(capacities, results):
+            expected = run(dataclasses.replace(config, memory_capacity=capacity))
+            assert result.totals == expected.totals
+            # The values every capacity shares are read-only in each result.
+            assert not result.bins.pairs_arrived.flags.writeable
+            assert not result.bins.frames_completed.flags.writeable
 
     def test_sources_past_the_ceiling_raise_before_drawing(self, monkeypatch):
         # One source's 1.2M steps load; a run holds a column per source.
