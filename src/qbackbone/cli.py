@@ -352,23 +352,16 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone.
-
-    A command's subparser, its help and its errors are the same either
-    way, and the usage line always names every command.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use and kept for the
+    life of the process."""
     parser = argparse.ArgumentParser(
         prog="qbackbone",
         description="Simulate quantum dataframe transmission over an entanglement backbone.",
     )
-    # With one command built, the usage line still names every command.
-    # With all built, argparse writes that text itself; setting it would
-    # also rename "command" in messages such as "argument command: ...".
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else [command]:
-        func, help_text, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, arguments) in COMMANDS.items():
         subparser = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             subparser.add_argument(flag, **options)
@@ -389,13 +382,9 @@ def _hold_freed_memory() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     _hold_freed_memory()
-    # Parsing a command needs only its own subparser; --help and a missing
-    # or unknown command need every command, to list them.
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the help (code 0) or a usage error (code 2).
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG

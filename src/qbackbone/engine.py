@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -338,7 +337,7 @@ def _walk_and_finish(cfg: ScenarioConfig, draws: _Draws, walk: tuple, finish: tu
 
     # Stage 5: the memory walk over frames served before the horizon.  Its stores
     # are summed per bin at once, so that they are not held through stage 6.
-    capacity = math.inf if cfg.memory_capacity is None else cfg.memory_capacity
+    capacity = UNLIMITED_CAPACITY if cfg.memory_capacity is None else cfg.memory_capacity
     stored, attempts, occupancy = _walk(walk, arrived, draws.seg_stop, draws.survivors, capacity)
     seg_bin, n_bins = draws.seg_bin, len(pairs_arrived)
     pairs_stored = _per_bin(seg_bin, stored, n_bins)

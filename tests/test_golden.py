@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 from pathlib import Path
 from unittest import mock
 
@@ -166,8 +165,8 @@ def shipped(stem: str) -> str:
 @contextlib.contextmanager
 def walks_and_scans():
     """Collects ``(capacity, scanned)`` for each memory walk run inside the
-    block: the walk's capacity (inf when unlimited) and whether it ran the
-    Blelloch scan."""
+    block: the walk's capacity (``UNLIMITED_CAPACITY`` when unlimited) and
+    whether it ran the Blelloch scan."""
     walks = []
     walk = engine._walk
     with mock.patch.object(engine, "_occupancy", wraps=engine._occupancy) as scan:
@@ -243,5 +242,5 @@ def test_sweep_bytes_through_the_blelloch_scan(tmp_path):
     config = _small_payload_config(tmp_path, None)
     with walks_and_scans() as walks:
         digest = sweep_digest(tmp_path, config, "--memory", "1,5,20,unlimited")
-    assert walks == [(1, True), (5, True), (20, True), (math.inf, False)]
+    assert walks == [(1, True), (5, True), (20, True), (engine.UNLIMITED_CAPACITY, False)]
     assert digest == GOLDEN_SWEEP_SMALL_PAYLOAD
