@@ -7,7 +7,8 @@ CSV numbers use a decimal point and no grouping, so outputs for a fixed
 
 ``linkbudget`` prints the columns of ``entanglement.pass_slice``, whose
 coincidence column a run's probability matrix holds, through the row
-writer of ``frames.csv``.  ``sweep`` runs each source alone under
+writer of ``frames.csv``; in one process it reuses the columns a run on
+the same steps computed.  ``sweep`` runs each source alone under
 all-sources, bounds its rows before building any list, checks every
 label's run ceilings before its first run and holds one run.
 """
@@ -308,12 +309,12 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
     if source.kind == "ground-fiber":
         eta, length = fiber_transmittance(source.arm), source.arm.length_km
         p = coincidence_matrix((source,), np.zeros(1))[:, 0]
-        columns = ([0.0], [None], [None], [length], [length], [eta], [eta], p)
+        columns = ([0.0], [np.nan], [np.nan], [length], [length], [eta], [eta], p)
     else:
         times = config.step_grid[:-1]
-        lo, hi, (elev_a, range_a, eta_a), (elev_b, range_b, eta_b), p = pass_slice(source, times)
-        columns = (times[lo:hi], elev_a, elev_b, range_a, range_b, eta_a, eta_b, p)
-    values = np.array(columns, np.float64).ravel()  # None, below the horizon, becomes NaN
+        lo, hi, egress, ingress, p = pass_slice(source, times)
+        columns = (times[lo:hi], egress[0], ingress[0], egress[1], ingress[1], egress[2], ingress[2], p)
+    values = np.vstack(columns).ravel()  # NaN, below the horizon, prints as an empty cell
     cells = ryu.float_cells(values)
     cells[:, np.isnan(values)] = 0  # an empty cell
     rows = _row_bytes(np.split(cells, len(columns), axis=1), len(values) // len(columns))

@@ -2,20 +2,28 @@
 
 The engine draws each source's pair count per integration segment and
 keeps the mirrored egress/ingress memories as one occupancy count, so
-the arrival and memory rules are checked here on whole runs.
+the arrival and memory rules are checked here on whole runs.  The
+satellite pass columns that ``pass_slice`` caches are checked against
+the kernel and the per-instant oracle, and the commands that share them
+are counted in kernel evaluations.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import _reference
+from qbackbone import entanglement
+from qbackbone.cli import main
 from qbackbone.engine import run
-from qbackbone.entanglement import coincidence_matrix
+from qbackbone.entanglement import _pass_columns, coincidence_matrix, pass_slice
 from qbackbone.geometry import SatellitePassModel
 from qbackbone.linkbudget import DARK_FIBER_DB_PER_KM, FiberLink, downlink_profile, fiber_transmittance
 from qbackbone.scenario import (
@@ -23,12 +31,14 @@ from qbackbone.scenario import (
     Policy,
     ScenarioConfig,
     fiber_source,
+    load_config_file,
     satellite_source,
 )
 
 STD_ARM_ETA = fiber_transmittance(FiberLink(75.0, 0.2))
 DARK_ARM_ETA = fiber_transmittance(FiberLink(75.0, 0.16))
 NO_FRAMES_GAP_S = 1.0e4
+ALL_SOURCES = Path(__file__).resolve().parent.parent / "configs" / "all_sources.json"
 
 
 def config(mean_gap_s: float | None = None, **overrides):
@@ -209,3 +219,101 @@ class TestSources:
                 SatellitePassModel(model.altitude_km, bad, model.ingress)
         with pytest.raises(TypeError):
             SatellitePassModel(model.altitude_km, model.egress)
+
+
+def shipped_satellites():
+    return [s for s in load_config_file(str(ALL_SOURCES)).sources if s.kind == "satellite-pass"]
+
+
+class TestPassCache:
+    """``pass_slice`` evaluates each (pass, steps) once and shares
+    read-only columns that equal the kernel's, bit for bit."""
+
+    def setup_method(self):
+        _pass_columns.cache_clear()
+
+    @pytest.mark.parametrize("grid", ["2s", "0.25s", "random"])
+    def test_cold_and_warm_columns_equal_the_kernel_and_the_oracle(self, grid):
+        config = load_config_file(str(ALL_SOURCES))
+        if grid == "random":
+            times = np.sort(np.random.default_rng(11).uniform(-50.0, config.duration_s + 50.0, 3000))
+        else:
+            step = 2.0 if grid == "2s" else 0.25
+            times = dataclasses.replace(config, channel_step_s=step).step_grid[:-1]
+        for source in shipped_satellites():
+            cold = pass_slice(source, times)
+            warm = pass_slice(source, times.copy())
+            assert cold[:2] == warm[:2]
+            assert [c.tobytes() for c in cold[2:]] == [c.tobytes() for c in warm[2:]]
+            lo, hi, egress, ingress, p = warm
+            model, params = source.pass_model, source.link_params
+            for station, columns in ((model.egress, egress), (model.ingress, ingress)):
+                kernel = downlink_profile(times[lo:hi].tolist(), model, station, params)
+                assert columns.shape == (3, hi - lo)
+                for column, expected in zip(columns, kernel):
+                    assert np.isnan(column).tolist() == [x is None for x in expected]
+                    assert column.tobytes() == np.array(expected, np.float64).tobytes()
+            full = np.zeros(len(times))
+            full[lo:hi] = p
+            assert full.tobytes() == _reference.coincidence_matrix((source,), times)[:, 0].tobytes()
+            assert p.tobytes() == (egress[2] * ingress[2]).tobytes()
+        info = _pass_columns.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
+
+    def test_columns_are_read_only(self):
+        _, _, egress, ingress, p = pass_slice(shipped_satellites()[0], np.arange(300) * 2.0)
+        for column in (egress, ingress, egress[0], ingress[2], p):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    def test_cache_holds_at_most_its_bound(self):
+        source = shipped_satellites()[0]
+        bound = _pass_columns.cache_info().maxsize
+        assert bound == 8
+        for k in range(bound + 3):
+            pass_slice(source, np.arange(300) * 2.0 + 0.125 * k)
+        info = _pass_columns.cache_info()
+        assert (info.misses, info.currsize) == (bound + 3, bound)
+
+
+class TestPassTraffic:
+    """Commands in one process evaluate each satellite pass once: two
+    ``downlink_profile`` calls, egress and ingress, per satellite."""
+
+    def setup_method(self):
+        _pass_columns.cache_clear()
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        counts = collections.Counter()
+        kernel = entanglement.downlink_profile
+
+        def counting(times, pass_model, station, params):
+            counts[pass_model] += 1
+            return kernel(times, pass_model, station, params)
+
+        monkeypatch.setattr(entanglement, "downlink_profile", counting)
+        return counts
+
+    @pytest.fixture
+    def fine_doc(self, tmp_path):
+        doc = json.loads(ALL_SOURCES.read_text(encoding="utf-8"))
+        doc["channel_step_s"] = 0.25
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def expected(self):
+        return {s.pass_model: 2 for s in shipped_satellites()}
+
+    def test_linkbudget_after_simulate_reuses_the_run(self, tmp_path, capsys, fine_doc, evaluations):
+        assert main(["simulate", "--config", fine_doc, "--out", str(tmp_path / "out")]) == 0
+        for source in shipped_satellites():
+            assert main(["linkbudget", "--config", fine_doc, "--source", source.source_id]) == 0
+        assert evaluations == self.expected()
+
+    def test_sweep_seeds_share_one_evaluation(self, tmp_path, fine_doc, evaluations):
+        argv = ["sweep", "--config", fine_doc, "--out", str(tmp_path / "sweep.csv"), "--memory", "5",
+                "--policy", "best-source", "--seeds-per-point", "3"]
+        assert main(argv) == 0
+        assert evaluations == self.expected()

@@ -5,7 +5,9 @@ satellite's elevation mask at 20°, and on a copy with each mask set to
 10°, and under ``linkbudget`` for each of its sources; the sha256 of
 each command's stdout is pinned.  Each satellite's ``linkbudget`` is
 pinned on 0.25 s channel steps as well, the grid the benchmark's
-linkbudget-fine workload prints.  Neither table draws random numbers,
+linkbudget-fine workload prints, and on the shipped steps again after a
+``simulate`` of the same config, whose pass columns ``linkbudget`` then
+reuses.  Neither table draws random numbers,
 so the hashes depend only on the pass geometry, the link budget and the
 CSV formatting.  A change to the config loader or the document schema
 that keeps these hashes leaves both tables byte for byte.
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from qbackbone.cli import main
+from qbackbone.entanglement import _pass_columns
 from qbackbone.scenario import load_config_file
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -105,6 +108,25 @@ def test_linkbudget_bytes_on_fine_steps(capsys, tmp_path, stem, source_id):
     config.write_text(json.dumps(doc), encoding="utf-8")
     digest = stdout_digest(capsys, ["linkbudget", "--config", str(config), "--source", source_id])
     assert digest == GOLDEN_TABLES_FINE[(stem, source_id)]
+
+
+@pytest.mark.parametrize(
+    "source_id", [s.source_id for s in load_config_file(str(CONFIGS_DIR / "all_sources.json")).sources
+                  if s.kind == "satellite-pass"]
+)
+def test_linkbudget_bytes_after_simulate(capsys, tmp_path, source_id):
+    # The second run prints the columns ``simulate`` cached.  The cache's
+    # keys hash bytes, whose hash follows PYTHONHASHSEED; the printed
+    # bytes must not.
+    _pass_columns.cache_clear()
+    expected = GOLDEN_TABLES[("all_sources", "linkbudget", source_id)]
+    assert table_digest(capsys, tmp_path, "all_sources", "linkbudget", source_id) == expected
+    _pass_columns.cache_clear()
+    config = str(CONFIGS_DIR / "all_sources.json")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    hits = _pass_columns.cache_info().hits
+    assert table_digest(capsys, tmp_path, "all_sources", "linkbudget", source_id) == expected
+    assert _pass_columns.cache_info().hits == hits + 1
 
 
 def test_golden_tables_cover_every_shipped_config_and_source():
