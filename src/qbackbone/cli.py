@@ -137,6 +137,7 @@ def _write_frames(fh, frames: engine.FrameTable) -> None:
             np.concatenate([frames.created_at_s[lo:hi], frames.egress_at_s[lo:hi], frames.delivered_at_s[lo:hi]])
         )
         tried = ryu.count_cells(attempts)
+        span = ryu.count_cells(np.append(start, start[-1] + attempts[-1]))
         cells = (
             ryu.count_cells(np.arange(lo, hi)),
             times[:, :n],
@@ -149,8 +150,8 @@ def _write_frames(fh, frames: engine.FrameTable) -> None:
             ryu.count_cells(successes),
             ryu.count_cells(attempts - successes),
             tried,  # pairs_consumed
-            ryu.count_cells(start),
-            ryu.count_cells(start + attempts),
+            span[:, :n],  # consumed_start
+            span[:, 1:],  # consumed_stop, each frame's stop the next one's start
             ryu.count_cells(delivered),
             ryu.count_cells(successes[: len(delivered)] - delivered),
             times[:, 2 * n :],

@@ -109,7 +109,9 @@ class FrameTable(_Columns):
     frame with ``egress_at_s < duration_s``; ``delivered`` and
     ``delivered_at_s`` cover only the completed prefix of those frames, the
     rest were still in flight when the simulation ended.  A frame consumes
-    the memory pairs ``[consumed_start, consumed_start + attempts)``.
+    the memory pairs ``[consumed_start, consumed_start + attempts)``, and
+    ``consumed_start = cumsum(attempts) - attempts``: each frame's pairs
+    start where the previous frame's stop.
     """
 
     payload_qubits: int

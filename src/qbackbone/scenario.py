@@ -42,9 +42,11 @@ POLICY_KINDS = ("fiber-only", "satellite-only", "best-source", "all-sources")
 # and on the expected frame count and the channel steps of one run, each
 # times the run's source count (bins are never more than steps); at the
 # default traffic and one source it allows a 27 h horizon.  A run and its
-# CSV writes peak (tracemalloc) about 120 B higher per frame (dark_fiber,
-# 30k to 120k frames) and 80 B per step (one source, a bin per step), near
-# 1 GB at both ceilings; stages 2 and 3 hold a column per source.
+# CSV writes peak (tracemalloc, as tests/test_cli.py's peak-memory tests
+# take it) about 89 B higher per frame (dark_fiber, 30k to 120k frames) and
+# 81 B per step (one source, a bin per step, 10k to 40k steps), about 450
+# and 400 MB at the ceiling; stages 2 and 3 hold a column per source.  A
+# dark_fiber run of 4.95M frames and its frames.csv peaked at 573 MB of RSS.
 MAX_RUN_CELLS = 5_000_000
 
 # Ceiling on the expected pair count and the expected qubit count of one

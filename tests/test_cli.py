@@ -487,12 +487,12 @@ class TestFramesWriter:
         assert_matches_reference(engine.run(config).frames)
 
 
-# Doubles of every cell form: inside the Ryu kernel's range [2^-13, 2^50),
-# outside it (repr's exponent form and the subnormals), any double, and NaN
-# for an empty cell.
+# Doubles of every cell form: inside the Ryu kernel's range [2^-32, 2^50),
+# in fixed and in exponent form, outside it (below 2^-32, from 1e16 up and
+# the subnormals), any double, and NaN for an empty cell.
 ROW_FLOATS = st.one_of(
-    st.floats(2.0**-13, 2.0**50, exclude_max=True),
-    st.sampled_from([1e-05, 1e16, 5e-324, 2.0**-14, 2.0**50, 0.0]),
+    st.floats(2.0**-32, 2.0**50, exclude_max=True),
+    st.sampled_from([1e-05, 1e16, 5e-324, 2.0**-14, 2.0**-33, 2.0**50, 0.0]),
     st.floats(),
     st.just(math.nan),
 )
@@ -1023,6 +1023,37 @@ class TestLinkbudget:
         assert captured.out == ""
         assert "ceiling" in captured.err
         assert peak < 1_000_000
+
+
+class TestShippedFloatCells:
+    """Every float the shipped configs' tables print is in ``ryu``'s own
+    domain, so no cell of theirs takes the ``repr`` fallback."""
+
+    @pytest.fixture
+    def repr_calls(self, monkeypatch) -> list[float]:
+        calls: list[float] = []
+        monkeypatch.setattr(ryu, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+        return calls
+
+    @pytest.mark.parametrize("step", [2.0, 0.25])
+    def test_linkbudget_tables_of_all_sources(self, tmp_path, capsys, repr_calls, step):
+        doc = json.loads((CONFIGS_DIR / "all_sources.json").read_text())
+        doc["channel_step_s"] = step
+        path = tmp_path / "all_sources.json"
+        path.write_text(json.dumps(doc))
+        satellites = [s.source_id for s in load_config(doc).sources if s.kind == "satellite-pass"]
+        assert len(satellites) == 3
+        for name in satellites:
+            assert main(["linkbudget", "--config", str(path), "--source", name]) == 0
+        assert capsys.readouterr().out.count("\n") > 3 * 100
+        assert repr_calls == []
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS_DIR.glob("*.json")))
+    def test_frames_of_shipped_configs(self, repr_calls, name):
+        frames = engine.run(load_config_file(str(CONFIGS_DIR / f"{name}.json"))).frames
+        _write_frames(Discard(), frames)
+        assert len(frames) > 0
+        assert repr_calls == []
 
 
 def _glibc() -> bool:
