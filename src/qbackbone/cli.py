@@ -126,18 +126,21 @@ def _write_frames(fh, frames: engine.FrameTable) -> None:
     """
     fh.write((",".join(FRAMES_COLUMNS) + "\n").encode())
     payload = ryu.count_cells(np.array([frames.payload_qubits]))
+    consumed = 0  # each frame's pairs start where the previous frame's stop
     for lo in range(0, len(frames), FRAMES_CHUNK):
         hi = min(lo + FRAMES_CHUNK, len(frames))
         n = hi - lo
-        survivors, attempts, successes, start = (
-            c[lo:hi] for c in (frames.survivors_at_egress, frames.attempts, frames.successes, frames.consumed_start)
+        survivors, attempts, successes = (
+            c[lo:hi] for c in (frames.survivors_at_egress, frames.attempts, frames.successes)
         )
         delivered = frames.delivered[lo:hi]  # the chunk's completed frames only
         times = ryu.float_cells(
             np.concatenate([frames.created_at_s[lo:hi], frames.egress_at_s[lo:hi], frames.delivered_at_s[lo:hi]])
         )
         tried = ryu.count_cells(attempts)
-        span = ryu.count_cells(np.append(start, start[-1] + attempts[-1]))
+        stops = consumed + np.cumsum(attempts)
+        span = ryu.count_cells(np.append(consumed, stops))
+        consumed = int(stops[-1])
         cells = (
             ryu.count_cells(np.arange(lo, hi)),
             times[:, :n],

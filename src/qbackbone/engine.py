@@ -36,9 +36,10 @@ time equals ``duration_s`` is not served or not delivered.
 
 Stages 1-4 (traffic, rate table, segments and coincidence draws,
 survivors), the unlimited walk, the delivery times and bins, and the pairs
-arrived per bin do not depend on M.  ``run_many`` computes them once and
-finishes every capacity from them, each drawing stage 6 from the start of
-the same streams; ``run`` is its one-capacity case.
+arrived per bin do not depend on M.  ``_share`` builds them once into one
+read-only record, ``_Shared``, and ``_finish`` finishes a capacity from
+that record alone, drawing stage 6 from the start of the record's streams.
+``run_many`` builds one record per call; ``run`` is its one-capacity case.
 
 Time has one grid, the channel steps.  Segments are the step grid cut
 at the served egress times and the horizon, nothing else: a rate is held
@@ -52,7 +53,6 @@ numpy columns, ``FrameTable`` and ``BinTable``, not one object per row.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -77,8 +77,8 @@ def stream(seed: int, name: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class _Columns:
-    """A table of read-only numpy columns, one row per index; compare
-    tables column by column with ``np.array_equal``."""
+    """A record whose numpy arrays are read-only; in a table they are columns,
+    one row per index, and tables compare column by column with ``np.array_equal``."""
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -108,10 +108,7 @@ class FrameTable(_Columns):
     Row ``i`` is frame ``i``.  The served-frame columns have one entry per
     frame with ``egress_at_s < duration_s``; ``delivered`` and
     ``delivered_at_s`` cover only the completed prefix of those frames, the
-    rest were still in flight when the simulation ended.  A frame consumes
-    the memory pairs ``[consumed_start, consumed_start + attempts)``, and
-    ``consumed_start = cumsum(attempts) - attempts``: each frame's pairs
-    start where the previous frame's stop.
+    rest were still in flight when the simulation ended.
     """
 
     payload_qubits: int
@@ -120,7 +117,6 @@ class FrameTable(_Columns):
     survivors_at_egress: np.ndarray
     attempts: np.ndarray
     successes: np.ndarray
-    consumed_start: np.ndarray
     delivered: np.ndarray
     delivered_at_s: np.ndarray
 
@@ -184,12 +180,25 @@ def _occupancy(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return values
 
 
-def _shared_walk(
+@dataclass(frozen=True)
+class _Walk(_Columns):
+    """A memory walk and its solution: segment k stores up to ``arrived[k]``, frame
+    i takes up to ``survivors[i]`` after the first ``seg_stop[i]`` segments.  Before M
+    clamps them, ``found`` is the pairs each frame finds before its take and ``level``
+    each segment's level; ``tail`` is the pairs arrived after the last frame."""
+
+    arrived: np.ndarray
+    seg_stop: np.ndarray
+    survivors: np.ndarray
+    found: np.ndarray
+    level: np.ndarray
+    tail: int
+
+
+def _solve_walk(
     arrived: np.ndarray, seg_stop: np.ndarray, survivors: np.ndarray, capacity: int | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The pairs each frame finds before its take and each segment's level
-    before M clamps them, read-only, and the pairs arrived after the last frame:
-    of unlimited memory by Lindley's closed form, else of ``capacity`` by the scan."""
+) -> _Walk:
+    """The walk of unlimited memory by Lindley's closed form, else of ``capacity`` by the scan."""
     arrived_before = np.concatenate(([0], np.cumsum(arrived)))
     run_start = np.concatenate(([0], seg_stop))
     # Frame i's shift: the A_i pairs arrived since the previous frame, then
@@ -208,52 +217,59 @@ def _shared_walk(
     # the level after segment k is before[i] + pairs arrived in the run up to k.
     run_length = np.diff(run_start, append=len(arrived))
     level = np.repeat(before - arrived_before[run_start], run_length) + arrived_before[1:]
-    found = before[:-1] + run_arrived
-    found.flags.writeable = level.flags.writeable = False
-    return found, level, int(arrived_before[-1] - arrived_before[run_start[-1]])
+    tail = int(arrived_before[-1] - arrived_before[run_start[-1]])
+    return _Walk(arrived, seg_stop, survivors, before[:-1] + run_arrived, level, tail)
 
 
-def _walk(
-    shared: tuple, arrived: np.ndarray, seg_stop: np.ndarray, survivors: np.ndarray, capacity: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pairs stored per segment, pairs taken per frame and the final occupancy under
-    ``capacity``, from ``_shared_walk`` of the same inputs: segment k stores up to
-    ``arrived[k]``, frame i takes up to ``survivors[i]`` after the first ``seg_stop[i]``."""
-    # Occupancy never exceeds the pairs arrived, so a larger capacity walks
-    # like UNLIMITED_CAPACITY, which keeps every sum below in int64.
-    capacity = int(min(capacity, UNLIMITED_CAPACITY))
-    found, level, tail = shared
+def _walk(walk: _Walk, capacity: int | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Pairs stored per segment, pairs taken per frame and the final occupancy of
+    ``walk`` under ``capacity``, None for unlimited memory."""
+    # Occupancy never exceeds the pairs arrived, so unlimited memory and any larger
+    # capacity walk like UNLIMITED_CAPACITY, which keeps every sum below in int64.
+    capacity = UNLIMITED_CAPACITY if capacity is None else int(min(capacity, UNLIMITED_CAPACITY))
     # Unlimited memory walks as M does unless a frame finds more pairs than
     # both M and its take hold, and so leaves more than max(M - s, 0).
-    if np.any(found > np.maximum(survivors, capacity)):
-        found, level, _ = _shared_walk(arrived, seg_stop, survivors, capacity)
+    if np.any(walk.found > np.maximum(walk.survivors, capacity)):
+        walk = _solve_walk(walk.arrived, walk.seg_stop, walk.survivors, capacity)
     # A frame takes what it finds up to M and s; a segment drops what its level passes M by.
-    attempts = np.minimum(np.minimum(found, survivors), capacity)
-    dropped = np.clip(level - capacity, 0, arrived)
-    left = int(min(found[-1], capacity) - attempts[-1]) if len(attempts) else 0
-    return arrived - dropped, attempts, min(left + tail, capacity)
+    attempts = np.minimum(np.minimum(walk.found, walk.survivors), capacity)
+    dropped = np.clip(walk.level - capacity, 0, walk.arrived)
+    left = int(min(walk.found[-1], capacity) - attempts[-1]) if len(attempts) else 0
+    return walk.arrived - dropped, attempts, min(left + walk.tail, capacity)
+
+
+def _per_bin(index: np.ndarray, counts: np.ndarray, n_bins: int) -> np.ndarray:
+    # Summed in int64: bincount's float64 weights round counts above 2**53.
+    total = np.zeros(n_bins, dtype=np.int64)
+    np.add.at(total, index, counts)
+    return total
 
 
 @dataclass(frozen=True)
-class _Draws:
-    """Stages 1-4 of a run: every draw before the memory walk.  None of
-    them depends on the memory capacity."""
+class _Shared(_Columns):
+    """What no memory capacity changes in a run of ``config``: the frames generated,
+    the creation and egress times of the frames served before the horizon and
+    their walk, each segment's bin, the bin starts, each served frame's delivery
+    time and each completed frame's bin, the pairs arrived and frames completed per
+    bin, the pairs per source, and the stage-6 streams with the states they start at."""
 
+    config: ScenarioConfig
     n_frames: int
-    # Frames served before the horizon, in frame order.
     created: np.ndarray
     egress_times: np.ndarray
-    survivors: np.ndarray
-    # Pairs arrived from each source, per-segment arrivals, the segments
-    # stored before each served frame, and the grid of reporting bins.
-    pairs_by_source: np.ndarray
-    pairs_per_segment: np.ndarray
-    seg_stop: np.ndarray
+    walk: _Walk
     seg_bin: np.ndarray
     bin_starts: np.ndarray
+    delivered_at: np.ndarray
+    delivered_bin: np.ndarray
+    pairs_arrived: np.ndarray
+    frames_completed: np.ndarray
+    pairs_by_source: dict[str, int]
+    streams: tuple[np.random.Generator, np.random.Generator]
+    starts: tuple[dict, dict]
 
 
-def _draw(cfg: ScenarioConfig) -> _Draws:
+def _share(cfg: ScenarioConfig) -> _Shared:
     duration = cfg.duration_s
     n_steps = cfg.n_steps
     # A bin as wide as the horizon is one bin, and wider ones overflow int64 below.
@@ -285,132 +301,112 @@ def _draw(cfg: ScenarioConfig) -> _Draws:
     boundaries = np.unique(
         np.concatenate([np.clip(step_grid, 0.0, duration), egress_times, [duration]])
     )
-    seg_start = boundaries[:-1]
-    seg_len = np.diff(boundaries)
-    seg_step = np.searchsorted(step_grid[:-1], seg_start, side="right") - 1
-    lam = rate_table[seg_step, :] * seg_len[:, None]
-    pairs_by_source = stream(cfg.seed, "coincidence").poisson(lam)
+    seg_step = np.searchsorted(step_grid[:-1], boundaries[:-1], side="right") - 1
+    counts = stream(cfg.seed, "coincidence").poisson(rate_table[seg_step, :] * np.diff(boundaries)[:, None])
+    arrived, by_source = counts.sum(axis=1), counts.sum(axis=0).tolist()
+    seg_stop = np.searchsorted(boundaries[1:], egress_times, side="right")
+    seg_bin = seg_step // steps_per_bin
+    # Freed before the walk, whose peak they would otherwise add to.
+    del p, rate_table, boundaries, seg_step, counts
 
     # Stage 4: access-link survivors for every generated frame.
     survivors = stream(cfg.seed, "ingress_access").binomial(
         cfg.traffic.payload_qubits, fiber_transmittance(cfg.ingress_access), size=n_frames
     )
+    walk = _solve_walk(arrived, seg_stop, survivors[:n_processed])
 
-    return _Draws(
+    delivered_at = egress_times + classical_latency_s(cfg.classical_distance_km)
+    delivered_at += classical_latency_s(cfg.egress_access.length_km)
+    bin_starts = step_grid[:n_steps:steps_per_bin]
+    n_completed = int(np.count_nonzero(delivered_at < duration))
+    delivered_bin = np.searchsorted(bin_starts, delivered_at[:n_completed], side="right") - 1
+    streams = (stream(cfg.seed, "teleport"), stream(cfg.seed, "egress_access"))
+    return _Shared(
+        config=cfg,
         n_frames=n_frames,
         created=created[:n_processed],
         egress_times=egress_times,
-        survivors=survivors[:n_processed],
-        pairs_by_source=pairs_by_source.sum(axis=0),
-        pairs_per_segment=pairs_by_source.sum(axis=1),
-        seg_stop=np.searchsorted(boundaries[1:], egress_times, side="right"),
-        seg_bin=seg_step // steps_per_bin,
-        bin_starts=step_grid[:n_steps:steps_per_bin],
+        walk=walk,
+        seg_bin=seg_bin,
+        bin_starts=bin_starts,
+        delivered_at=delivered_at,
+        delivered_bin=delivered_bin,
+        pairs_arrived=_per_bin(seg_bin, arrived, len(bin_starts)),
+        frames_completed=np.bincount(delivered_bin, minlength=len(bin_starts)),
+        pairs_by_source=dict(zip((s.source_id for s in sources), by_source)),
+        streams=streams,
+        starts=tuple(rng.bit_generator.state for rng in streams),
     )
 
 
-def _per_bin(index: np.ndarray, counts: np.ndarray, n_bins: int) -> np.ndarray:
-    # Summed in int64: bincount's float64 weights round counts above 2**53.
-    total = np.zeros(n_bins, dtype=np.int64)
-    np.add.at(total, index, counts)
-    return total
-
-
-def _shared_finish(cfg: ScenarioConfig, draws: _Draws) -> tuple:
-    """What no capacity changes after the walk: each served frame's delivery time,
-    each completed frame's bin, the pairs arrived and frames completed per bin,
-    the pairs per source, and the stage-6 streams with the states they start at."""
-    delivered_at = draws.egress_times + classical_latency_s(cfg.classical_distance_km)
-    delivered_at += classical_latency_s(cfg.egress_access.length_km)
-    n_completed = int(np.count_nonzero(delivered_at < cfg.duration_s))
-    delivered_bin = np.searchsorted(draws.bin_starts, delivered_at[:n_completed], side="right") - 1
-    n_bins = len(draws.bin_starts)
-    pairs_arrived = _per_bin(draws.seg_bin, draws.pairs_per_segment, n_bins)
-    frames_completed = np.bincount(delivered_bin, minlength=n_bins)
-    by_source = dict(zip((s.source_id for s in cfg.sources), draws.pairs_by_source.tolist()))
-    streams = [stream(cfg.seed, name) for name in ("teleport", "egress_access")]
-    starts = [rng.bit_generator.state for rng in streams]
-    return delivered_at, delivered_bin, pairs_arrived, frames_completed, by_source, streams, starts
-
-
-def _walk_and_finish(cfg: ScenarioConfig, draws: _Draws, walk: tuple, finish: tuple) -> RunResult:
-    arrived = draws.pairs_per_segment
-    delivered_at, delivered_bin, pairs_arrived, frames_completed, by_source, streams, starts = finish
+def _finish(shared: _Shared, capacity: int | None) -> RunResult:
+    cfg, walk, seg_bin, n_bins = shared.config, shared.walk, shared.seg_bin, len(shared.bin_starts)
 
     # Stage 5: the memory walk over frames served before the horizon.  Its stores
     # are summed per bin at once, so that they are not held through stage 6.
-    capacity = UNLIMITED_CAPACITY if cfg.memory_capacity is None else cfg.memory_capacity
-    stored, attempts, occupancy = _walk(walk, arrived, draws.seg_stop, draws.survivors, capacity)
-    seg_bin, n_bins = draws.seg_bin, len(pairs_arrived)
+    stored, attempts, occupancy = _walk(walk, capacity)
     pairs_stored = _per_bin(seg_bin, stored, n_bins)
-    pairs_dropped = _per_bin(seg_bin, arrived - stored, n_bins)
+    pairs_dropped = _per_bin(seg_bin, walk.arrived - stored, n_bins)
     del stored
-    consumed_start = np.cumsum(attempts) - attempts
 
     # Stage 6: teleport and far-side access thinning, each from the start of
     # its stream; a frame completes when its corrections and the rebuilt
     # frame arrive before the horizon.
-    for rng, start in zip(streams, starts):
+    for rng, start in zip(shared.streams, shared.starts):
         rng.bit_generator.state = start
-    teleport, egress = streams
+    teleport, egress = shared.streams
     successes = teleport.binomial(attempts, cfg.p_teleport_success)
-    n_completed = len(delivered_bin)
+    n_completed = len(shared.delivered_bin)
     delivered = egress.binomial(successes[:n_completed], fiber_transmittance(cfg.egress_access))
 
     bins = BinTable(
-        bin_start_s=draws.bin_starts,
-        pairs_arrived=pairs_arrived,
+        bin_start_s=shared.bin_starts,
+        pairs_arrived=shared.pairs_arrived,
         pairs_stored=pairs_stored,
         pairs_dropped=pairs_dropped,
-        qubits_delivered=_per_bin(delivered_bin, delivered, n_bins),
-        frames_completed=frames_completed,
+        qubits_delivered=_per_bin(shared.delivered_bin, delivered, n_bins),
+        frames_completed=shared.frames_completed,
     )
     totals = RunTotals(
-        frames_generated=draws.n_frames,
-        frames_processed=len(draws.egress_times),
+        frames_generated=shared.n_frames,
+        frames_processed=len(shared.egress_times),
         frames_completed=n_completed,
-        pairs_arrived=int(pairs_arrived.sum()),
+        pairs_arrived=int(bins.pairs_arrived.sum()),
         pairs_stored=int(bins.pairs_stored.sum()),
         pairs_dropped=int(bins.pairs_dropped.sum()),
         qubits_delivered=int(delivered.sum()),
     )
     if int(attempts.sum()) + occupancy != totals.pairs_stored or not np.array_equal(
-        bins.pairs_stored + bins.pairs_dropped, pairs_arrived
+        bins.pairs_stored + bins.pairs_dropped, bins.pairs_arrived
     ):
         raise AssertionError("pair accounting broken after the memory walk")
 
     frames = FrameTable(
         payload_qubits=cfg.traffic.payload_qubits,
-        created_at_s=draws.created,
-        egress_at_s=draws.egress_times,
-        survivors_at_egress=draws.survivors,
+        created_at_s=shared.created,
+        egress_at_s=shared.egress_times,
+        survivors_at_egress=walk.survivors,
         attempts=attempts,
         successes=successes,
-        consumed_start=consumed_start,
         delivered=delivered,
-        delivered_at_s=delivered_at[:n_completed],
+        delivered_at_s=shared.delivered_at[:n_completed],
     )
 
-    return RunResult(bins=bins, frames=frames, totals=totals, pairs_by_source=dict(by_source))
+    return RunResult(bins=bins, frames=frames, totals=totals, pairs_by_source=dict(shared.pairs_by_source))
 
 
 def run_many(config: ScenarioConfig, capacities: Sequence[int | None]) -> Iterator[RunResult]:
     """``run(replace(config, memory_capacity=m))`` for each ``m`` in ``capacities``.
 
-    What no capacity changes (``_draw``, ``_shared_walk``, ``_shared_finish``)
-    is computed once; each capacity draws from the start of the teleport and
+    One ``_Shared`` record holds what no capacity changes, and each capacity is
+    finished from that record alone, drawing from the start of its teleport and
     egress streams.  Results are yielded one at a time and not kept, so a
     caller that reduces each one holds a single result.  The run's ceilings
     (``ScenarioConfig.check_ceilings``) are checked before anything is drawn.
     """
     config.check_ceilings()
-    draws = _draw(config)
-    walk = _shared_walk(draws.pairs_per_segment, draws.seg_stop, draws.survivors)
-    finish = _shared_finish(config, draws)
-    return (
-        _walk_and_finish(dataclasses.replace(config, memory_capacity=m), draws, walk, finish)
-        for m in capacities
-    )
+    shared = _share(config)
+    return (_finish(shared, m) for m in capacities)
 
 
 def run(config: ScenarioConfig) -> RunResult:

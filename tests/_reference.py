@@ -10,8 +10,10 @@ written, two nested loops kept in step by a segment pointer, storing
 the segments before each frame and then the frame's take.
 ``check_run`` asserts the accounting every run must satisfy, on fuzzed
 and hand-picked runs alike; its final occupancy comes from
-``memory_walk`` over the run's own draws.  ``assert_tables_equal``
-compares two column tables, a ``FrameTable`` or a ``BinTable``.
+``memory_walk`` over the run's own draws, and its segments and their bins
+from the step grid rebuilt in Python floats and searched with ``bisect``.
+``assert_tables_equal`` compares two column tables, a ``FrameTable`` or a
+``BinTable``.
 
 ``write_frames`` is the oracle for the ``frames.csv`` byte writer,
 ``cli._write_frames``: one row per frame, one cell at a time, through
@@ -36,14 +38,16 @@ per source, and a dict and a sort per instant.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
 
 from qbackbone import engine
-from qbackbone.cli import FRAMES_COLUMNS
+from qbackbone.cli import FRAMES_COLUMNS, _write_frames
 from qbackbone.engine import FrameTable, RunResult
 from qbackbone.entanglement import EntanglementSource
 from qbackbone.geometry import (
@@ -274,8 +278,10 @@ def memory_walk(
 def check_run(result: RunResult, config: ScenarioConfig) -> None:
     """Assert the run invariants of ``result``, the run of ``config``:
     stored + dropped = arrived in every bin, the totals are the bin sums,
-    every qubit of each frame is accounted for, and the consumed ranges
-    tile the stored pairs, with the final occupancy left in memory."""
+    every qubit of each frame is accounted for, the frames take the stored
+    pairs with the final occupancy left in memory, and the segments are the
+    step grid cut at the served egress times and the horizon, each counted
+    toward the bin of the step it starts in."""
     bins, totals, frames = result.bins, result.totals, result.frames
     counts = ("pairs_arrived", "pairs_stored", "pairs_dropped", "qubits_delivered", "frames_completed")
     for name in counts:
@@ -291,7 +297,7 @@ def check_run(result: RunResult, config: ScenarioConfig) -> None:
     n, n_completed = len(frames), len(frames.delivered)
     assert totals.frames_generated >= totals.frames_processed == n
     assert n >= totals.frames_completed == n_completed == len(frames.delivered_at_s)
-    for name in ("egress_at_s", "survivors_at_egress", "attempts", "successes", "consumed_start"):
+    for name in ("egress_at_s", "survivors_at_egress", "attempts", "successes"):
         assert len(getattr(frames, name)) == n, name
     # payload = lost_in + no_pair + failures + lost_out + delivered telescopes;
     # what makes it an accounting is that no term is negative.
@@ -305,14 +311,25 @@ def check_run(result: RunResult, config: ScenarioConfig) -> None:
     )
     assert all(np.all(term >= 0) for term in terms)
 
-    assert np.array_equal(frames.consumed_start, np.cumsum(attempts) - attempts)
-    draws = engine._draw(config)
+    shared = engine._share(config)
+    walk = shared.walk
     capacity = math.inf if config.memory_capacity is None else config.memory_capacity
-    _, ref_attempts, occupancy = memory_walk(
-        draws.pairs_per_segment, draws.seg_stop, draws.survivors, capacity
-    )
+    _, ref_attempts, occupancy = memory_walk(walk.arrived, walk.seg_stop, walk.survivors, capacity)
     assert np.array_equal(attempts, ref_attempts)
     assert int(attempts.sum()) + occupancy == totals.pairs_stored
+
+    # Segments start at the points of the step grid clipped to the horizon,
+    # the served egress times and the horizon, all but the last.  Each takes
+    # the step it starts in, which ``start // step`` misplaces on grid points
+    # of non-dyadic steps.
+    duration, step = config.duration_s, config.channel_step_s
+    grid = [k * step for k in range(config.n_steps + 1)]
+    points = sorted({min(t, duration) for t in grid} | set(frames.egress_at_s.tolist()) | {duration})
+    steps = [bisect.bisect_right(grid[:-1], t) - 1 for t in points[:-1]]
+    bin_starts = bins.bin_start_s.tolist()
+    seg_bin = [bisect.bisect_right(bin_starts, grid[k]) - 1 for k in steps]
+    assert len(walk.arrived) == len(shared.seg_bin) == len(seg_bin)
+    assert shared.seg_bin.tolist() == seg_bin
 
 
 def assert_tables_equal(a, b) -> None:
@@ -339,11 +356,11 @@ def frame_rows(frames: FrameTable):
     """The frames.csv rows of a frame table, built one frame at a time."""
     payload = frames.payload_qubits
     n_completed = len(frames.delivered)
+    start = 0  # each frame's pairs start where the previous frame's stop
     for i in range(len(frames)):
         survivors = int(frames.survivors_at_egress[i])
         attempts = int(frames.attempts[i])
         successes = int(frames.successes[i])
-        start = int(frames.consumed_start[i])
         completed = i < n_completed
         delivered = int(frames.delivered[i]) if completed else None
         yield (
@@ -364,6 +381,7 @@ def frame_rows(frames: FrameTable):
             successes - delivered if completed else None,
             float(frames.delivered_at_s[i]) if completed else None,
         )
+        start += attempts
 
 
 def write_frames(fh, frames: FrameTable) -> None:
@@ -371,3 +389,12 @@ def write_frames(fh, frames: FrameTable) -> None:
     writer.writerow(FRAMES_COLUMNS)
     for row in frame_rows(frames):
         writer.writerow([_fmt(v) for v in row])
+
+
+def consumed_ranges(frames: FrameTable) -> tuple[np.ndarray, np.ndarray]:
+    """The ``consumed_start`` and ``consumed_stop`` columns of the frames.csv
+    that ``cli._write_frames`` writes for ``frames``."""
+    fh = io.BytesIO()
+    _write_frames(fh, frames)
+    rows = list(csv.DictReader(io.StringIO(fh.getvalue().decode("ascii"))))
+    return tuple(np.array([int(r[name]) for r in rows], dtype=np.int64) for name in ("consumed_start", "consumed_stop"))

@@ -233,7 +233,7 @@ class TestSimulate:
         def no_draw(config):
             raise AssertionError("stages 1-4 entered")
 
-        monkeypatch.setattr(engine, "_draw", no_draw)
+        monkeypatch.setattr(engine, "_share", no_draw)
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
@@ -410,7 +410,6 @@ def synthetic_frames(n: int, n_completed: int, seed: int = 0, payload: int = 100
         survivors_at_egress=survivors,
         attempts=attempts,
         successes=successes,
-        consumed_start=np.cumsum(attempts) - attempts,
         delivered=delivered,
         delivered_at_s=egress[:n_completed] + 7.5e-04,
     )
@@ -863,7 +862,7 @@ class Drawn(Exception):
 
 class TestRunCeilings:
     """A document bounds only its step grid; a run bounds itself, at its own
-    sources, before stage 1 (``engine._draw``) allocates anything."""
+    sources, before stage 1 (``engine._share``) allocates anything."""
 
     @pytest.fixture
     def drawn(self, monkeypatch) -> list[list[str]]:
@@ -874,7 +873,7 @@ class TestRunCeilings:
             runs.append([s.source_id for s in config.sources])
             raise Drawn
 
-        monkeypatch.setattr(engine, "_draw", draw)
+        monkeypatch.setattr(engine, "_share", draw)
         return runs
 
     @pytest.fixture

@@ -163,7 +163,9 @@ class TestRun:
     def test_consumed_ranges_are_contiguous_fifo(self):
         config = self.short(duration_s=32.0)
         result = run(config)
-        assert result.frames.consumed_start[0] == 0
+        starts, stops = _reference.consumed_ranges(result.frames)
+        assert starts[0] == 0 and np.array_equal(starts[1:], stops[:-1])
+        assert np.array_equal(stops - starts, result.frames.attempts)
         _reference.check_run(result, config)
 
     def test_pair_conservation(self):
@@ -316,7 +318,7 @@ class TestWalkProperties:
         duration=st.floats(0.0, 64.0),
         mean_gap=st.floats(0.005, 2.0),
         sources_policy=st.one_of(st.just(DEFAULT_SOURCES_POLICY), sources_and_policies()),
-        step=st.sampled_from([0.3, 0.7, 1.1, 2.0]),
+        step=st.sampled_from([0.3, 0.7, 1.1, 2.0, 1 / 3, 0.1, 3.7]),
         steps_per_bin=st.sampled_from([1, 3, 4]),
     )
     @example(
@@ -375,6 +377,7 @@ class TestWalkProperties:
             traffic=dataclasses.replace(base.traffic, mean_interarrival_s=mean_gap),
         )
         result = run(config)
+        _reference.check_run(result, config)
 
         # Bins are whole channel steps cut from the step grid.
         n_steps = config.n_steps
@@ -392,9 +395,7 @@ class TestWalkProperties:
         assert result.totals.pairs_stored == int(bins.pairs_stored.sum())
 
         frames = result.frames
-        stops = np.cumsum(frames.attempts)
-        assert np.array_equal(frames.consumed_start, stops - frames.attempts)
-        assert (int(stops[-1]) if len(stops) else 0) <= result.totals.pairs_stored
+        assert int(frames.attempts.sum()) <= result.totals.pairs_stored
 
         if duration > 0.0:
             created = _traffic_times(stream(seed, "traffic"), mean_gap, duration)
@@ -515,14 +516,11 @@ class TestWalkOracle:
         @example(inputs=walk_case([4, 2**56], [], [], [1, math.inf]))
         def check(inputs):
             arrived, seg_stop, survivors, capacities = inputs
-            shared = engine._shared_walk(arrived, seg_stop, survivors)
-            found, level, _ = shared
-            assert not found.flags.writeable and not level.flags.writeable
+            walk = engine._solve_walk(arrived, seg_stop, survivors)
+            assert not walk.found.flags.writeable and not walk.level.flags.writeable
             for capacity in capacities:
                 with mock.patch.object(engine, "_occupancy", wraps=engine._occupancy) as scan:
-                    stored, attempts, occupancy = engine._walk(
-                        shared, arrived, seg_stop, survivors, capacity
-                    )
+                    stored, attempts, occupancy = engine._walk(walk, capacity)
                 forms["blelloch" if scan.called else "closed"] += 1
                 ref_stored, ref_attempts, ref_occupancy = _reference.memory_walk(
                     arrived, seg_stop, survivors, capacity
@@ -599,26 +597,41 @@ class TestRunMany:
     @pytest.mark.parametrize("capacities", [[1, 5, 20, None], [None]], ids=["four-sizes", "single"])
     def test_shared_parts_are_computed_once(self, capacities):
         # Small payloads, so the bounded sizes also run the scan, which
-        # _shared_walk computes with their capacity.
+        # _solve_walk computes with their capacity.
         base = load_config_file(str(CONFIGS_DIR / "dark_fiber.json"))
         config = dataclasses.replace(
             base, duration_s=20.0, traffic=dataclasses.replace(base.traffic, frame_duration_s=1e-8)
         )
+        share, post_init = engine._share, ScenarioConfig.__post_init__
+        records, configs = [], []
+
+        def recorded(config):
+            records.append(share(config))
+            return records[-1]
+
+        def counted(config):
+            configs.append(config)
+            post_init(config)
+
         with (
-            mock.patch.object(engine, "_shared_walk", wraps=engine._shared_walk) as walk,
-            mock.patch.object(engine, "_shared_finish", wraps=engine._shared_finish) as finish,
+            mock.patch.object(engine, "_share", recorded),
+            mock.patch.object(engine, "_solve_walk", wraps=engine._solve_walk) as walk,
+            mock.patch.object(ScenarioConfig, "__post_init__", counted),
         ):
             results = list(engine.run_many(config, capacities))
-        shared = [c for c in walk.call_args_list if len(c.args) == 3 and not c.kwargs]
-        scanned = [c.args[3] for c in walk.call_args_list if c not in shared]
-        assert len(shared) == 1 and finish.call_count == 1
+        # One record per call, and no config built per capacity.
+        assert len(records) == 1 and configs == []
+        unlimited = [c for c in walk.call_args_list if len(c.args) == 3 and not c.kwargs]
+        scanned = [c.args[3] for c in walk.call_args_list if c not in unlimited]
+        assert len(unlimited) == 1
         assert scanned == [m for m in capacities if m is not None]
+        # Every array the record holds, its walk's too, is read-only.
+        record = records[0]
+        arrays = [v for part in (record, record.walk) for v in vars(part).values() if isinstance(v, np.ndarray)]
+        assert arrays and not any(array.flags.writeable for array in arrays)
         for capacity, result in zip(capacities, results):
             expected = run(dataclasses.replace(config, memory_capacity=capacity))
             assert result.totals == expected.totals
-            # The values every capacity shares are read-only in each result.
-            assert not result.bins.pairs_arrived.flags.writeable
-            assert not result.bins.frames_completed.flags.writeable
 
     def test_sources_past_the_ceiling_raise_before_drawing(self, monkeypatch):
         # One source's 1.2M steps load; a run holds a column per source.
@@ -629,6 +642,6 @@ class TestRunMany:
         def no_draw(config):
             raise AssertionError("stages 1-4 entered")
 
-        monkeypatch.setattr(engine, "_draw", no_draw)
+        monkeypatch.setattr(engine, "_share", no_draw)
         with pytest.raises(ConfigError, match=f"x 5 sources 6e\\+06 exceeds the ceiling of {MAX_RUN_CELLS}"):
             engine.run_many(config, [None])

@@ -152,10 +152,9 @@ class TestMemory:
 
     def test_fifo_ranges(self):
         result = run(config(memory_capacity=10, duration_s=32.0, seed=5))
-        frames = result.frames
-        stops = frames.consumed_start + frames.attempts
-        assert frames.consumed_start[0] == 0
-        assert np.array_equal(frames.consumed_start[1:], stops[:-1])
+        starts, stops = _reference.consumed_ranges(result.frames)
+        assert starts[0] == 0
+        assert np.array_equal(starts[1:], stops[:-1])
         # What is left after the last frame is still held: at most M pairs.
         assert 0 <= result.totals.pairs_stored - int(stops[-1]) <= 10
 
@@ -165,7 +164,8 @@ class TestMemory:
         frames = run(config(sources=(source,), duration_s=16.0, seed=6)).frames
         idle = np.flatnonzero(frames.attempts[:-1] == 0)
         assert len(idle) > 100
-        assert np.array_equal(frames.consumed_start[idle + 1], frames.consumed_start[idle])
+        starts, _ = _reference.consumed_ranges(frames)
+        assert np.array_equal(starts[idle + 1], starts[idle])
         assert np.all(frames.successes[frames.attempts == 0] == 0)
 
     def test_overconsume_rejected(self):

@@ -165,7 +165,7 @@ def shipped(stem: str) -> str:
 @contextlib.contextmanager
 def walks_and_scans():
     """Collects ``(capacity, scanned)`` for each memory walk run inside the
-    block: the walk's capacity (``UNLIMITED_CAPACITY`` when unlimited) and
+    block: the walk's capacity (None when unlimited) and
     whether it ran the Blelloch scan."""
     walks = []
     walk = engine._walk
@@ -242,5 +242,5 @@ def test_sweep_bytes_through_the_blelloch_scan(tmp_path):
     config = _small_payload_config(tmp_path, None)
     with walks_and_scans() as walks:
         digest = sweep_digest(tmp_path, config, "--memory", "1,5,20,unlimited")
-    assert walks == [(1, True), (5, True), (20, True), (engine.UNLIMITED_CAPACITY, False)]
+    assert walks == [(1, True), (5, True), (20, True), (None, False)]
     assert digest == GOLDEN_SWEEP_SMALL_PAYLOAD

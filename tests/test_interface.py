@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+import _reference
 from qbackbone.cli import main
 from qbackbone.engine import run
 from qbackbone.linkbudget import FiberLink, classical_latency_s
@@ -86,7 +87,7 @@ class TestEgressProcess:
         assert len(frames) > 0
         assert np.all(frames.attempts == 0)
         assert np.all(frames.successes == 0)
-        assert np.all(frames.consumed_start == 0)
+        assert np.all(_reference.consumed_ranges(frames)[0] == 0)
         assert np.all(frames.survivors_at_egress > 0)
 
     def test_deterministic_success(self):
@@ -94,9 +95,9 @@ class TestEgressProcess:
         assert len(frames) > 0
         assert np.array_equal(frames.attempts, frames.survivors_at_egress)
         assert np.array_equal(frames.successes, frames.attempts)
-        stops = frames.consumed_start + frames.attempts
-        assert frames.consumed_start[0] == 0
-        assert np.array_equal(frames.consumed_start[1:], stops[:-1])
+        starts, stops = _reference.consumed_ranges(frames)
+        assert starts[0] == 0
+        assert np.array_equal(starts[1:], stops[:-1])
 
     def test_mean_successes_with_surplus(self):
         # Given the attempts, the successes are Binomial(sum attempts, 0.5).
@@ -167,8 +168,8 @@ class TestIngressReconstruct:
         expected = frames.egress_at_s[:n_completed] + latency + delay_out
         assert np.array_equal(frames.delivered_at_s, expected)
         assert np.all(np.diff(frames.delivered_at_s) >= 0.0)
-        stops = frames.consumed_start + frames.attempts
-        assert np.array_equal(frames.consumed_start[1:], stops[:-1])
+        starts, stops = _reference.consumed_ranges(frames)
+        assert np.array_equal(starts[1:], stops[:-1])
 
 
 class TestAccountingIdentity:

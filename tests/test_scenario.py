@@ -70,7 +70,7 @@ def start_run(monkeypatch):
     def draw(config):
         raise Drawn
 
-    monkeypatch.setattr(engine, "_draw", draw)
+    monkeypatch.setattr(engine, "_share", draw)
 
     def start(doc) -> ScenarioConfig:
         config = load_config(doc)
