@@ -55,10 +55,17 @@ FRAMES_COLUMNS = (
     "egress_access_lost",
     "delivered_at_s",
 )
-# Rows of frames.csv formatted and written at a time: large enough to
-# amortise the per-chunk numpy calls, small enough that the byte matrices
-# of a chunk (a few MB) stay a small share of the run's memory.
-FRAMES_CHUNK = 4096
+# Rows of frames.csv formatted and written at a time.  Each chunk costs
+# about 600 numpy calls whatever its size, weighed against its working set:
+# at 16,384 rows the largest allocation, the place matrix, is about 2.2 MB,
+# far below the 32 MiB mmap threshold that `main` holds, so freed
+# temporaries are reused instead of faulted back in.  Paired in process over
+# the 7 shipped configs, 8,192, 16,384 and 32,768 rows wrote 10 %, 13 % and
+# 11 % faster than 4,096.  Under glibc's default thresholds, as where the C
+# library has no `mallopt`, 8,192 rows were 10 % faster, 16,384 no faster
+# and 32,768 40 % slower.  The writer holds 12-14 MB above the run's
+# result, whatever the horizon.
+FRAMES_CHUNK = 16384
 SUMMARY_COLUMNS = ("seed", "duration_s", *(f.name for f in dataclasses.fields(engine.RunTotals)))
 SWEEP_COLUMNS = ("label", "memory_capacity", "seed", "total_qubits_delivered")
 PASSES_COLUMNS = (

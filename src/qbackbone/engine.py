@@ -149,6 +149,7 @@ def _traffic_times(
     times: list[np.ndarray] = [np.empty(0)]
     last = 0.0
     while last < duration_s:
+        # Not a tuning knob: the block size fixes the bits of every creation time.
         gaps = rng.exponential(mean_s, size=4096)
         block = last + np.cumsum(gaps)
         times.append(block)

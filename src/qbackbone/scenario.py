@@ -41,12 +41,14 @@ POLICY_KINDS = ("fiber-only", "satellite-only", "best-source", "all-sources")
 # Ceiling on the channel steps of a document, which every command builds,
 # and on the expected frame count and the channel steps of one run, each
 # times the run's source count (bins are never more than steps); at the
-# default traffic and one source it allows a 27 h horizon.  A run and its
-# CSV writes peak (tracemalloc, as tests/test_cli.py's peak-memory tests
-# take it) about 89 B higher per frame (dark_fiber, 30k to 120k frames) and
-# 81 B per step (one source, a bin per step, 10k to 40k steps), about 450
-# and 400 MB at the ceiling; stages 2 and 3 hold a column per source.  A
-# dark_fiber run of 4.95M frames and its frames.csv peaked at 573 MB of RSS.
+# default traffic and one source it allows a 27 h horizon.  A run peaks
+# (tracemalloc, as tests/test_cli.py's peak-memory tests take it) about
+# 112 B higher per frame (dark_fiber, 30k to 120k frames), and a run and
+# its timeseries.csv 81 B per step (one source, a bin per step, 10k to 40k
+# steps), about 560 and 400 MB at the ceiling; writing frames.csv then
+# holds at most about 14 MB above the result, whatever the horizon.  Stages
+# 2 and 3 hold a column per source.  A dark_fiber run of 4.95M frames and
+# its frames.csv peaked at 573 MB of RSS.
 MAX_RUN_CELLS = 5_000_000
 
 # Ceiling on the expected pair count and the expected qubit count of one

@@ -11,7 +11,9 @@ the segments before each frame and then the frame's take.
 ``check_run`` asserts the accounting every run must satisfy, on fuzzed
 and hand-picked runs alike; its final occupancy comes from
 ``memory_walk`` over the run's own draws, and its segments and their bins
-from the step grid rebuilt in Python floats and searched with ``bisect``.
+from the step grid rebuilt in Python floats and searched with ``bisect``;
+each segment's start is then placed in its step by exact ``Fraction``
+comparison, and each step's segment lengths sum to the step's length.
 ``assert_tables_equal`` compares two column tables, a ``FrameTable`` or a
 ``BinTable``.
 
@@ -43,6 +45,7 @@ import csv
 import dataclasses
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -280,8 +283,8 @@ def check_run(result: RunResult, config: ScenarioConfig) -> None:
     stored + dropped = arrived in every bin, the totals are the bin sums,
     every qubit of each frame is accounted for, the frames take the stored
     pairs with the final occupancy left in memory, and the segments are the
-    step grid cut at the served egress times and the horizon, each counted
-    toward the bin of the step it starts in."""
+    step grid cut at the served egress times and the horizon, each inside
+    one step, which its segments tile, and counted toward that step's bin."""
     bins, totals, frames = result.bins, result.totals, result.frames
     counts = ("pairs_arrived", "pairs_stored", "pairs_dropped", "qubits_delivered", "frames_completed")
     for name in counts:
@@ -322,14 +325,29 @@ def check_run(result: RunResult, config: ScenarioConfig) -> None:
     # the served egress times and the horizon, all but the last.  Each takes
     # the step it starts in, which ``start // step`` misplaces on grid points
     # of non-dyadic steps.
-    duration, step = config.duration_s, config.channel_step_s
-    grid = [k * step for k in range(config.n_steps + 1)]
-    points = sorted({min(t, duration) for t in grid} | set(frames.egress_at_s.tolist()) | {duration})
+    duration, step, n_steps = config.duration_s, config.channel_step_s, config.n_steps
+    grid = [k * step for k in range(n_steps + 1)]
+    egress = frames.egress_at_s.tolist()
+    points = sorted({min(t, duration) for t in grid} | set(egress) | {duration})
     steps = [bisect.bisect_right(grid[:-1], t) - 1 for t in points[:-1]]
     bin_starts = bins.bin_start_s.tolist()
     seg_bin = [bisect.bisect_right(bin_starts, grid[k]) - 1 for k in steps]
     assert len(walk.arrived) == len(shared.seg_bin) == len(seg_bin)
     assert shared.seg_bin.tolist() == seg_bin
+    assert walk.seg_stop.tolist() == [bisect.bisect_right(points, t) - 1 for t in egress]
+    # Each segment starts inside its step, compared exactly against
+    # ``step_grid``; the last step runs to the horizon, which may pass its
+    # grid end by ``n_steps``'s 1e-9 slack.  So each step's segment lengths,
+    # as the engine takes them, sum to the step clipped to the horizon
+    # within a few ulp.
+    edges = [Fraction(t) for t in config.step_grid.tolist()]
+    ends = grid[1:-1] + [duration]
+    lengths: list[list[float]] = [[] for _ in range(n_steps)]
+    for start, stop, k in zip(points, points[1:], steps):
+        assert edges[k] <= Fraction(start) and (k == n_steps - 1 or Fraction(start) < edges[k + 1])
+        lengths[k].append(stop - start)
+    for k, parts in enumerate(lengths):
+        assert abs(math.fsum(parts) - (ends[k] - grid[k])) <= 4 * math.ulp(step), (k, parts)
 
 
 def assert_tables_equal(a, b) -> None:

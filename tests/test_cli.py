@@ -242,22 +242,28 @@ class TestSimulate:
 
     def test_peak_memory_per_frame(self):
         # MAX_RUN_CELLS keeps a run under 1 GB at 200 bytes per frame,
-        # measured between 30k and 120k frames.
+        # measured between 30k and 120k frames; writing frames.csv holds a
+        # constant above the run's result, whatever the horizon.
         base = load_config_file(str(CONFIGS_DIR / "dark_fiber.json"))
 
-        def peak(duration_s: float) -> tuple[int, int]:
+        def peaks(duration_s: float) -> tuple[int, int, int]:
+            """Frames, the run's peak and the writer's peak above the result."""
             tracemalloc.start()
             try:
                 frames = engine.run(dataclasses.replace(base, duration_s=duration_s)).frames
+                held, run_peak = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
                 _write_frames(Discard(), frames)
-                return len(frames), tracemalloc.get_traced_memory()[1]
+                return len(frames), run_peak, tracemalloc.get_traced_memory()[1] - held
             finally:
                 tracemalloc.stop()
 
-        peak(20.0)  # first-call allocations
-        (n_short, short), (n_long, long) = peak(600.0), peak(2400.0)
+        peaks(20.0)  # first-call allocations
+        (n_short, run_short, write_short), (n_long, run_long, write_long) = peaks(600.0), peaks(2400.0)
         assert n_long > 3 * n_short
-        assert (long - short) / (n_long - n_short) <= 200, (short, long)
+        assert (run_long - run_short) / (n_long - n_short) <= 200, (run_short, run_long)
+        # 12.0 and 13.8 MB at 16,384 rows per chunk.
+        assert max(write_short, write_long) <= 16 << 20, (write_short, write_long)
 
     def test_peak_memory_per_bin(self):
         # MAX_RUN_CELLS keeps a run under 1 GB at 120 bytes per channel
@@ -435,37 +441,55 @@ def assert_matches_reference(frames: engine.FrameTable) -> str:
     return text
 
 
+def boundary_cases(chunk: int) -> list[tuple[int, int, int]]:
+    """Frame and completed-frame counts on and around the chunk boundaries
+    of ``chunk`` rows, and payloads of every count width."""
+    return [
+        (chunk - 1, chunk - 1, 100),
+        (chunk, 0, 100),
+        (chunk, chunk, 100),
+        (chunk + 1, chunk, 100),
+        (chunk + 1, chunk + 1, 100),
+        (2 * chunk + 1, chunk - 1, 100),
+        (2 * chunk + 1, 0, 100),
+        # Counts of up to 17 and up to 19 digits (int64's widest).
+        (2 * chunk + 1, chunk + 1, 2**56),
+        (chunk + 1, 7, 2**63 - 1),
+        # Every count 0.
+        (2 * chunk + 1, chunk + 1, 0),
+    ]
+
+
+# The chunk the parametrized boundary cases run under, smaller than the
+# shipped one: the reference writer formats one row at a time, so their
+# cost grows with the chunk.
+BOUNDARY_CHUNK = 4096
+
+
 class TestFramesWriter:
     """The byte writer's bytes equal the per-row reference writer's."""
 
     @pytest.mark.parametrize(
         "n, n_completed, payload",
-        [
-            (0, 0, 100),
-            (5, 0, 100),
-            (5, 5, 100),
-            (FRAMES_CHUNK - 1, FRAMES_CHUNK - 1, 100),
-            (FRAMES_CHUNK, 0, 100),
-            (FRAMES_CHUNK, FRAMES_CHUNK, 100),
-            (FRAMES_CHUNK + 1, FRAMES_CHUNK, 100),
-            (FRAMES_CHUNK + 1, FRAMES_CHUNK + 1, 100),
-            (2 * FRAMES_CHUNK + 1, FRAMES_CHUNK - 1, 100),
-            (2 * FRAMES_CHUNK + 1, 0, 100),
-            # Counts of up to 17 and up to 19 digits (int64's widest).
-            (5, 3, 2**56),
-            (2 * FRAMES_CHUNK + 1, FRAMES_CHUNK + 1, 2**56),
-            (FRAMES_CHUNK + 1, 7, 2**63 - 1),
-            # Every count 0.
-            (2 * FRAMES_CHUNK + 1, FRAMES_CHUNK + 1, 0),
-        ],
+        [(0, 0, 100), (5, 0, 100), (5, 5, 100), (5, 3, 2**56), *boundary_cases(BOUNDARY_CHUNK)],
     )
-    def test_matches_reference(self, n, n_completed, payload):
+    def test_matches_reference(self, monkeypatch, n, n_completed, payload):
+        monkeypatch.setattr(cli, "FRAMES_CHUNK", BOUNDARY_CHUNK)
         frames = synthetic_frames(n, n_completed, payload=payload)
         lines = assert_matches_reference(frames).split("\n")
         assert lines[0] == ",".join(FRAMES_COLUMNS) and lines[-1] == ""
         assert len(lines) == n + 2
         if n:
             assert lines[1].split(",")[1] == "3e-05"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_small_chunks_match_reference(self, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "FRAMES_CHUNK", chunk)
+        for n, n_completed, payload in boundary_cases(chunk):
+            assert_matches_reference(synthetic_frames(n, n_completed, payload=payload))
+
+    def test_shipped_chunk_matches_reference(self):
+        assert_matches_reference(synthetic_frames(2 * FRAMES_CHUNK + 1, FRAMES_CHUNK + 1, payload=2**56))
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(

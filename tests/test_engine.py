@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import _reference
 from qbackbone import engine
 from qbackbone.engine import _traffic_times, run, stream
-from qbackbone.linkbudget import DARK_FIBER_DB_PER_KM, classical_latency_s
+from qbackbone.linkbudget import DARK_FIBER_DB_PER_KM, FiberLink, classical_latency_s
 from qbackbone.scenario import (
     MAX_RUN_CELLS,
     ConfigError,
@@ -413,6 +413,47 @@ class TestWalkProperties:
         assert frames.delivered_at_s.tolist() == [
             t + latency + delay_out for t in frames.egress_at_s[: len(frames.delivered)].tolist()
         ]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        memory=st.one_of(st.none(), st.integers(1, 5)),
+        step=st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1.1, 3.7, 2.0]),
+        steps_per_bin=st.sampled_from([1, 3]),
+        m=st.integers(1, 40),
+        horizon=st.sampled_from(["on", "ulp under", "ulp over", "slack under", "slack over", "past slack"]),
+        picks=st.lists(st.tuples(st.integers(0, 41), st.sampled_from([-1, 0, 0, 1])), max_size=30),
+    )
+    def test_adversarial_time_grids(self, seed, memory, step, steps_per_bin, m, horizon, picks):
+        # Horizons on, just under and just over the grid point m * step
+        # (by an ulp, inside n_steps's 1e-9 step slack and past it), and
+        # frames egressing on grid points or an ulp off them: the ingress
+        # access has no length, so each egress time is its creation time.
+        point = m * step
+        duration = {
+            "on": point,
+            "ulp under": math.nextafter(point, 0.0),
+            "ulp over": math.nextafter(point, math.inf),
+            "slack under": point - 0.5e-9 * step,
+            "slack over": point + 0.5e-9 * step,
+            "past slack": point + 2e-9 * step,
+        }[horizon]
+        times = sorted(math.nextafter(k * step, d * math.inf) if d else k * step for k, d in picks)
+        times = np.array([t for t in times if 0.0 <= t < duration])
+        base = ScenarioConfig()
+        config = dataclasses.replace(
+            base,
+            seed=seed,
+            memory_capacity=memory,
+            duration_s=duration,
+            channel_step_s=step,
+            bin_width_s=step * steps_per_bin,
+            ingress_access=FiberLink(0.0, base.ingress_access.attenuation_db_per_km),
+        )
+        with mock.patch.object(engine, "_traffic_times", lambda rng, mean_s, duration_s: times):
+            result = run(config)
+            assert result.frames.egress_at_s.tolist() == times.tolist()
+            _reference.check_run(result, config)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
