@@ -114,7 +114,8 @@ def downlink_profile(
     non-increasing in range.  Each range is ``geometry.slant_range_km``
     of its elevation, bit for bit.
     """
-    cos, sin, radians = math.cos, math.sin, math.radians
+    acos, atan, cos, sin, sqrt, exp = math.acos, math.atan, math.cos, math.sin, math.sqrt, math.exp
+    degrees, radians, pi = math.degrees, math.radians, math.pi
     re, r = EARTH_RADIUS_KM, pass_model.orbit_radius_km
     r2 = r * r
     cos_gamma_min = cos(central_angle_rad(station.peak_elevation_deg, pass_model.altitude_km))
@@ -124,24 +125,25 @@ def downlink_profile(
     zenith = params.zenith_atmospheric_transmittance
     gain = params.system_efficiency * 10.0 ** (-params.pointing_loss_db / 10.0)
     elevations, ranges_km, etas = [], [], []
+    add_elevation, add_range, add_eta = elevations.append, ranges_km.append, etas.append
     for t_s in times:
         phase = omega * abs(t_s - peak_s)
-        cos_gamma = cos_gamma_min * cos(phase if phase < math.pi else math.pi)
+        cos_gamma = cos_gamma_min * cos(phase if phase < pi else pi)
         cos_gamma = -1.0 if cos_gamma < -1.0 else 1.0 if cos_gamma > 1.0 else cos_gamma
-        gamma = math.acos(cos_gamma)
-        elevation = 90.0 if gamma < 1e-12 else math.degrees(math.atan((cos_gamma - rho) / sin(gamma)))
+        gamma = acos(cos_gamma)
+        elevation = 90.0 if gamma < 1e-12 else degrees(atan((cos_gamma - rho) / sin(gamma)))
         range_km, eta = None, 0.0
         if elevation >= 0.0:
             el = radians(elevation)
             sin_el = sin(el)
-            range_km = math.sqrt(r2 - (re * cos(el)) ** 2) - re * sin_el
+            range_km = sqrt(r2 - (re * cos(el)) ** 2) - re * sin_el
             if elevation >= mask:
                 beam_radius_m = divergence * (1000.0 * range_km)
-                eta_geo = 1.0 - math.exp(neg_aperture2 / (2.0 * beam_radius_m**2))
+                eta_geo = 1.0 - exp(neg_aperture2 / (2.0 * beam_radius_m**2))
                 eta = gain * zenith ** (1.0 / sin_el) * eta_geo
         else:
             elevation = None
-        elevations.append(elevation)
-        ranges_km.append(range_km)
-        etas.append(eta)
+        add_elevation(elevation)
+        add_range(range_km)
+        add_eta(eta)
     return elevations, ranges_km, etas

@@ -13,18 +13,21 @@ digits ``repr`` prints.  The range keeps the kernel small:
   stays below 2^63, so 5^i and twice it fit in one ``uint64``, every
   product is exact and every shift is below 64;
 - with q >= 2 the rounding interval's lower bound is never exact, so the
-  digits dropped from it are never all zeros.
+  digits dropped from it are never all zeros;
+- its bounds vp and vm lie 30 to 400 apart: past its hundreds a value drops its
+  thousands and a digit per trailing zero of vp // 1000 < 10^16, at most 15.
 
 One exact 64×64-bit product per value, from 32-bit limbs in ``uint64``
-lanes, plus carries: the bytes cannot depend on numpy's SIMD dispatch.
-+0.0 prints as ``0.0``; other values (NaN, infinities, negatives, -0.0)
-take ``repr``.  Each value becomes a column of a ``uint8`` matrix, a row
-per byte place, NUL in the places its text does not use, so a caller can
-stack the cells of a table's columns and drop every NUL at once.  A
-float's cell is three bands, its integer part, a point and its fraction's
-digits, the digits from ``count_cells``, which writes frames.csv's counts
-too; below 1e-4 ``repr`` turns to exponent form, whose first digit, point
-and other digits take the same bands, followed by ``e-`` and two digits.
+lanes, plus carries, and four halving steps that count those zeros: the
+bytes cannot depend on numpy's SIMD dispatch.  +0.0 prints as ``0.0``;
+other values (NaN, infinities, negatives, -0.0) take ``repr``.  Each value
+becomes a column of a ``uint8`` matrix, a row per byte place, NUL in the
+places its text does not use, so a caller can stack the cells of a table's
+columns and drop every NUL at once.  A float's cell is three bands, its
+integer part, a point and its fraction's digits, the digits from
+``count_cells``, which writes frames.csv's counts too; below 1e-4 ``repr``
+turns to exponent form, whose first digit, point and other digits take the
+same bands, followed by ``e-`` and two digits.
 """
 
 from __future__ import annotations
@@ -78,18 +81,19 @@ def shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vr, vp, vm = ((h << left) | (w >> right) for h, w in bounds)
     vr_zeros = mv >> right << right == mv  # 5^i is odd: vr is exact iff 2^q divides mv
 
-    # Step 4: drop the digits below the first place where vp and vm differ,
-    # found one place at a time.  5^i/2^q = 5^a/10^q is in [10, 100), so
-    # 29 < vp - vm < 401: every value drops its units digit, and only short
-    # decimals drop more than the tens and hundreds, so from the thousands
-    # on the search runs only over the values that still drop a digit.
+    # Step 4: drop the digits below the first place where vp and vm differ.  As
+    # 5^i/2^q = 5^a/10^q is in [10, 100), 29 < vp - vm < 401: each value drops its
+    # units, and one that drops its thousands (the one multiple of 1000 in (vm, vp])
+    # a digit per trailing zero of vp // 1000 < 10^16 too (vr < 2^55·100 < 10^19).
+    thousands = vp // 1000
+    live = np.flatnonzero(thousands > vm // 1000)
     removed = 1 + (vp // 100 > vm // 100)
-    live = np.flatnonzero(vp // 1000 > vm // 1000)
-    vp_kept, vm_kept = vp[live] // 10000, vm[live] // 10000
-    while len(live):
-        removed[live] += 1
-        more = vp_kept > vm_kept
-        live, vp_kept, vm_kept = live[more], vp_kept[more] // 10, vm_kept[more] // 10
+    thousands, zeros = thousands[live], 1
+    for place in (8, 4, 2, 1):
+        quotient = thousands // 10**place
+        hit = quotient * 10**place == thousands
+        thousands, zeros = np.where(hit, quotient, thousands), zeros + place * hit
+    removed[live] += zeros
     # vr's dropped digits: the first one dropped is `last`; below it, zeros or not.
     scale = _POW10[removed - 1]
     kept = vr // scale

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import typing
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import MISSING, Field, asdict, dataclass, fields, is_dataclass
 from typing import Any
 
@@ -300,76 +300,80 @@ def _check_keys(doc: Mapping[str, Any], allowed: set[str], path: str) -> None:
         raise ConfigError(f"unknown key(s) in {path}: {sorted(unknown)}")
 
 
-@functools.cache
 def _typed_fields(cls: type) -> tuple[tuple[Field, Any], ...]:
     """Each field of a dataclass with its resolved type annotation."""
     types = typing.get_type_hints(cls)
     return tuple((f, types[f.name]) for f in fields(cls))
 
 
-def _load_fields(cls: type, doc: Any, default: Any, path: str) -> Any:
-    """A dataclass from a document object that holds its fields under their names.
-
-    An absent key keeps the field of ``default`` when one is given, else
-    the dataclass default; a field with neither is required.
-    """
-    doc = _require_mapping(doc, path)
-    typed_fields = _typed_fields(cls)
-    _check_keys(doc, {f.name for f, _ in typed_fields}, path)
-    values = {}
-    for f, tp in typed_fields:
-        value = f.default if default is None else getattr(default, f.name)
-        if f.name in doc:
-            value = _load(tp, doc[f.name], value, f"{path}.{f.name}")
-        elif value is MISSING:
-            raise ConfigError(f"{path}.{f.name} is required")
-        values[f.name] = value
-    try:
-        return cls(**values)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _load(tp: Any, value: Any, default: Any, path: str) -> Any:
-    """One document value read as the field type ``tp``.
-
-    ``default`` is the value the key replaces: a nested dataclass keeps
-    its fields for the keys the object leaves out.
-    """
+@functools.cache
+def _reader(tp: Any) -> Callable[[Any, Any, str], Any]:
+    """``read(value, default, path)``: a document value read as the field
+    type ``tp``, built once per type.  ``default`` is the value the key
+    replaces: a dataclass object keeps the fields of ``default`` when one is
+    given, else the dataclass defaults, for the keys it leaves out; a field
+    with neither is required."""
     if is_dataclass(tp):
-        return _load_fields(tp, value, None if default is MISSING else default, path)
+        typed_fields = tuple((f.name, f.default, _reader(t)) for f, t in _typed_fields(tp))
+        names = {name for name, _, _ in typed_fields}
+
+        def read_fields(doc: Any, default: Any, path: str) -> Any:
+            doc, default = _require_mapping(doc, path), None if default is MISSING else default
+            _check_keys(doc, names, path)
+            values = {}
+            for name, value, read in typed_fields:
+                value = value if default is None else getattr(default, name)
+                if name in doc:
+                    value = read(doc[name], value, f"{path}.{name}")
+                elif value is MISSING:
+                    raise ConfigError(f"{path}.{name} is required")
+                values[name] = value
+            try:
+                return tp(**values)
+            except ConfigError:
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
+        return read_fields
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
-        return tuple(_load(args[0], item, None, f"{path}[{i}]") for i, item in enumerate(value))
+        read_item = _reader(args[0])
+
+        def read_tuple(value: Any, default: Any, path: str) -> tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
+            return tuple(read_item(item, None, f"{path}[{i}]") for i, item in enumerate(value))
+        return read_tuple
     if type(None) in args:  # X | None
-        if value is None:
-            return None
-        (tp,) = set(args) - {type(None)}
-        return _load(tp, value, default, path)
+        (inner,) = set(args) - {type(None)}
+        read_inner = _reader(inner)
+        return lambda value, default, path: None if value is None else read_inner(value, default, path)
     if args:  # a union of dataclasses, each object tagged by its class's ``kind``
-        kinds = {cls.kind: cls for cls in args}
-        doc = dict(_require_mapping(value, path))
-        kind = doc.pop("kind", None)
-        if not isinstance(kind, str) or kind not in kinds:
-            raise ConfigError(f"{path}.kind must be one of {sorted(kinds)}, got {kind!r}")
-        return _load_fields(kinds[kind], doc, None, path)
-    if tp is str:
-        if isinstance(value, str) and value:
+        readers = {cls.kind: _reader(cls) for cls in args}
+
+        def read_tagged(value: Any, default: Any, path: str) -> Any:
+            doc = dict(_require_mapping(value, path))
+            kind = doc.pop("kind", None)
+            if not isinstance(kind, str) or kind not in readers:
+                raise ConfigError(f"{path}.kind must be one of {sorted(readers)}, got {kind!r}")
+            return readers[kind](doc, None, path)
+        return read_tagged
+    accepted, what = ((int, float), "a number") if tp is float else (int, "an integer")
+
+    def read_scalar(value: Any, default: Any, path: str) -> Any:
+        if tp is str:
+            if isinstance(value, str) and value:
+                return value
+            raise ConfigError(f"{path} must be a non-empty string, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+        if tp is int:
             return value
-        raise ConfigError(f"{path} must be a non-empty string, got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else int):
-        what = "a number" if tp is float else "an integer"
-        raise ConfigError(f"{path} must be {what}, got {value!r}")
-    if tp is int:
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{path} is too large for a float") from None
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path} is too large for a float") from None
+    return read_scalar
 
 
 def load_config(doc: Mapping[str, Any]) -> ScenarioConfig:
@@ -378,7 +382,7 @@ def load_config(doc: Mapping[str, Any]) -> ScenarioConfig:
     version = doc.pop("schema_version", SCHEMA_VERSION)
     if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    return _load_fields(ScenarioConfig, doc, None, "config")
+    return _reader(ScenarioConfig)(doc, None, "config")
 
 
 def load_config_file(path: str) -> ScenarioConfig:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qbackbone import ryu
 from qbackbone.ryu import count_cells, float_cells
 
 
@@ -97,6 +98,38 @@ def test_places_print_leading_zeros():
 
 def test_three_decimal_values():
     assert_repr(np.arange(100_000) / 1000)
+
+
+def test_channel_grid_times():
+    # The time columns of pass tables: k·step on dyadic and non-dyadic steps.
+    k = np.arange(100_001)
+    for step in (0.25, 0.1, 1 / 3, 0.7, 2.0):
+        assert_repr(k * step)
+
+
+def dropped_digits(values: np.ndarray) -> np.ndarray:
+    """How many of vr's digits ``ryu.shortest`` drops for each value in the
+    kernel's range: its exponent less vr's."""
+    bits = values.view(np.uint64)
+    return ryu.shortest(bits)[1] - ryu._E10[(bits >> 52).astype(np.intp) - ryu._LOW]
+
+
+def test_short_decimals_and_every_dropped_digit_count():
+    # d·10^e with 1 to 17 significant digits, and their neighbours, across
+    # [2^-32, 2^50): a value drops up to 18 digits (1e-9 does), each one
+    # past the thousands found by the digit search.
+    rng = np.random.default_rng(34)
+    text = [
+        f"{d}e{e - digits + 1}"
+        for digits in range(1, 18)
+        for e in range(-10, 16)
+        for d in rng.integers(10 ** (digits - 1), 10**digits, 40).tolist() + [10 ** (digits - 1)]
+    ]
+    values = neighbours(np.array([float(t) for t in text]))
+    values = values[(values >= 2.0**-32) & (values < 2.0**50)]
+    assert_repr(values)
+    assert set(dropped_digits(values).tolist()) == set(range(1, 19))
+    assert dropped_digits(np.array([1e-9])).tolist() == [18]
 
 
 def test_notation_switches():

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference
-from qbackbone import engine
+from qbackbone import engine, scenario
 from qbackbone.engine import run
 from qbackbone.entanglement import FiberSource, coincidence_matrix
 from qbackbone.linkbudget import DARK_FIBER_DB_PER_KM, FiberLink, FreeSpaceLinkParams
@@ -362,6 +363,38 @@ class TestLoaderFuzz:
                 except Exception as exc:  # anything else reaches the user as a traceback
                     escaped.append((path, value, repr(exc)))
         assert escaped == []
+
+
+class TestReaders:
+    def test_a_second_load_resolves_no_type(self, monkeypatch):
+        # Each field type's reader is built once, so a load after the first
+        # inspects no annotation and asks no type what it is.
+        doc = json.loads((ROOT / "configs" / "all_sources.json").read_text())
+        for value in vars(scenario).values():  # cold caches: the first load builds the readers
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        calls = []
+
+        def counted(name, function):
+            def count(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return count
+
+        for module, name in (
+            (typing, "get_args"),
+            (typing, "get_origin"),
+            (typing, "get_type_hints"),
+            (dataclasses, "is_dataclass"),
+            (scenario, "is_dataclass"),  # the name scenario imported
+        ):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        first = load_config(doc)
+        assert {"get_args", "get_origin", "get_type_hints", "is_dataclass"} <= set(calls)
+        calls.clear()
+        assert load_config(doc) == first
+        assert calls == []
 
 
 class TestRoundTrip:
